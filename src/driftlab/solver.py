@@ -18,18 +18,18 @@ interpolated to faces and then projected onto the divergence-free constraint.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
 from scipy import ndimage
 
-from .fields import Grid, PERIODIC, SpaceTimeField, ZERO, divergence
+from .fields import Grid, PERIODIC, SpaceTimeField, ZERO, _shift, divergence
 
 EXPLICIT_FV = "explicit_fv"
 SEMI_IMPLICIT = "semi_implicit_spectral"
 UPWIND = "upwind"
-CENTERED_LIMITED = "centered_limited"
 
 BUFFER_CELLS = 3
 
@@ -44,12 +44,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.scheme not in (EXPLICIT_FV, SEMI_IMPLICIT):
             raise ValueError("unknown scheme")
-        if self.advection not in (UPWIND, CENTERED_LIMITED):
+        if self.advection != UPWIND:
             raise ValueError("unknown advection discretization")
         if not 0.0 < self.safety < 1.0:
             raise ValueError("CFL safety factor must lie in (0, 1)")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("timestep must be positive")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("timestep must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +59,6 @@ class SolverConfig:
 class ZeroDrift:
     def face_velocities(self, grid, t):
         return _zero_faces(grid)
-
-    def max_speed(self, grid, t):
-        return 0.0
 
     def sample(self, grid):
         return SpaceTimeField(
@@ -151,9 +148,6 @@ class PotentialDrift:
         uz = diff(A2, 0) / h[0] - diff(A1, 1) / h[1]
         return [ux, uy, uz]
 
-    def max_speed(self, grid, t):
-        return max(np.abs(f).max() for f in self.face_velocities(grid, t))
-
     def sample(self, grid):
         """Cell-centered samples by averaging the two faces of each cell."""
         out = np.zeros((grid.nt,) + tuple(grid.shape) + (grid.n,))
@@ -225,10 +219,12 @@ class FieldDrift:
         if j1 == j0 or w == 0.0:
             return f0
         f1 = self._faces_at_slice(j1)
-        return [a * (1 - w) + b * w for a, b in zip(f0, f1)]
-
-    def max_speed(self, grid, t):
-        return max(np.abs(f).max() for f in self.face_velocities(grid, t))
+        out = []
+        for a, b in zip(f0, f1):
+            r = a * (1 - w)
+            r += b * w
+            out.append(r)
+        return out
 
     def sample(self, grid):
         return self.b
@@ -321,83 +317,76 @@ def as_drift(b, grid):
 # stepping
 
 
-def _shift1(a, axis, off, bc):
-    if bc == PERIODIC:
-        return np.roll(a, -off, axis=axis)
-    out = np.zeros_like(a)
-    src = [slice(None)] * a.ndim
-    dst = [slice(None)] * a.ndim
-    if off > 0:
-        src[axis] = slice(off, None)
-        dst[axis] = slice(None, -off)
-    else:
-        src[axis] = slice(None, off)
-        dst[axis] = slice(-off, None)
-    out[tuple(dst)] = a[tuple(src)]
-    return out
-
-
 def _laplacian(theta, grid):
     out = np.zeros_like(theta)
     for a in range(grid.n):
-        out += (_shift1(theta, a, 1, grid.bc) - 2.0 * theta
-                + _shift1(theta, a, -1, grid.bc)) / grid.h[a] ** 2
+        out += (_shift(theta, a, 1, grid.bc) - 2.0 * theta
+                + _shift(theta, a, -1, grid.bc)) / grid.h[a] ** 2
     return out
 
 
-def _minmod(a, b):
-    s = np.sign(a)
-    return np.where(np.sign(b) == s, s * np.minimum(np.abs(a), np.abs(b)), 0.0)
+def _slab(arr, axis, i, j):
+    """View of arr restricted to [i, j) along one axis."""
+    idx = [slice(None)] * arr.ndim
+    idx[axis] = slice(i, j)
+    return arr[tuple(idx)]
 
 
-def _advective_div(theta, faces, grid, limited):
-    out = np.zeros_like(theta)
-    for a in range(grid.n):
-        u = faces[a]
-        up = np.maximum(u, 0.0)
-        um = np.minimum(u, 0.0)
-        if grid.bc == PERIODIC:
-            thL = np.roll(theta, 1, a)
-            thR = theta
-            if limited:
-                dm = theta - np.roll(theta, 1, a)
-                dp = np.roll(theta, -1, a) - theta
-                sig = _minmod(dm, dp)
-                thL = thL + 0.5 * np.roll(sig, 1, a)
-                thR = thR - 0.5 * sig
-            F = up * thL + um * thR
-            out += (np.roll(F, -1, a) - F) / grid.h[a]
-        else:
-            z = np.take(theta, [0], axis=a) * 0.0
-            pad = np.concatenate([z, theta, z], axis=a)
-            lo = [slice(None)] * grid.n
-            hi = [slice(None)] * grid.n
-            lo[a] = slice(None, -1)
-            hi[a] = slice(1, None)
-            thL = pad[tuple(lo)]
-            thR = pad[tuple(hi)]
-            if limited:
-                z2 = np.concatenate([z, z], axis=a)
-                pad2 = np.concatenate([z2, theta, z2], axis=a)
-                d = np.diff(pad2, axis=a)  # len N+3
-                dm = [slice(None)] * grid.n
-                dp = [slice(None)] * grid.n
-                dm[a] = slice(None, -1)
-                dp[a] = slice(1, None)
-                sig = _minmod(d[tuple(dm)], d[tuple(dp)])  # slopes incl ghosts
-                sl = [slice(None)] * grid.n
-                sr = [slice(None)] * grid.n
-                sl[a] = slice(None, -1)
-                sr[a] = slice(1, None)
-                thL = thL + 0.5 * sig[tuple(sl)]
-                thR = thR - 0.5 * sig[tuple(sr)]
-            F = up * thL + um * thR
-            Fl = [slice(None)] * grid.n
-            Fh = [slice(None)] * grid.n
-            Fl[a] = slice(None, -1)
-            Fh[a] = slice(1, None)
-            out += (F[tuple(Fh)] - F[tuple(Fl)]) / grid.h[a]
-    return out
+class _Upwind:
+    """First-order upwind flux divergence on buffers allocated once per solve.
+
+    Along each axis the cells are copied into a ghost-extended buffer: one
+    leading ghost holding the wrapped last cell (periodic), or a zero cell at
+    both ends (zero extension), so the left and right states of the faces are
+    two shifted slices of it.  Periodic fluxes are extended by the wrapped
+    first face, so in both cases the divergence is one slice difference.
+    """
+
+    def __init__(self, grid):
+        shape, self.h = tuple(grid.shape), grid.h
+        self.periodic = grid.bc == PERIODIC
+        face_shapes = _face_shapes(grid)
+        self.up = [np.empty(s) for s in face_shapes]
+        self.um = [np.empty(s) for s in face_shapes]
+        self.part = np.empty(shape)
+        self.axes = []
+        for a, fs in enumerate(face_shapes):
+            N, nf = shape[a], fs[a]
+            ghosts = 1 if self.periodic else 2
+            pad = np.zeros(shape[:a] + (N + ghosts,) + shape[a + 1:])
+            flux = np.empty(shape[:a] + (N + 1,) + shape[a + 1:])
+            self.axes.append(dict(
+                interior=_slab(pad, a, 1, N + 1), ghost=_slab(pad, a, 0, 1),
+                last=_slab(pad, a, N, N + 1),
+                left=_slab(pad, a, 0, nf), right=_slab(pad, a, 1, nf + 1),
+                faces=_slab(flux, a, 0, nf), tmp=np.empty(fs),
+                wrap=_slab(flux, a, N, N + 1), first=_slab(flux, a, 0, 1),
+                hi=_slab(flux, a, 1, N + 1), lo=_slab(flux, a, 0, N)))
+
+    def split(self, faces):
+        """Store max(u, 0) and min(u, 0) of the face velocities; return max |u|."""
+        for u, up, um in zip(faces, self.up, self.um):
+            np.maximum(u, 0.0, out=up)
+            np.minimum(u, 0.0, out=um)
+        return max(max(up.max(), -um.min()) for up, um in zip(self.up, self.um))
+
+    def div(self, theta, out):
+        """Write div(u theta) for the faces of the last split() into out."""
+        for a, ax in enumerate(self.axes):
+            ax["interior"][...] = theta
+            if self.periodic:
+                ax["ghost"][...] = ax["last"]
+            np.multiply(self.up[a], ax["left"], out=ax["faces"])
+            np.multiply(self.um[a], ax["right"], out=ax["tmp"])
+            ax["faces"] += ax["tmp"]
+            if self.periodic:
+                ax["wrap"][...] = ax["first"]
+            dst = out if a == 0 else self.part
+            np.subtract(ax["hi"], ax["lo"], out=dst)
+            dst /= self.h[a]
+            if a:
+                out += dst
+        return out
 
 
 def _apply_buffer(theta, grid):
@@ -420,7 +409,6 @@ class SimRun:
     mass: np.ndarray
     minimum: np.ndarray
     maximum: np.ndarray
-    probes: dict = field(default_factory=dict)
 
     @property
     def grid(self):
@@ -443,7 +431,7 @@ def _cfl_bounds(grid, config, speed):
     return diff_bound, adv_bound
 
 
-def solve(theta0, b, grid, config=None, probes=None):
+def solve(theta0, b, grid, config=None):
     """March theta0 from grid.t0 to grid.t1, storing at the grid's times.
 
     theta0 is an array on grid.shape (or a single-snapshot SpaceTimeField);
@@ -465,9 +453,13 @@ def solve(theta0, b, grid, config=None, probes=None):
         raise ValueError("initial data shape does not match the grid")
     drift = as_drift(b, grid)
 
-    sym = _fd_symbol(grid) if config.scheme == SEMI_IMPLICIT else None
+    if config.scheme == SEMI_IMPLICIT:
+        # the real transform keeps the non-negative half of the last axis
+        sym = np.ascontiguousarray(_fd_symbol(grid)[..., : grid.shape[-1] // 2 + 1])
+        den = np.empty_like(sym)
+    upwind = _Upwind(grid)
+    adv = np.empty(grid.shape)
     vol = grid.cell_volume
-    limited = config.advection == CENTERED_LIMITED
 
     if grid.bc == ZERO:
         _apply_buffer(theta, grid)
@@ -478,8 +470,6 @@ def solve(theta0, b, grid, config=None, probes=None):
     mass = [theta.sum() * vol]
     mn = [theta.min()]
     mx = [theta.max()]
-    probes = probes or {}
-    probe_vals = {k: [fn(theta, grid.t0)] for k, fn in probes.items()}
 
     out_times = grid.times
     step = 0
@@ -487,8 +477,7 @@ def solve(theta0, b, grid, config=None, probes=None):
         t = out_times[j - 1]
         t_end = out_times[j]
         while t < t_end - 1e-14 * max(1.0, abs(t_end)):
-            faces = drift.face_velocities(grid, t)
-            speed = max(np.abs(f).max() for f in faces)
+            speed = upwind.split(drift.face_velocities(grid, t))
             diff_bound, adv_bound = _cfl_bounds(grid, config, speed)
             if config.dt is not None:
                 if config.dt > min(diff_bound, adv_bound) * (1 + 1e-12):
@@ -501,30 +490,32 @@ def solve(theta0, b, grid, config=None, probes=None):
                 # a convex combination in every dimension
                 dt = min(diff_bound, adv_bound / grid.n, (grid.t1 - grid.t0) / 50.0)
             dt = min(dt, t_end - t)
-            adv = _advective_div(theta, faces, grid, limited)
+            upwind.div(theta, adv)
             if config.scheme == EXPLICIT_FV:
                 theta = theta + dt * (_laplacian(theta, grid) - adv)
             else:
-                star = theta - dt * adv
-                theta = np.real(np.fft.ifftn(np.fft.fftn(star) / (1.0 - dt * sym)))
+                adv *= dt
+                star = np.subtract(theta, adv, out=adv)
+                spec = sfft.rfftn(star)
+                np.multiply(sym, -dt, out=den)
+                den += 1.0
+                spec /= den
+                theta = sfft.irfftn(spec, s=theta.shape, overwrite_x=True)
             if grid.bc == ZERO:
                 _apply_buffer(theta, grid)
             t += dt
             step += 1
-            if np.isnan(theta).any():
+            # a NaN anywhere makes the sum non-finite, so the scan runs only then
+            m = theta.sum()
+            if not math.isfinite(m) and np.isnan(theta).any():
                 raise RuntimeError(f"NaN detected at step {step} (t = {t:g})")
             times.append(t)
-            mass.append(theta.sum() * vol)
+            mass.append(m * vol)
             mn.append(theta.min())
             mx.append(theta.max())
-            for k, fn in probes.items():
-                probe_vals[k].append(fn(theta, t))
         traj[j] = theta
-    run = SimRun(
-        SpaceTimeField(grid, traj), drift, config,
-        np.asarray(times), np.asarray(mass), np.asarray(mn), np.asarray(mx),
-        {k: np.asarray(v) for k, v in probe_vals.items()})
-    return run
+    return SimRun(SpaceTimeField(grid, traj), drift, config, np.asarray(times),
+                  np.asarray(mass), np.asarray(mn), np.asarray(mx))
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,21 @@ def test_cfl_precondition_exit_code(tmp_path, monkeypatch):
     assert not (tmp_path / "out" / "cfl").exists()
 
 
+@pytest.mark.parametrize("setting", ["solver.dt = nan", "solver.dt = inf",
+                                     "solver.advection = centered_limited"])
+def test_bad_solver_setting_exit_code(tmp_path, monkeypatch, setting):
+    monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
+    cfg = tmp_path / "bad-solver.cfg"
+    cfg.write_text("\n".join([
+        "scenario.kind = diffusion",
+        "grid.n = 2", "grid.lo = -1,-1", "grid.hi = 1,1",
+        "grid.shape = 32,32", "grid.t1 = 0.01", "grid.nt = 2",
+        "init.kind = blob", "init.width = 0.2",
+        setting, "output.dir = out/bad-solver"]) + "\n")
+    assert run_cli("run", str(cfg)) == 2
+    assert not (tmp_path / "out" / "bad-solver").exists()
+
+
 def test_nash_scenario_small(tmp_path, monkeypatch):
     monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
     cfg = tmp_path / "nash.cfg"

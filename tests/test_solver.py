@@ -48,6 +48,11 @@ def test_config_validation():
         SolverConfig(safety=1.5)
     with pytest.raises(ValueError):
         SolverConfig(dt=-0.1)
+    with pytest.raises(ValueError):
+        SolverConfig(advection="centered_limited")
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SolverConfig(dt=bad)
 
 
 def test_scheme_grid_pairing():
@@ -255,3 +260,100 @@ def test_simrun_csv(tmp_path):
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "step,time,mass,min,max"
     assert len(lines) == len(run.step_times) + 1
+
+
+class FixedFaces:
+    """Face-velocity provider returning the same (arbitrary) faces at every time."""
+
+    def __init__(self, faces):
+        self.faces = faces
+
+    def face_velocities(self, grid, t):
+        return self.faces
+
+
+def buffer_frame(shape):
+    frame = np.ones(shape, bool)
+    frame[(slice(3, -3),) * len(shape)] = False
+    return frame
+
+
+def reference_step(theta, faces, grid, dt, scheme):
+    """One step written with complex FFTs and np.roll: the reference for solve."""
+    adv = np.zeros_like(theta)
+    for a in range(grid.n):
+        up, um = np.maximum(faces[a], 0.0), np.minimum(faces[a], 0.0)
+        if grid.bc == "periodic":
+            F = up * np.roll(theta, 1, a) + um * theta
+            adv += (np.roll(F, -1, a) - F) / grid.h[a]
+        else:
+            widths = [(1, 1) if i == a else (0, 0) for i in range(grid.n)]
+            pad = np.pad(theta, widths)
+            F = up * np.delete(pad, -1, a) + um * np.delete(pad, 0, a)
+            adv += np.diff(F, axis=a) / grid.h[a]
+    if scheme == "explicit_fv":
+        lap = sum((np.roll(theta, 1, a) - 2.0 * theta + np.roll(theta, -1, a)) / grid.h[a] ** 2
+                  for a in range(grid.n))
+        out = theta + dt * (lap - adv)
+        out[buffer_frame(theta.shape)] = 0.0
+        return out
+    sym = np.zeros(theta.shape)
+    for a in range(grid.n):
+        m = np.fft.fftfreq(grid.shape[a]) * grid.shape[a]
+        lam = -(2.0 - 2.0 * np.cos(2.0 * np.pi * m / grid.shape[a])) / grid.h[a] ** 2
+        sym = sym + lam.reshape([-1 if i == a else 1 for i in range(grid.n)])
+    star = theta - dt * adv
+    return np.real(np.fft.ifftn(np.fft.fftn(star) / (1.0 - dt * sym)))
+
+
+@pytest.mark.parametrize("shape,bc", [
+    ((32, 32), "periodic"),
+    ((15, 17), "periodic"),
+    ((8, 8, 9), "periodic"),
+    ((32, 32), "zero"),
+])
+def test_step_matches_reference_formula(shape, bc):
+    n = len(shape)
+    dt = 1e-4
+    g = Grid(n, (-1.0,) * n, (1.0,) * n, shape, 0.0, dt, 2, bc)
+    rng = np.random.default_rng(sum(shape))
+    faces = []
+    for a in range(n):
+        face_shape = list(shape)
+        face_shape[a] += bc == "zero"
+        faces.append(rng.standard_normal(face_shape))
+    theta0 = rng.uniform(0.0, 1.0, shape)
+    scheme = "semi_implicit_spectral" if bc == "periodic" else "explicit_fv"
+    if bc == "zero":
+        theta0[buffer_frame(shape)] = 0.0
+    run = solve(theta0, FixedFaces(faces), g, SolverConfig(scheme=scheme, dt=dt))
+    assert len(run.step_times) == 2
+    np.testing.assert_allclose(run.trajectory.samples[-1],
+                               reference_step(theta0, faces, g, dt, scheme),
+                               rtol=1e-12, atol=0)
+
+
+def test_field_drift_step_count_unchanged():
+    # the advective bound limits dt here and varies in time; 211 ledger
+    # entries (210 steps) is what the dt rule gives with speed = max |u|
+    # over all faces
+    g = Grid(2, (-np.pi, -np.pi), (np.pi, np.pi), (48, 48), 0.0, 0.2, 3, "periodic")
+
+    def stream(t, x, y):
+        return 8 * (1 + 4 * t) * (np.sin(x + 0.3) * np.sin(2 * y)
+                                  + 0.5 * np.cos(3 * x - y))
+
+    b = PotentialDrift(2, stream_fn=stream).sample(g.with_times(0.0, 0.2, 5))
+    run = solve(gaussian_blob(g, (0.0, 0.0), 0.5, normalize=False), FieldDrift(b), g)
+    assert len(run.step_times) == 211
+
+
+@pytest.mark.parametrize("scheme,grid", [
+    ("semi_implicit_spectral", pgrid(32, t1=0.01)),
+    ("explicit_fv", zgrid(32, t1=0.001)),
+])
+def test_nan_initial_data_detected(scheme, grid):
+    theta0 = np.zeros((32, 32))
+    theta0[16, 16] = np.nan
+    with pytest.raises(RuntimeError, match=r"NaN detected at step 1 "):
+        solve(theta0, None, grid, SolverConfig(scheme=scheme))
