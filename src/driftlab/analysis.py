@@ -72,14 +72,15 @@ class ResidualReport:
     violations: np.ndarray
 
 
+def _trajectory(run):
+    """The sampled trajectory of a SimRun, or the field itself."""
+    return run.trajectory if hasattr(run, "trajectory") else run
+
+
 def _as_field_and_drift(theta, b):
-    if hasattr(theta, "trajectory"):
-        run = theta
-        field = run.trajectory
-        if b is None and run.drift is not None:
-            b = run.drift.sample(field.grid)
-    else:
-        field = theta
+    field = _trajectory(theta)
+    if b is None and field is not theta and theta.drift is not None:
+        b = theta.drift.sample(field.grid)
     return field, b
 
 
@@ -157,7 +158,7 @@ def local_boundedness_quotient(run, inner, outer, gamma=1.0):
         raise ValueError("gamma must lie in (0, 2]")
     if not outer.contains(inner):
         raise ValueError("inner cylinder is not nested in the outer one")
-    field = run.trajectory if hasattr(run, "trajectory") else run
+    field = _trajectory(run)
     g = field.grid
     si, ti = _cyl_masks(g, inner)
     so, to = _cyl_masks(g, outer)
@@ -183,7 +184,7 @@ def harnack_quotient(run, center, radius, I1, I2, kappa_rel=1e-12):
     """sup over B×I₁ divided by inf over B×I₂ (with the θ + κ device)."""
     if not I1[1] <= I2[0]:
         raise ValueError("I1 must end before I2 begins")
-    field = run.trajectory if hasattr(run, "trajectory") else run
+    field = _trajectory(run)
     g = field.grid
     space, _ = _cyl_masks(g, Cylinder(tuple(center), radius, g.t0, g.t1))
 
@@ -236,7 +237,7 @@ def moser_trace(run, center, rho, R, T, tau, t_end, fbc, R0=None, kmax=8):
     τ_k = τ − 2^{−k}(τ − T); norms are taken in the normalized (probability)
     measure, so M_k increases towards (sup over the inner cylinder)².
     """
-    field = run.trajectory if hasattr(run, "trajectory") else run
+    field = _trajectory(run)
     g = field.grid
     if not (rho < R and T < tau < t_end):
         raise ValueError("ladder geometry must be nested")
@@ -329,7 +330,7 @@ def davies_energy(run, probe, params=None, c_max=1e6):
     Checks J(t) ≤ C J(0) exp((Cγ² + C M₀ γ^{2+α₀} + |x₀|⁻²) t − t₀) and
     reports the bisected minimal C.
     """
-    field = run.trajectory if hasattr(run, "trajectory") else run
+    field = _trajectory(run)
     g = field.grid
     X = g.meshgrid()
     r = np.sqrt(sum(x**2 for x in X))
@@ -401,7 +402,7 @@ def tail_check(run, params, source, s, tau_min=None, rmax=None, floor_rel=1e-10,
     active branch (Gaussian vs stretched-exponential) and by inner/outer
     regime (outer: M₀^{1/α₀} r/τ ≥ 16, or r ≥ 16√τ when α₀ = 0).
     """
-    field = run.trajectory if hasattr(run, "trajectory") else run
+    field = _trajectory(run)
     g = field.grid
     h = min(g.h)
     tau_min = tau_min if tau_min is not None else 40.0 * h**2

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .drifts import assemble_borderline, assemble_selfsimilar, hodge_decompose
-from .fields import Grid, SpaceTimeField, read_field, write_field
+from .drifts import DriftAssembly, assemble_borderline, assemble_selfsimilar, hodge_decompose
+from .fields import Grid, SpaceTimeField, curl, read_field, write_field
 from .norms import (
     SLICED_RT,
     SLICED_TR,
@@ -36,10 +36,6 @@ class ConfigError(Exception):
 
 
 class PreconditionError(Exception):
-    pass
-
-
-class DiagnosticError(Exception):
     pass
 
 
@@ -132,11 +128,8 @@ def build_solver_config(cfg):
         raise ConfigError(f"bad solver config: {e}")
 
 
-def output_dir(cfg, config_path):
-    root = os.environ.get("DRIFTLAB_OUT", ".")
-    sub = _get(cfg, "output.dir", required=True)
-    p = Path(root) / sub
-    return p
+def output_dir(cfg):
+    return Path(os.environ.get("DRIFTLAB_OUT", ".")) / _get(cfg, "output.dir", required=True)
 
 
 def write_summary(path, rows):
@@ -159,20 +152,19 @@ def trig_stream_field(grid, seed, amplitude, nmodes=4):
     rng = np.random.default_rng(seed)
     X = grid.meshgrid()
     psi = np.zeros(grid.shape)
-    L = grid.hi[0] - grid.lo[0]
     for _ in range(nmodes):
         k = rng.integers(1, 4, size=grid.n)
         phase = rng.uniform(0, 2 * np.pi, size=grid.n)
         term = amplitude * rng.standard_normal()
         wave = np.ones(grid.shape)
         for i in range(grid.n):
+            L = grid.hi[i] - grid.lo[i]
             wave = wave * np.sin(2 * np.pi * k[i] * (X[i] - grid.lo[i]) / L + phase[i])
         psi += term * wave
-    h = grid.h[0]
-    b = np.zeros((grid.nt,) + tuple(grid.shape) + (grid.n,))
-    b[..., 0] = -(np.roll(psi, -1, 1) - np.roll(psi, 1, 1)) / (2 * h)
-    b[..., 1] = (np.roll(psi, -1, 0) - np.roll(psi, 1, 0)) / (2 * h)
-    return SpaceTimeField(grid, b, grid.n)
+    # in 3D the stream function drives the x-y plane: potential (0, 0, -psi)
+    zero = np.zeros(grid.shape)
+    b = curl(psi if grid.n == 2 else (zero, zero, -psi), grid)
+    return SpaceTimeField(grid, np.broadcast_to(b, (grid.nt,) + b.shape).copy(), grid.n)
 
 
 def build_drift(cfg, grid, config_path):
@@ -186,8 +178,10 @@ def build_drift(cfg, grid, config_path):
         p = Path(config_path).parent / rel
         if not p.is_file():
             raise ConfigError(f"drift manifest not found: {p}")
-        from .drifts import DriftAssembly
-        asm = DriftAssembly.from_manifest(p.read_text())
+        try:
+            asm = DriftAssembly.from_manifest(p.read_text())
+        except ValueError as e:
+            raise ConfigError(f"{p}: {e}")
         return FieldDrift(asm.sample_drift(dgrid))
     if kind == "random_stream":
         seed = _get_int(cfg, "drift.seed", 0)
@@ -207,7 +201,7 @@ def scenario_diffusion(cfg, config_path, jobs):
     init = _get(cfg, "init.kind", "blob")
     center = _get_tuple(cfg, "init.center", (0.0,) * grid.n)
     width = _get_float(cfg, "init.width", 4.0 * min(grid.h))
-    out = output_dir(cfg, config_path)
+    out = output_dir(cfg)
 
     try:
         if init == "fundamental":
@@ -282,7 +276,7 @@ def scenario_nash_ensemble(cfg, config_path, jobs):
     if count < 3:
         raise ConfigError("ensemble.count must be >= 3")
     build_grid(cfg)  # validate before any work
-    out = output_dir(cfg, config_path)
+    out = output_dir(cfg)
     payloads = [(cfg, str(config_path), i) for i in range(count)]
     try:
         if jobs > 1:
@@ -361,7 +355,7 @@ def scenario_borderline_blowup(cfg, config_path, jobs):
                                   x_start=(-travel / 2.0, 0.0))
     except ValueError as e:
         raise ConfigError(str(e))
-    out = output_dir(cfg, config_path)
+    out = output_dir(cfg)
     try:
         sups, regs = blowup_probe_series(
             asm, resolution, extent, tau0, tau1, probe_radius,
@@ -550,9 +544,6 @@ def main(argv=None):
     except PreconditionError as e:
         print(f"precondition violated: {e}", file=sys.stderr)
         return 3
-    except DiagnosticError as e:
-        print(f"diagnostic failure: {e}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .fields import Grid, SpaceTimeField, ZERO, divergence
+from .fields import Grid, SpaceTimeField, ZERO, curl, divergence
 
 E_CONST = float(np.e)
 C0_DEFAULT = float(np.exp(-np.e))  # largest time with logloglog(1/t) >= 0
@@ -141,34 +141,12 @@ def build_bogovskii_cap(resolution=128, n=2, ramp=(3.0, 3.8), extent=4.2):
     if ramp[1] + 2 * h > 4.0 or ramp[0] - 2 * h < 2.0:
         raise ValueError("grid too coarse for the cutoff ramp")
     X = g.meshgrid()
-    U = np.zeros((1,) + tuple(g.shape) + (n,))
-    if n == 2:
-        psi = _cap_stream_2d(X[0], X[1], *ramp)
-        U[0, ..., 0] = -_centered(psi, 1, h)
-        U[0, ..., 1] = _centered(psi, 0, h)
-    else:
-        A = _cap_potential_3d(X[0], X[1], X[2], *ramp)
-        U[0, ..., 0] = _centered(A[2], 1, h) - _centered(A[1], 2, h)
-        U[0, ..., 1] = _centered(A[0], 2, h) - _centered(A[2], 0, h)
-        U[0, ..., 2] = _centered(A[1], 0, h) - _centered(A[0], 1, h)
-    f = SpaceTimeField(g, U, n)
+    potential = _cap_stream_2d(*X, *ramp) if n == 2 else _cap_potential_3d(*X, *ramp)
+    f = SpaceTimeField(g, curl(potential, g)[None], n)
     res = float(np.abs(divergence(f).samples).max())
     if res > 1e-6:
         raise RuntimeError(f"cap divergence residual {res:.2e} above 1e-6")
     return BogovskiiCap(n, ramp, f, res)
-
-
-def _centered(a, axis, h):
-    # zero-extension centered difference (compactly supported input)
-    out = np.zeros_like(a)
-    sl = [slice(None)] * a.ndim
-    lo = [slice(None)] * a.ndim
-    hi = [slice(None)] * a.ndim
-    sl[axis] = slice(1, -1)
-    hi[axis] = slice(2, None)
-    lo[axis] = slice(None, -2)
-    out[tuple(sl)] = (a[tuple(hi)] - a[tuple(lo)]) / (2.0 * h)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +247,11 @@ class RescaledBlock:
     t1: float
     M: float
 
-    def phi(self, u):  # pragma: no cover - interface parity
-        raise NotImplementedError("rescaled blocks are parameterized in t")
-
     def speed(self, t):
         w = self.t1 - self.t0
         return (self.M / w) * bump_unit((np.asarray(t, dtype=float) - self.t0) / w)
 
     def integral(self):
-        w = self.t1 - self.t0
         val, _ = quad(self.speed, self.t0, self.t1, limit=200)
         return val
 
@@ -487,7 +461,7 @@ class AssemblyBlock:
         return self.A * self.R ** (-self.n) * val
 
 
-def _default_amplitudes(K, n):
+def _default_amplitudes(K):
     # pruning rule: A_k = 1/(k^2 max(1, sup_t ||E_k||_L1)); the rescaled
     # subsolution has sup_t L^1 mass = sup_t int (Gamma - c_n)_+ < 1
     return np.array([1.0 / k**2 for k in range(1, K + 1)])
@@ -533,18 +507,10 @@ class DriftAssembly:
     def sample_drift(self, grid):
         """Cell-centered drift samples via the discrete curl (div-free exactly)."""
         X = grid.meshgrid()
-        h = grid.h[0]
-        out = np.zeros((grid.nt,) + tuple(grid.shape) + (grid.n,))
+        potential = self.stream if grid.n == 2 else self.potential3
+        out = np.empty((grid.nt,) + tuple(grid.shape) + (grid.n,))
         for j, t in enumerate(grid.times):
-            if grid.n == 2:
-                psi = self.stream(t, X[0], X[1])
-                out[j, ..., 0] = -_centered(psi, 1, h)
-                out[j, ..., 1] = _centered(psi, 0, h)
-            else:
-                A = self.potential3(t, X[0], X[1], X[2])
-                out[j, ..., 0] = _centered(A[2], 1, h) - _centered(A[1], 2, h)
-                out[j, ..., 1] = _centered(A[0], 2, h) - _centered(A[2], 0, h)
-                out[j, ..., 2] = _centered(A[1], 0, h) - _centered(A[0], 1, h)
+            out[j] = curl(potential(t, *X), grid)
         return SpaceTimeField(grid, out, grid.n)
 
     def sample_subsolution(self, grid):
@@ -562,9 +528,6 @@ class DriftAssembly:
             out = out + b.subsolution(t, pts)
         return out
 
-    def amplitude_sum(self):
-        return float(sum(b.A for b in self.blocks))
-
     # -- manifest (structured text, re-materializable bit-exactly)
 
     def manifest(self):
@@ -580,20 +543,24 @@ class DriftAssembly:
 
     @classmethod
     def from_manifest(cls, text):
+        """Inverse of manifest(); a missing key raises ValueError naming it."""
         kv = {}
         blocks = []
         for line in text.strip().splitlines():
             key, _, val = line.partition(" = ")
             kv[key.strip()] = val.strip()
-        n = int(kv["n"])
-        for i in range(int(kv["blocks"])):
-            parts = dict(p.split(":", 1) for p in kv[f"block.{i}"].split(" "))
-            blocks.append(AssemblyBlock(
-                t0=float(parts["t0"]), t1=float(parts["t1"]), R=float(parts["R"]),
-                A=float(parts["A"]), travel=float(parts["travel"]),
-                x_start=np.array([float(v) for v in parts["x_start"].split(",")]),
-                n=n, ramp=tuple(float(v) for v in parts["ramp"].split(","))))
-        return cls(blocks, n, kv["kind"])
+        try:
+            n = int(kv["n"])
+            for i in range(int(kv["blocks"])):
+                parts = dict(p.split(":", 1) for p in kv[f"block.{i}"].split(" "))
+                blocks.append(AssemblyBlock(
+                    t0=float(parts["t0"]), t1=float(parts["t1"]), R=float(parts["R"]),
+                    A=float(parts["A"]), travel=float(parts["travel"]),
+                    x_start=np.array([float(v) for v in parts["x_start"].split(",")]),
+                    n=n, ramp=tuple(float(v) for v in parts["ramp"].split(","))))
+            return cls(blocks, n, kv["kind"])
+        except KeyError as e:
+            raise ValueError(f"drift manifest is missing key {e.args[0]!r}") from None
 
 
 def assemble_borderline(K, amplitudes=None, n=2, scale0=0.3, ratio=0.85,
@@ -609,7 +576,7 @@ def assemble_borderline(K, amplitudes=None, n=2, scale0=0.3, ratio=0.85,
     """
     if K < 1:
         raise ValueError("need at least one block")
-    amplitudes = _default_amplitudes(K, n) if amplitudes is None else np.asarray(amplitudes, dtype=float)
+    amplitudes = _default_amplitudes(K) if amplitudes is None else np.asarray(amplitudes, dtype=float)
     if len(amplitudes) != K or np.any(amplitudes < 0):
         raise ValueError("need K nonnegative amplitudes")
     travel = 20.0 * n if travel is None else float(travel)
@@ -638,7 +605,7 @@ def assemble_selfsimilar(t_seq, amplitudes=None, n=2, travel=None, x_start=None)
     if np.any(np.diff(t_seq) <= 0):
         raise ValueError("t_k must be strictly increasing")
     K = len(t_seq) - 1
-    amplitudes = _default_amplitudes(K, n) if amplitudes is None else np.asarray(amplitudes, dtype=float)
+    amplitudes = _default_amplitudes(K) if amplitudes is None else np.asarray(amplitudes, dtype=float)
     travel = 20.0 * n if travel is None else float(travel)
     if x_start is None:
         x_start = np.zeros(n)
@@ -796,6 +763,19 @@ def _wavenumbers(grid):
     return np.meshgrid(*ks, indexing="ij")
 
 
+def _minus_div(a, K):
+    """-div a for one time slice of the stream matrix: (-div a)_i = -d_l a_il, spectrally."""
+    n = len(K)
+    out = np.empty(a.shape[:-1])
+    for i in range(n):
+        tot = np.zeros(a.shape[:n], dtype=complex)
+        for l in range(n):
+            if l != i:
+                tot += 1j * K[l] * np.fft.fftn(a[..., i, l])
+        out[..., i] = np.real(np.fft.ifftn(-tot))
+    return out
+
+
 @dataclass
 class HodgeDecomposition:
     a: np.ndarray          # (nt, *shape, n, n), antisymmetric stream matrix
@@ -813,12 +793,7 @@ class HodgeDecomposition:
         K = _wavenumbers(g)
         out = np.array(self.b2.samples)
         for j in range(g.nt):
-            for i in range(g.n):
-                tot = np.zeros(g.shape, dtype=complex)
-                for l in range(g.n):
-                    if l != i:
-                        tot += 1j * K[l] * np.fft.fftn(self.a[j, ..., i, l])
-                out[j, ..., i] += np.real(np.fft.ifftn(-tot))
+            out[j] += _minus_div(self.a[j], K)
         return SpaceTimeField(g, out, g.n)
 
 
@@ -844,26 +819,14 @@ def hodge_decompose(b):
     b1 = np.zeros_like(b.samples)
     for j in range(g.nt):
         bh = [np.fft.fftn(b.samples[j, ..., c]) for c in range(n)]
-        ah = {}
         for i in range(n):
             for l in range(i + 1, n):
                 # a_il solves Lap a_il = d_i b_l - d_l b_i
-                ah[(i, l)] = -(1j * K[i] * bh[l] - 1j * K[l] * bh[i]) * inv
-        for i in range(n):
-            for l in range(i + 1, n):
-                arr = np.real(np.fft.ifftn(ah[(i, l)]))
+                arr = np.real(np.fft.ifftn(-(1j * K[i] * bh[l] - 1j * K[l] * bh[i]) * inv))
                 a[j, ..., i, l] = arr
                 a[j, ..., l, i] = -arr
-        # b1_i = -(div a)_i = -d_l a_il
-        for i in range(n):
-            tot = np.zeros(g.shape, dtype=complex)
-            for l in range(n):
-                if l == i:
-                    continue
-                key = (i, l) if i < l else (l, i)
-                sgn = 1.0 if i < l else -1.0
-                tot += 1j * K[l] * sgn * ah[key]
-            b1[j, ..., i] = np.real(np.fft.ifftn(-tot))
+        # b1 from the stored real a, exactly as reconstruct() forms it
+        b1[j] = _minus_div(a[j], K)
     # b2 carries whatever -div a missed, including the constant Fourier mode.
     # The residual measures the mean-zero solenoidal content of b2, which is
     # exactly what the antisymmetric potential is supposed to absorb.

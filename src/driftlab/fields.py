@@ -13,6 +13,7 @@ Two boundary modes are supported:
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -119,25 +120,56 @@ class SpaceTimeField:
         return cls(grid, out, ncomp)
 
 
+def _slab(arr, axis, i, j):
+    """View of arr restricted to [i, j) along one axis."""
+    idx = [slice(None)] * arr.ndim
+    idx[axis] = slice(i, j)
+    return arr[tuple(idx)]
+
+
 def _shift(a, axis, off, bc):
     """Shifted copy of a spatial-axis slab with the grid's boundary handling."""
     if bc == PERIODIC:
         return np.roll(a, -off, axis=axis)
     out = np.zeros_like(a)
-    src = [slice(None)] * a.ndim
-    dst = [slice(None)] * a.ndim
     if off > 0:
-        src[axis] = slice(off, None)
-        dst[axis] = slice(None, -off)
+        _slab(out, axis, None, -off)[...] = _slab(a, axis, off, None)
     else:
-        src[axis] = slice(None, off)
-        dst[axis] = slice(-off, None)
-    out[tuple(dst)] = a[tuple(src)]
+        _slab(out, axis, -off, None)[...] = _slab(a, axis, None, off)
     return out
 
 
 def _ddx(a, axis, h, bc):
     return (_shift(a, axis, 1, bc) - _shift(a, axis, -1, bc)) / (2.0 * h)
+
+
+# Faces: face k along an axis is the low face of cell k.  A periodic grid has
+# as many faces as cells along each axis; a zero-extension grid has one more,
+# and the cells outside the box are zero.  Node samples (cell corners) follow
+# the same layout, so the same helpers take node data to edges.
+
+
+def face_to_cell(f, axis, bc):
+    """(low, high) faces of each cell along axis, from face data."""
+    if bc == PERIODIC:
+        return f, np.roll(f, -1, axis)
+    return _slab(f, axis, None, -1), _slab(f, axis, 1, None)
+
+
+def cell_to_face(c, axis, bc):
+    """(low, high) cells of each face along axis, from cell data."""
+    if bc == PERIODIC:
+        return np.roll(c, 1, axis), c
+    width = [(0, 0)] * c.ndim
+    width[axis] = (1, 1)
+    c = np.pad(c, width)
+    return _slab(c, axis, None, -1), _slab(c, axis, 1, None)
+
+
+def face_diff(f, axis, bc):
+    """High minus low face of each cell: the undivided face divergence along axis."""
+    lo, hi = face_to_cell(f, axis, bc)
+    return hi - lo
 
 
 def gradient(f):
@@ -160,17 +192,40 @@ def divergence(v):
     return SpaceTimeField(g, out)
 
 
+def curl(potential, grid):
+    """Cell-centered curl of a stream function (2D) or vector potential (3D).
+
+    ``potential`` is one time slice: an array on grid.shape in 2D, a triple of
+    them in 3D; the result has shape (*grid.shape, n).  The centered
+    differences are the ones `divergence` uses, with the grid's boundary mode
+    and per-axis spacing; they commute, so the discrete divergence of the
+    result vanishes to round-off.
+    """
+    def d(a, axis):
+        return _ddx(a, axis, grid.h[axis], grid.bc)
+
+    if grid.n == 2:
+        return np.stack([-d(potential, 1), d(potential, 0)], axis=-1)
+    a1, a2, a3 = potential
+    return np.stack([d(a3, 1) - d(a2, 2), d(a1, 2) - d(a3, 0), d(a2, 0) - d(a1, 1)],
+                    axis=-1)
+
+
+def grid_laplacian(a, grid, first_axis=0):
+    """(2n+1)-point Laplacian of an array whose spatial axes start at first_axis."""
+    out = np.zeros(a.shape)
+    for i in range(grid.n):
+        axis = first_axis + i
+        out += (_shift(a, axis, 1, grid.bc) - 2.0 * a
+                + _shift(a, axis, -1, grid.bc)) / grid.h[i] ** 2
+    return out
+
+
 def laplacian(f):
     """Standard (2n+1)-point Laplacian of a scalar field, per time slice."""
     if not f.is_scalar:
         raise ValueError("laplacian expects a scalar field")
-    g = f.grid
-    out = np.zeros((g.nt,) + tuple(g.shape))
-    for i in range(g.n):
-        h2 = g.h[i] ** 2
-        out += (_shift(f.samples, 1 + i, 1, g.bc) - 2.0 * f.samples
-                + _shift(f.samples, 1 + i, -1, g.bc)) / h2
-    return SpaceTimeField(g, out)
+    return SpaceTimeField(f.grid, grid_laplacian(f.samples, f.grid, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +283,6 @@ def shell_restrict(f, center, radii, npts=None):
     hmin = min(g.h)
     mode = "grid-wrap" if g.bc == PERIODIC else "constant"
     all_samples, all_normals, all_weights = [], [], []
-    flat = f.samples if f.is_scalar else f.samples
     for r in radii:
         for i in range(g.n):
             if g.bc != PERIODIC and (center[i] - r < g.lo[i] or center[i] + r > g.hi[i]):
@@ -241,11 +295,11 @@ def shell_restrict(f, center, radii, npts=None):
         tidx = np.repeat(np.arange(g.nt), m)
         coords = [tidx] + [np.tile(c, g.nt) for c in idx]
         if f.is_scalar:
-            vals = ndimage.map_coordinates(flat, coords, order=1, mode=mode, cval=0.0)
+            vals = ndimage.map_coordinates(f.samples, coords, order=1, mode=mode, cval=0.0)
             vals = vals.reshape(g.nt, m)
         else:
-            comps = [ndimage.map_coordinates(flat[..., c], coords, order=1, mode=mode, cval=0.0)
-                     for c in range(g.n)]
+            comps = [ndimage.map_coordinates(f.samples[..., c], coords, order=1, mode=mode,
+                                             cval=0.0) for c in range(g.n)]
             vals = np.stack([c.reshape(g.nt, m) for c in comps], axis=-1)
         all_samples.append(vals)
         all_normals.append(normals)
@@ -283,21 +337,33 @@ def write_field(path, f):
 
 
 def read_field(path):
+    """Read a DLF1 dump; a malformed or truncated file raises ValueError."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a DLF1 field dump")
-        n, ncomp, nt = struct.unpack("<3q", fh.read(24))
-        shape = struct.unpack(f"<{n}q", fh.read(8 * n))
-        t0, t1 = struct.unpack("<2d", fh.read(16))
-        lo, hi = [], []
-        for _ in range(n):
-            a, b = struct.unpack("<2d", fh.read(16))
-            lo.append(a)
-            hi.append(b)
-        (bmode,) = struct.unpack("<q", fh.read(8))
-        grid = Grid(n, tuple(lo), tuple(hi), tuple(shape), t0, t1, nt,
-                    PERIODIC if bmode == 0 else ZERO)
-        count = nt * int(np.prod(shape)) * ncomp
-        data = np.frombuffer(fh.read(8 * count), dtype="<f8").astype(float)
-        full = (nt,) + tuple(shape) + (() if ncomp == 1 else (ncomp,))
-        return SpaceTimeField(grid, data.reshape(full), ncomp, allow_nonfinite=True)
+        raw = fh.read()
+    if raw[:4] != _MAGIC:
+        raise ValueError("not a DLF1 field dump")
+    if len(raw) < 28:
+        raise ValueError("truncated DLF1 header")
+    n, ncomp, nt = struct.unpack_from("<3q", raw, 4)
+    if n not in (2, 3):
+        raise ValueError(f"DLF1 dimension {n} is not 2 or 3")
+    header = 28 + 8 * n + 16 + 16 * n + 8
+    if len(raw) < header:
+        raise ValueError("truncated DLF1 header")
+    shape = struct.unpack_from(f"<{n}q", raw, 28)
+    t0, t1, *bounds = struct.unpack_from(f"<{2 + 2 * n}d", raw, 28 + 8 * n)
+    (bmode,) = struct.unpack_from("<q", raw, header - 8)
+    if min(shape) < 1 or nt < 1:
+        raise ValueError("DLF1 shape and time count must be positive")
+    if ncomp not in (1, n):
+        raise ValueError(f"DLF1 component count {ncomp} is not 1 or {n}")
+    if bmode not in (0, 1):
+        raise ValueError(f"DLF1 boundary mode {bmode} is not 0 or 1")
+    count = nt * math.prod(shape) * ncomp
+    if len(raw) != header + 8 * count:
+        raise ValueError(f"DLF1 dump has {len(raw)} bytes, header says {header + 8 * count}")
+    grid = Grid(n, tuple(bounds[0::2]), tuple(bounds[1::2]), tuple(shape), t0, t1, nt,
+                PERIODIC if bmode == 0 else ZERO)
+    data = np.frombuffer(raw, dtype="<f8", offset=header).astype(float)
+    full = (nt,) + tuple(shape) + (() if ncomp == 1 else (ncomp,))
+    return SpaceTimeField(grid, data.reshape(full), ncomp, allow_nonfinite=True)

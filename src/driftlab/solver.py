@@ -25,7 +25,8 @@ import numpy as np
 from scipy import fft as sfft
 from scipy import ndimage
 
-from .fields import Grid, PERIODIC, SpaceTimeField, ZERO, _shift, divergence
+from .fields import (PERIODIC, ZERO, SpaceTimeField, _slab, cell_to_face, divergence,
+                     face_diff, face_to_cell, grid_laplacian)
 
 EXPLICIT_FV = "explicit_fv"
 SEMI_IMPLICIT = "semi_implicit_spectral"
@@ -105,37 +106,20 @@ class PotentialDrift:
         self.stream_fn = stream_fn
         self.potential_fn = potential_fn
 
-    @classmethod
-    def from_assembly(cls, asm):
-        if asm.n == 2:
-            return cls(2, stream_fn=lambda t, x, y: asm.stream(t, x, y))
-        return cls(3, potential_fn=lambda t, x, y, z: asm.potential3(t, x, y, z))
-
     def face_velocities(self, grid, t):
         ax = _nodes(grid)
         h = grid.h
+
+        def diff(arr, axis):
+            return face_diff(arr, axis, grid.bc)
+
         if grid.n == 2:
             X, Y = np.meshgrid(ax[0], ax[1], indexing="ij")
             psi = self.stream_fn(t, X, Y)
-            if grid.bc == PERIODIC:
-                ux = (np.roll(psi, -1, 1) - psi) / h[1]
-                vy = -(np.roll(psi, -1, 0) - psi) / h[0]
-            else:
-                ux = (psi[:, 1:] - psi[:, :-1]) / h[1]
-                vy = -(psi[1:, :] - psi[:-1, :]) / h[0]
-            return [ux, vy]
+            return [diff(psi, 1) / h[1], -diff(psi, 0) / h[0]]
         # 3D: sample the potential components at edge midpoints
         def mid(i):
             return ax[i][: len(ax[i]) - (0 if grid.bc == PERIODIC else 1)] + h[i] / 2
-
-        def diff(arr, axis):
-            if grid.bc == PERIODIC:
-                return np.roll(arr, -1, axis) - arr
-            sl = [slice(None)] * 3
-            sh = [slice(None)] * 3
-            sl[axis] = slice(None, -1)
-            sh[axis] = slice(1, None)
-            return arr[tuple(sh)] - arr[tuple(sl)]
 
         X1 = np.meshgrid(mid(0), ax[1], ax[2], indexing="ij")
         X2 = np.meshgrid(ax[0], mid(1), ax[2], indexing="ij")
@@ -154,15 +138,8 @@ class PotentialDrift:
         for j, t in enumerate(grid.times):
             faces = self.face_velocities(grid, t)
             for a in range(grid.n):
-                f = faces[a]
-                if grid.bc == PERIODIC:
-                    out[j, ..., a] = 0.5 * (f + np.roll(f, -1, a))
-                else:
-                    lo = [slice(None)] * grid.n
-                    hi = [slice(None)] * grid.n
-                    lo[a] = slice(None, -1)
-                    hi[a] = slice(1, None)
-                    out[j, ..., a] = 0.5 * (f[tuple(lo)] + f[tuple(hi)])
+                lo, hi = face_to_cell(faces[a], a, grid.bc)
+                out[j, ..., a] = 0.5 * (lo + hi)
         return SpaceTimeField(grid, out, grid.n)
 
 
@@ -188,18 +165,8 @@ class FieldDrift:
         g = self.b.grid
         faces = []
         for a in range(g.n):
-            c = self.b.samples[j, ..., a]
-            if g.bc == PERIODIC:
-                faces.append(0.5 * (c + np.roll(c, 1, a)))
-            else:
-                pad = np.concatenate(
-                    [np.take(c, [0], axis=a) * 0.0, c, np.take(c, [0], axis=a) * 0.0],
-                    axis=a)
-                lo = [slice(None)] * g.n
-                hi = [slice(None)] * g.n
-                lo[a] = slice(None, -1)
-                hi[a] = slice(1, None)
-                faces.append(0.5 * (pad[tuple(lo)] + pad[tuple(hi)]))
+            lo, hi = cell_to_face(self.b.samples[j, ..., a], a, g.bc)
+            faces.append(0.5 * (lo + hi))
         if self.project:
             faces = _project_faces(g, faces)
         self._cache[j] = faces
@@ -233,15 +200,7 @@ class FieldDrift:
 def _face_div(grid, faces):
     out = np.zeros(grid.shape)
     for a in range(grid.n):
-        f = faces[a]
-        if grid.bc == PERIODIC:
-            out += (np.roll(f, -1, a) - f) / grid.h[a]
-        else:
-            lo = [slice(None)] * grid.n
-            hi = [slice(None)] * grid.n
-            lo[a] = slice(None, -1)
-            hi[a] = slice(1, None)
-            out += (f[tuple(hi)] - f[tuple(lo)]) / grid.h[a]
+        out += face_diff(faces[a], a, grid.bc) / grid.h[a]
     return out
 
 
@@ -284,18 +243,8 @@ def _project_faces(grid, faces):
         phi = sfft.idstn(dh / sym, type=1)
     out = []
     for a in range(grid.n):
-        if grid.bc == PERIODIC:
-            gphi = (phi - np.roll(phi, 1, a)) / grid.h[a]
-        else:
-            pad = np.concatenate(
-                [np.take(phi, [0], axis=a) * 0.0, phi, np.take(phi, [0], axis=a) * 0.0],
-                axis=a)
-            lo = [slice(None)] * grid.n
-            hi = [slice(None)] * grid.n
-            lo[a] = slice(None, -1)
-            hi[a] = slice(1, None)
-            gphi = (pad[tuple(hi)] - pad[tuple(lo)]) / grid.h[a]
-        out.append(faces[a] - gphi)
+        lo, hi = cell_to_face(phi, a, grid.bc)
+        out.append(faces[a] - (hi - lo) / grid.h[a])
     return out
 
 
@@ -315,21 +264,6 @@ def as_drift(b, grid):
 
 # ---------------------------------------------------------------------------
 # stepping
-
-
-def _laplacian(theta, grid):
-    out = np.zeros_like(theta)
-    for a in range(grid.n):
-        out += (_shift(theta, a, 1, grid.bc) - 2.0 * theta
-                + _shift(theta, a, -1, grid.bc)) / grid.h[a] ** 2
-    return out
-
-
-def _slab(arr, axis, i, j):
-    """View of arr restricted to [i, j) along one axis."""
-    idx = [slice(None)] * arr.ndim
-    idx[axis] = slice(i, j)
-    return arr[tuple(idx)]
 
 
 class _Upwind:
@@ -492,7 +426,7 @@ def solve(theta0, b, grid, config=None):
             dt = min(dt, t_end - t)
             upwind.div(theta, adv)
             if config.scheme == EXPLICIT_FV:
-                theta = theta + dt * (_laplacian(theta, grid) - adv)
+                theta = theta + dt * (grid_laplacian(theta, grid) - adv)
             else:
                 adv *= dt
                 star = np.subtract(theta, adv, out=adv)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from driftlab.cli import main, parse_config, trig_stream_field
+from driftlab.drifts import DriftAssembly, assemble_selfsimilar
 from driftlab.fields import Grid, SpaceTimeField, write_field
 
 from pathlib import Path
@@ -141,6 +142,36 @@ def test_norm_and_decompose_commands(tmp_path, capsys):
     assert run_cli("decompose", str(bdump)) == 0
     out = capsys.readouterr().out
     assert "reconstruction_error" in out
+
+
+def test_decompose_3d_assembly(tmp_path, capsys):
+    g = Grid(3, (-2.0,) * 3, (2.0,) * 3, (32,) * 3, 0.0, 0.2, 5, "periodic")
+    asm = assemble_selfsimilar([0.01, 0.08, 0.2], n=3, travel=0.5,
+                               x_start=(-0.25, 0.1, -0.1))
+    dump = tmp_path / "b3.dlf1"
+    write_field(dump, asm.sample_drift(g))
+    assert run_cli("decompose", str(dump)) == 0
+    err = float(capsys.readouterr().out.split("reconstruction_error = ")[1])
+    assert err < 1e-12
+
+
+def test_manifest_missing_key_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
+    text = assemble_selfsimilar([0.0, 0.05, 0.1], travel=0.6).manifest()
+    (tmp_path / "m.txt").write_text(
+        "".join(line for line in text.splitlines(True) if not line.startswith("blocks")))
+    with pytest.raises(ValueError, match="'blocks'"):
+        DriftAssembly.from_manifest((tmp_path / "m.txt").read_text())
+    cfg = tmp_path / "manifest.cfg"
+    cfg.write_text("\n".join([
+        "scenario.kind = diffusion",
+        "grid.n = 2", "grid.lo = -1,-1", "grid.hi = 1,1",
+        "grid.shape = 32,32", "grid.t1 = 0.1", "grid.nt = 2",
+        "drift.kind = manifest", "drift.manifest = m.txt",
+        "output.dir = out/manifest"]) + "\n")
+    assert run_cli("run", str(cfg)) == 2
+    assert "'blocks'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest").exists()
 
 
 def test_report_empty_dir(tmp_path):

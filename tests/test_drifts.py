@@ -29,7 +29,9 @@ from driftlab.drifts import (
     u_of_t,
     _radial_mollify,
 )
+from driftlab.cli import trig_stream_field
 from driftlab.fields import Grid, SpaceTimeField, divergence
+from driftlab.solver import FieldDrift, as_drift
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +277,20 @@ def test_assembly_manifest_roundtrip():
     g = Grid(2, (-2.0, -2.0), (2.0, 2.0), (64, 64), t, t + 1e-9, 1, "zero")
     assert np.array_equal(asm.sample_drift(g).samples, back.sample_drift(g).samples)
     assert back.kind == asm.kind
+
+
+@pytest.mark.parametrize("shape,lo,hi", [((128, 64), (-2.0, -2.0), (2.0, 2.0)),
+                                         ((64, 64), (-2.0, -1.0), (2.0, 1.0))])
+def test_curl_drifts_divfree_on_anisotropic_grids(shape, lo, hi):
+    # the curl must use each axis' own spacing, or as_drift refuses the field
+    g = Grid(2, lo, hi, shape, 0.0, 0.1, 5, "periodic")
+    asm = assemble_borderline(3, n=2, scale0=0.2, travel=0.6, end_time=0.1,
+                              x_start=(-0.3, 0.0))
+    for b in (asm.sample_drift(g), trig_stream_field(g, 5, 1.0)):
+        sup = np.abs(b.samples).max()
+        assert sup > 0
+        assert np.abs(divergence(b).samples).max() <= 1e-10 * sup
+        assert isinstance(as_drift(b, g), FieldDrift)
 
 
 def test_assemble_selfsimilar():

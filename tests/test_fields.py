@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -201,3 +203,33 @@ def test_dump_roundtrip(tmp_path):
         fh.write(b"NOPE")
     with pytest.raises(ValueError):
         read_field(tmp_path / "junk.bin")
+
+
+def _dump_bytes(tmp_path):
+    g = Grid(2, (-1.0, -2.0), (1.0, 2.0), (4, 6), 0.0, 0.5, 2, "zero")
+    f = SpaceTimeField(g, np.arange(2 * 4 * 6 * 2, dtype=float).reshape(2, 4, 6, 2), 2)
+    write_field(tmp_path / "f.dlf1", f)
+    return (tmp_path / "f.dlf1").read_bytes()
+
+
+# header of a 2D dump: magic 4, n/ncomp/nt 24, shape 16, t0/t1 16, lo/hi 32, bc 8
+# sizes cut the header, cut the samples, or (869) add one trailing byte
+@pytest.mark.parametrize("size", [0, 3, 4, 10, 27, 28, 40, 43, 60, 99, 100, 108, 867, 869])
+def test_truncated_dump_raises_value_error(tmp_path, size):
+    raw = _dump_bytes(tmp_path)
+    assert len(raw) == 100 + 8 * 96
+    cut = tmp_path / "cut.dlf1"
+    cut.write_bytes((raw + b"\0")[:size])
+    with pytest.raises(ValueError):
+        read_field(cut)
+
+
+@pytest.mark.parametrize("offset,value", [(4, 4), (4, 1), (12, 3), (20, 0), (28, 0),
+                                          (36, -6), (92, 2), (28, 1 << 40)])
+def test_corrupt_dump_header_raises_value_error(tmp_path, offset, value):
+    raw = bytearray(_dump_bytes(tmp_path))
+    raw[offset:offset + 8] = struct.pack("<q", value)
+    bad = tmp_path / "bad.dlf1"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(ValueError):
+        read_field(bad)
