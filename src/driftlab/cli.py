@@ -47,8 +47,12 @@ def parse_config(path):
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config {path}: {e}")
     cfg = {}
-    for i, raw in enumerate(path.read_text().splitlines(), 1):
+    for i, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -13,12 +13,12 @@ Two boundary modes are supported:
 """
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 PERIODIC = "periodic"
 ZERO = "zero"
@@ -51,6 +51,8 @@ class Grid:
             raise ValueError("lo/hi/shape must have length n")
         if self.bc not in (PERIODIC, ZERO):
             raise ValueError("boundary mode must be 'periodic' or 'zero'")
+        if not all(map(math.isfinite, (*self.lo, *self.hi, self.t0, self.t1))):
+            raise ValueError("grid bounds lo/hi/t0/t1 must be finite")
         if any(h <= l for l, h in zip(self.lo, self.hi)) or any(s < 2 for s in self.shape):
             raise ValueError("degenerate spatial extent")
         if self.nt < 1 or (self.nt > 1 and self.t1 <= self.t0):
@@ -277,35 +279,52 @@ class ShellSamples:
 
 
 def shell_restrict(f, center, radii, npts=None):
-    """Linear-interpolate f onto spheres around center, with quadrature weights."""
+    """Linear-interpolate f onto spheres around center, with quadrature weights.
+
+    Interpolation is in space only, per time slice: the points of all radii
+    share one bilinear (2D) or trilinear (3D) gather over every time slice and
+    component.  Periodic grids wrap; on zero grids a point beyond the outermost
+    cell centers on any axis samples 0.
+    """
     g = f.grid
     center = np.asarray(center, dtype=float)
     hmin = min(g.h)
-    mode = "grid-wrap" if g.bc == PERIODIC else "constant"
-    all_samples, all_normals, all_weights = [], [], []
+    pts, all_normals, all_weights = [], [], []
     for r in radii:
         for i in range(g.n):
             if g.bc != PERIODIC and (center[i] - r < g.lo[i] or center[i] + r > g.hi[i]):
                 raise ValueError(f"shell r={r} exits the domain")
-        m = npts or default_shell_points(g.n, r, hmin)
-        pts, normals, w = sphere_points(g.n, r, m)
-        pts = pts + center
-        # fractional index coordinates of the cell-centered samples
-        idx = [(pts[:, i] - g.lo[i]) / g.h[i] - 0.5 for i in range(g.n)]
-        tidx = np.repeat(np.arange(g.nt), m)
-        coords = [tidx] + [np.tile(c, g.nt) for c in idx]
-        if f.is_scalar:
-            vals = ndimage.map_coordinates(f.samples, coords, order=1, mode=mode, cval=0.0)
-            vals = vals.reshape(g.nt, m)
-        else:
-            comps = [ndimage.map_coordinates(f.samples[..., c], coords, order=1, mode=mode,
-                                             cval=0.0) for c in range(g.n)]
-            vals = np.stack([c.reshape(g.nt, m) for c in comps], axis=-1)
-        all_samples.append(vals)
+        p, normals, w = sphere_points(g.n, r, npts or default_shell_points(g.n, r, hmin))
+        pts.append(p + center)
         all_normals.append(normals)
         all_weights.append(w)
+    pts = np.concatenate(pts) if pts else np.empty((0, g.n))
+    # cell index below each point and the fraction past it, per axis
+    base, frac = [], []
+    inside = np.ones(len(pts), dtype=bool)
+    for i in range(g.n):
+        x = (pts[:, i] - g.lo[i]) / g.h[i] - 0.5
+        i0 = np.floor(x)
+        base.append(i0.astype(np.intp))
+        frac.append(x - i0)
+        inside &= (x >= 0) & (x <= g.shape[i] - 1)
+    mode = "wrap" if g.bc == PERIODIC else "clip"
+    flat = f.samples.reshape((g.nt, -1) + f.samples.shape[1 + g.n:])
+    # components stay innermost, so each corner is one contiguous multiply-add
+    vals = np.zeros((g.nt, len(pts) * f.ncomp))
+    for corner in itertools.product((0, 1), repeat=g.n):
+        cell = np.ravel_multi_index([b + c for b, c in zip(base, corner)], g.shape, mode=mode)
+        w = math.prod(fr if c else 1.0 - fr for fr, c in zip(frac, corner))
+        term = np.take(flat, cell, axis=1).reshape(vals.shape)
+        term *= np.repeat(w, f.ncomp)
+        vals += term
+    vals = vals.reshape((g.nt, len(pts)) + flat.shape[2:])
+    if g.bc != PERIODIC and not inside.all():
+        vals[:, ~inside] = 0.0
+    ends = np.cumsum([len(w) for w in all_weights])
     return ShellSamples(tuple(center), np.asarray(radii, dtype=float),
-                        all_samples, all_normals, all_weights)
+                        [vals[:, e - len(w):e] for e, w in zip(ends, all_weights)],
+                        all_normals, all_weights)
 
 
 # ---------------------------------------------------------------------------

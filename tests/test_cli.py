@@ -1,7 +1,12 @@
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from driftlab.cli import main, parse_config, trig_stream_field
+from driftlab.cli import ConfigError, main, parse_config, trig_stream_field
 from driftlab.drifts import DriftAssembly, assemble_selfsimilar
 from driftlab.fields import Grid, SpaceTimeField, write_field
 
@@ -38,6 +43,38 @@ def test_parse_config_errors(tmp_path):
     dup.write_text("a = 1\na = 2\n")
     with pytest.raises(ConfigError):
         parse_config(dup)
+
+
+def test_undecodable_config_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path / "out"))
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"scenario.kind = diffusion\nscenario.name = \xff\xfe\n")
+    with pytest.raises(ConfigError, match="latin.cfg"):
+        parse_config(cfg)
+    assert run_cli("run", str(cfg)) == 2
+    assert "latin.cfg" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_CONFIG_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.tuples(st.text(max_size=12), st.sampled_from(["=", " = ", "", "#"]),
+                       st.text(max_size=12)), max_size=6).map(
+        lambda lines: "\n".join(k + s + v for k, s, v in lines).encode(
+            "utf-8", "surrogatepass")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CONFIG_BYTES)
+def test_parse_config_raises_only_config_error(data):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "fuzz.cfg"
+        path.write_bytes(data)
+        try:
+            cfg = parse_config(path)
+        except ConfigError:
+            return
+    assert isinstance(cfg, dict)
 
 
 def test_malformed_config_no_partial_outputs(tmp_path, monkeypatch):
@@ -121,6 +158,30 @@ def test_blowup_scenario_small(tmp_path, monkeypatch):
     assert len(blocks) == 3
     sups = [float(line.split(",")[2]) for line in blocks[1:]]
     assert sups[1] > sups[0]
+
+
+def test_nonfinite_grid_bounds_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
+    cfg = tmp_path / "nan-grid.cfg"
+    cfg.write_text("\n".join([
+        "scenario.kind = diffusion",
+        "grid.n = 2", "grid.lo = nan,-1", "grid.hi = 1,1",
+        "grid.shape = 32,32", "grid.t1 = 0.01", "grid.nt = 2",
+        "init.kind = blob", "init.width = 0.2",
+        "output.dir = out/nan-grid"]) + "\n")
+    assert run_cli("run", str(cfg)) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "nan-grid").exists()
+
+    g = Grid(2, (-1.0, -1.0), (1.0, 1.0), (8, 8), 0.0, 1.0, 2, "zero")
+    dump = tmp_path / "nan-lo.dlf1"
+    write_field(dump, SpaceTimeField(g, np.ones((2, 8, 8))))
+    raw = bytearray(dump.read_bytes())
+    raw[60:68] = struct.pack("<d", np.nan)  # lo_0
+    dump.write_bytes(bytes(raw))
+    assert run_cli("norm", str(dump), "--order", "tq", "--p", "2", "--q", "2",
+                   "--radius", "0.5") == 2
+    assert "bounds" in capsys.readouterr().err
 
 
 def test_norm_and_decompose_commands(tmp_path, capsys):

@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from driftlab.fields import (
     Grid,
@@ -11,6 +12,7 @@ from driftlab.fields import (
     laplacian,
     read_field,
     shell_restrict,
+    sphere_points,
     write_field,
 )
 
@@ -34,6 +36,14 @@ def test_grid_basics():
         Grid(4, (0, 0, 0, 0), (1, 1, 1, 1), (8, 8, 8, 8))
     with pytest.raises(ValueError):
         Grid(2, (0, 0), (1, 1), (8, 8), bc="reflect")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grid_refuses_nonfinite_bounds(bad):
+    for kw in ({"lo": (bad, 0.0)}, {"hi": (1.0, bad)}, {"t0": bad}, {"t1": bad}):
+        args = {"lo": (0.0, 0.0), "hi": (1.0, 1.0), "t0": 0.0, "t1": 1.0} | kw
+        with pytest.raises(ValueError, match="finite"):
+            Grid(2, args["lo"], args["hi"], (8, 8), args["t0"], args["t1"], 2)
 
 
 def test_field_shape_checks():
@@ -189,6 +199,73 @@ def test_shell_exits_domain():
         shell_restrict(f, (0.8, 0.0), [0.5])
 
 
+def _map_coordinates_shells(f, center, sh):
+    """Reference: map_coordinates(order=1) per time slice and component."""
+    g = f.grid
+    mode = "grid-wrap" if g.bc == "periodic" else "constant"
+    data = f.samples.reshape(f.samples.shape[:1 + g.n] + (f.ncomp,))
+    out = []
+    for r, w in zip(sh.radii, sh.weights):
+        pts = sphere_points(g.n, r, len(w))[0] + center
+        coords = [(pts[:, i] - g.lo[i]) / g.h[i] - 0.5 for i in range(g.n)]
+        vals = np.array([[ndimage.map_coordinates(data[j, ..., c], coords, order=1,
+                                                  mode=mode, cval=0.0)
+                          for c in range(f.ncomp)] for j in range(g.nt)])
+        vals = np.moveaxis(vals, 1, -1)
+        out.append(vals[..., 0] if f.is_scalar else vals)
+    return out
+
+
+# anisotropic boxes; the last axis is the narrowest, so the zero-bc edge shell
+# comes within half a cell of the box on it
+_SHELL_BOXES = {2: ((-1.0, -0.6), (1.2, 0.8), (24, 17)),
+                3: ((-1.0, -1.0, -0.5), (1.0, 1.2, 0.7), (10, 13, 8))}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+@pytest.mark.parametrize("vector", [False, True])
+def test_shell_restrict_matches_map_coordinates(n, bc, vector):
+    lo, hi, shape = _SHELL_BOXES[n]
+    g = Grid(n, lo, hi, shape, 0.0, 1.0, 3, bc)
+    ncomp = n if vector else 1
+    rng = np.random.default_rng(7 * n + vector)
+    data = rng.standard_normal((3,) + shape + ((ncomp,) if vector else ()))
+    if bc == "periodic":
+        # near the top corner: every shell wraps the box edge on every axis
+        center = np.array(hi) - 0.05
+        radii = [0.2, 0.45]
+    else:
+        center = (np.array(lo) + np.array(hi)) / 2
+        radii = [0.25, (hi[-1] - lo[-1]) / 2 - 0.2 * g.h[-1]]
+    f = SpaceTimeField(g, data, ncomp)
+    sh = shell_restrict(f, center, radii)
+    ref = _map_coordinates_shells(f, center, sh)
+    tol = 1e-13 * np.abs(data).max()
+    for got, want in zip(sh.samples, ref):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= tol
+
+    pts = sphere_points(n, radii[-1], len(sh.weights[-1]))[0] + center
+    x = (pts - lo) / g.h - 0.5
+    if bc == "periodic":
+        assert ((x < 0) | (x > np.array(shape) - 1)).any()
+    else:
+        outside = (x[:, -1] < 0) | (x[:, -1] > shape[-1] - 1)
+        assert outside.any() and np.all(sh.samples[-1][:, outside] == 0.0)
+
+    # an infinite sample poisons only its own time slice
+    i0 = np.floor(x[0]).astype(int) % shape
+    data[(1,) + tuple(i0)] = np.inf
+    f = SpaceTimeField(g, data, ncomp, allow_nonfinite=True)
+    sh = shell_restrict(f, center, radii)
+    ref = _map_coordinates_shells(f, center, sh)
+    assert not np.isfinite(sh.samples[-1][1]).all()
+    for got, want in zip(sh.samples, ref):
+        assert np.isfinite(got[[0, 2]]).all()
+        assert np.abs(got[[0, 2]] - want[[0, 2]]).max() <= tol
+
+
 def test_dump_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     g = Grid(2, (-1.0, -2.0), (1.0, 2.0), (16, 24), 0.0, 0.5, 3, "zero")
@@ -232,4 +309,15 @@ def test_corrupt_dump_header_raises_value_error(tmp_path, offset, value):
     bad = tmp_path / "bad.dlf1"
     bad.write_bytes(bytes(raw))
     with pytest.raises(ValueError):
+        read_field(bad)
+
+
+# float header fields of a 2D dump: t0 44, t1 52, lo_0 60, hi_0 68, lo_1 76, hi_1 84
+@pytest.mark.parametrize("offset", [44, 52, 60, 68, 76, 84])
+def test_dump_with_nonfinite_bounds_raises_value_error(tmp_path, offset):
+    raw = bytearray(_dump_bytes(tmp_path))
+    raw[offset:offset + 8] = struct.pack("<d", np.nan)
+    bad = tmp_path / "bad.dlf1"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="finite"):
         read_field(bad)
