@@ -350,7 +350,16 @@ def scenario_borderline_blowup(cfg, config_path, jobs):
     tau0 = _get_float(cfg, "run.tau0", 0.2)
     tau1 = _get_float(cfg, "run.tau1", 0.5)
     probe_radius = _get_float(cfg, "probe.radius", 0.5)
-    if travel / 2.0 + 4.2 * scale0 > extent:
+    if not np.isfinite([extent, tau0, tau1, probe_radius]).all():
+        raise ConfigError("run.extent, run.tau0, run.tau1 and probe.radius must be finite")
+    if tau0 >= tau1:
+        raise ConfigError("run.tau0 must be less than run.tau1")
+    if probe_radius <= 0:
+        raise ConfigError("probe.radius must be positive")
+    if resolution < 2:
+        raise ConfigError("run.resolution must be at least 2")
+    # written so that a NaN travel or scale0 fails it too
+    if not (travel / 2.0 + 4.2 * scale0 <= extent):
         raise ConfigError("run.extent too small for the cap support")
     amplitudes = amp_ratio ** np.arange(K)
     try:

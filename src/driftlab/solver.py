@@ -149,7 +149,9 @@ class FieldDrift:
     Faces are midpoint averages of the adjacent cells, then projected onto
     the discretely divergence-free constraint (a Poisson solve per slice),
     which restores exact telescoping conservation.  Linear interpolation in
-    time between the stored slices.
+    time between the stored slices.  Equal consecutive slices share one
+    projection and are not interpolated between, so a steady field is
+    projected once.
     """
 
     def __init__(self, b, project=True):
@@ -158,8 +160,15 @@ class FieldDrift:
         self.b = b
         self.project = project
         self._cache = {}
+        # each slice maps to the first slice of its run of equal slices
+        s = b.samples
+        starts = [0]
+        for j in range(1, len(s)):
+            starts.append(starts[-1] if np.array_equal(s[j], s[j - 1]) else j)
+        self._run_start = starts
 
     def _faces_at_slice(self, j):
+        j = self._run_start[j]
         if j in self._cache:
             return self._cache[j]
         g = self.b.grid
@@ -183,7 +192,7 @@ class FieldDrift:
         j1 = min(j0 + 1, g.nt - 1)
         w = s - j0
         f0 = self._faces_at_slice(j0)
-        if j1 == j0 or w == 0.0:
+        if w == 0.0 or self._run_start[j0] == self._run_start[j1]:
             return f0
         f1 = self._faces_at_slice(j1)
         out = []
@@ -205,7 +214,8 @@ def _face_div(grid, faces):
 
 
 def _fd_symbol(grid):
-    """Eigenvalues of the finite-difference Laplacian (periodic FFT basis)."""
+    """Eigenvalues of the finite-difference Laplacian on the periodic FFT
+    basis, on the half spectrum that ``rfftn`` keeps (last axis 0..N//2)."""
     sym = np.zeros(grid.shape)
     for a in range(grid.n):
         m = np.fft.fftfreq(grid.shape[a]) * grid.shape[a]
@@ -213,7 +223,7 @@ def _fd_symbol(grid):
         shape = [1] * grid.n
         shape[a] = grid.shape[a]
         sym = sym + lam.reshape(shape)
-    return sym
+    return np.ascontiguousarray(sym[..., : grid.shape[-1] // 2 + 1])
 
 
 def _dst_symbol(grid):
@@ -231,12 +241,13 @@ def _project_faces(grid, faces):
     """Remove the face-divergence by a discrete Poisson correction."""
     div = _face_div(grid, faces)
     if grid.bc == PERIODIC:
+        # the symbol vanishes only at the zero mode, whose correction is 0
         sym = _fd_symbol(grid)
-        dh = np.fft.fftn(div)
+        sym[(0,) * grid.n] = 1.0
+        dh = sfft.rfftn(div)
         dh[(0,) * grid.n] = 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ph = np.where(sym != 0, dh / sym, 0.0)
-        phi = np.real(np.fft.ifftn(ph))
+        dh /= sym
+        phi = sfft.irfftn(dh, s=div.shape)
     else:
         sym = _dst_symbol(grid)
         dh = sfft.dstn(div, type=1)
@@ -388,8 +399,7 @@ def solve(theta0, b, grid, config=None):
     drift = as_drift(b, grid)
 
     if config.scheme == SEMI_IMPLICIT:
-        # the real transform keeps the non-negative half of the last axis
-        sym = np.ascontiguousarray(_fd_symbol(grid)[..., : grid.shape[-1] // 2 + 1])
+        sym = _fd_symbol(grid)
         den = np.empty_like(sym)
     upwind = _Upwind(grid)
     adv = np.empty(grid.shape)

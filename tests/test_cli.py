@@ -160,6 +160,32 @@ def test_blowup_scenario_small(tmp_path, monkeypatch):
     assert sups[1] > sups[0]
 
 
+@pytest.mark.parametrize("setting", [
+    "run.extent = nan", "run.extent = inf", "run.extent = 1.0",
+    "run.tau0 = nan", "run.tau1 = nan", "run.tau1 = 0.1", "run.tau1 = 0.2",
+    "probe.radius = nan", "probe.radius = 0", "run.resolution = 1",
+    "assembly.travel = nan", "assembly.scale0 = nan",
+])
+def test_bad_blowup_setting_exit_code(tmp_path, monkeypatch, capsys, setting):
+    import driftlab.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a bad setting must be refused before any work")
+
+    monkeypatch.setattr(cli, "assemble_borderline", no_work)
+    monkeypatch.setattr(cli, "blowup_probe_series", no_work)
+    monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
+    key = setting.split("=")[0].strip()
+    lines = [setting if line.split("=")[0].strip() == key else line
+             for line in (CONFIGS / "borderline-blowup.cfg").read_text().splitlines()]
+    assert setting in lines
+    cfg = tmp_path / "bad-blowup.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert run_cli("run", str(cfg)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_nonfinite_grid_bounds_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
     cfg = tmp_path / "nan-grid.cfg"

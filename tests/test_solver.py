@@ -8,6 +8,8 @@ from driftlab.solver import (
     SolverConfig,
     ZeroDrift,
     _face_div,
+    _fd_symbol,
+    _project_faces,
     dynamic_rescale,
     fundamental_solution,
     gaussian_blob,
@@ -346,6 +348,112 @@ def test_field_drift_step_count_unchanged():
     b = PotentialDrift(2, stream_fn=stream).sample(g.with_times(0.0, 0.2, 5))
     run = solve(gaussian_blob(g, (0.0, 0.0), 0.5, normalize=False), FieldDrift(b), g)
     assert len(run.step_times) == 211
+
+
+def counting_projection(monkeypatch):
+    import driftlab.solver as solver
+
+    calls = []
+
+    def project(grid, faces):
+        calls.append(1)
+        return _project_faces(grid, faces)
+
+    monkeypatch.setattr(solver, "_project_faces", project)
+    return calls
+
+
+def slice_field(g, slices):
+    """Vector field whose time slices are the given (cell, component) arrays."""
+    return SpaceTimeField(g, np.stack(slices), 2)
+
+
+def random_slice(rng, shape=(16, 16)):
+    return rng.standard_normal(shape + (2,))
+
+
+def test_steady_field_drift_projected_once(monkeypatch):
+    calls = counting_projection(monkeypatch)
+    g = pgrid(16, t1=1.0, nt=65)
+    one = random_slice(np.random.default_rng(3))
+    d = FieldDrift(slice_field(g, [one] * g.nt))
+    faces = d.face_velocities(g, 0.0)
+    for t in (0.0, 0.013, 0.5, 0.77, 1.0, 2.0):
+        for got, want in zip(d.face_velocities(g, t), faces):
+            assert np.array_equal(got, want)
+    assert len(calls) == 1
+
+
+def test_field_drift_shares_faces_inside_a_run(monkeypatch):
+    calls = counting_projection(monkeypatch)
+    rng = np.random.default_rng(4)
+    g = pgrid(16, t0=0.0, t1=1.0, nt=6)  # slices at t = 0, 0.2, ..., 1
+    s0, s1, s4, s5 = (random_slice(rng) for _ in range(4))
+    d = FieldDrift(slice_field(g, [s0, s1, s1.copy(), s1.copy(), s4, s5]))
+    f = {j: d.face_velocities(g, 0.2 * j) for j in (0, 1, 4, 5)}
+    assert len(calls) == 4
+    # inside the run of equal slices 1..3: the faces of slice 1, unchanged
+    for t in (0.2, 0.25, 0.4, 0.5, 0.6):
+        for got, want in zip(d.face_velocities(g, t), f[1]):
+            assert np.array_equal(got, want)
+    # outside it: linear interpolation between the neighbouring slices
+    for t, lo, hi, w in ((0.1, 0, 1, 0.5), (0.75, 1, 4, 0.75), (0.9, 4, 5, 0.5)):
+        got = d.face_velocities(g, t)
+        for a in range(2):
+            np.testing.assert_allclose(got[a], f[lo][a] * (1 - w) + f[hi][a] * w,
+                                       rtol=1e-12, atol=1e-12)
+    assert len(calls) == 4
+
+
+def test_field_drift_interpolation_bit_for_bit():
+    rng = np.random.default_rng(5)
+    g = pgrid(16, t0=0.0, t1=1.0, nt=5)  # slices at t = 0, 0.25, ..., 1
+    d = FieldDrift(slice_field(g, [random_slice(rng) for _ in range(g.nt)]))
+    f1, f2 = d.face_velocities(g, 0.25), d.face_velocities(g, 0.5)
+    got = d.face_velocities(g, 0.3125)  # a quarter of the way from slice 1 to 2
+    for a in range(2):
+        assert np.array_equal(got[a], f1[a] * 0.75 + f2[a] * 0.25)
+
+
+def test_steady_field_drift_step_count_unchanged():
+    # the advective bound limits dt; 151 ledger entries (150 steps) is what
+    # the solver gave before equal slices shared their faces
+    g = Grid(2, (-np.pi, -np.pi), (np.pi, np.pi), (48, 48), 0.0, 0.2, 3, "periodic")
+
+    def stream(t, x, y):
+        return 8 * (np.sin(x + 0.3) * np.sin(2 * y) + 0.5 * np.cos(3 * x - y))
+
+    b = PotentialDrift(2, stream_fn=stream).sample(g.with_times(0.0, 0.2, 9))
+    run = solve(gaussian_blob(g, (0.0, 0.0), 0.5, normalize=False), FieldDrift(b), g)
+    assert len(run.step_times) == 151
+
+
+def complex_fft_projection(grid, faces):
+    """The periodic projection written with complex FFTs: the reference."""
+    sym = np.zeros(grid.shape)
+    for a in range(grid.n):
+        m = np.fft.fftfreq(grid.shape[a]) * grid.shape[a]
+        lam = -(2.0 - 2.0 * np.cos(2.0 * np.pi * m / grid.shape[a])) / grid.h[a] ** 2
+        sym = sym + lam.reshape([-1 if i == a else 1 for i in range(grid.n)])
+    dh = np.fft.fftn(_face_div(grid, faces))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.real(np.fft.ifftn(np.where(sym != 0, dh / sym, 0.0)))
+    return [faces[a] - (phi - np.roll(phi, 1, a)) / grid.h[a] for a in range(grid.n)]
+
+
+@pytest.mark.parametrize("shape", [(48, 48), (15, 17), (8, 8, 9)])
+def test_half_spectrum_projection_matches_complex_fft(shape):
+    n = len(shape)
+    g = Grid(n, (-1.0,) * n, (1.5,) * n, shape, 0.0, 1.0, 2, "periodic")
+    rng = np.random.default_rng(sum(shape))
+    faces = [rng.standard_normal(shape) for _ in range(n)]
+    got = _project_faces(g, faces)
+    want = complex_fft_projection(g, faces)
+    scale = max(np.abs(f).max() for f in faces)
+    for a in range(n):
+        np.testing.assert_allclose(got[a], want[a], rtol=0, atol=1e-13 * scale)
+    assert np.abs(_face_div(g, got)).max() < 1e-10
+    assert _fd_symbol(g).shape == shape[:-1] + (shape[-1] // 2 + 1,)
 
 
 @pytest.mark.parametrize("scheme,grid", [
