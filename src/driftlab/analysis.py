@@ -12,13 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .fields import SpaceTimeField, gradient, laplacian
+from .fields import SpaceTimeField, _component_sum, _sq_distance, gradient, laplacian
 from .norms import (
     FBC_PREFACTOR,
     GoodSlices,
     _energy_terms,
     _flux_average,
     _time_selection,
+    _time_window,
     good_slices,
 )
 
@@ -105,17 +106,11 @@ def subsolution_residual(theta, b=None, exclude=None, tol=0.0):
     res -= lap
     if b is not None:
         gr = gradient(field).samples
-        res += (b.samples * gr).sum(axis=-1)
+        res += _component_sum(b.samples * gr)
 
-    checked = np.ones(field.samples.shape, dtype=bool)
-    checked[0] = checked[-1] = False
-    frame = 3
-    for a in range(g.n):
-        sl = [slice(None)] * (g.n + 1)
-        sl[1 + a] = slice(0, frame)
-        checked[tuple(sl)] = False
-        sl[1 + a] = slice(-frame, None)
-        checked[tuple(sl)] = False
+    # interior times, and cells at least three from the edge on every axis
+    checked = np.zeros(field.samples.shape, dtype=bool)
+    checked[(slice(1, -1),) + (slice(3, -3),) * g.n] = True
     if exclude is not None:
         grown = ndimage.binary_dilation(exclude, iterations=2)
         checked &= ~grown
@@ -145,11 +140,8 @@ class Cylinder:
 
 
 def _cyl_masks(grid, cyl):
-    X = grid.meshgrid()
-    r = np.sqrt(sum((X[i] - cyl.center[i]) ** 2 for i in range(grid.n)))
-    space = r <= cyl.radius
-    times = (grid.times >= cyl.t0 - 1e-12) & (grid.times <= cyl.t1 + 1e-12)
-    return space, times
+    space = np.sqrt(_sq_distance(grid.meshgrid(), cyl.center)) <= cyl.radius
+    return space, _time_window(grid, cyl.t0, cyl.t1)
 
 
 def local_boundedness_quotient(run, inner, outer, gamma=1.0):
@@ -167,8 +159,7 @@ def local_boundedness_quotient(run, inner, outer, gamma=1.0):
     tidx, tw = _time_selection(g, outer.t0, outer.t1)
     total = 0.0
     for j, w in zip(tidx, tw):
-        in_inner_time = inner.t0 - 1e-12 <= g.times[j] <= inner.t1 + 1e-12
-        mask = so & ~(si & in_inner_time)
+        mask = so & ~(si & ti[j])
         total += (th[j][mask] ** gamma).sum() * g.cell_volume * w
     return sup / total ** (1.0 / gamma)
 
@@ -186,20 +177,16 @@ def harnack_quotient(run, center, radius, I1, I2, kappa_rel=1e-12):
         raise ValueError("I1 must end before I2 begins")
     field = _trajectory(run)
     g = field.grid
-    space, _ = _cyl_masks(g, Cylinder(tuple(center), radius, g.t0, g.t1))
-
-    def quotient(kappa):
-        th = field.samples + kappa
-        m1 = (g.times >= I1[0] - 1e-12) & (g.times <= I1[1] + 1e-12)
-        m2 = (g.times >= I2[0] - 1e-12) & (g.times <= I2[1] + 1e-12)
-        if not m1.any() or not m2.any():
-            raise ValueError("intervals contain no stored times")
-        sup = th[m1][:, space].max()
-        inf = th[m2][:, space].min()
-        return float(sup / inf)
-
+    space = np.sqrt(_sq_distance(g.meshgrid(), center)) <= radius
+    m1, m2 = _time_window(g, *I1), _time_window(g, *I2)
+    if not m1.any() or not m2.any():
+        raise ValueError("intervals contain no stored times")
+    # adding κ commutes with sup and inf, rounding included
+    sup = field.samples[m1][:, space].max()
+    inf = field.samples[m2][:, space].min()
     kappa = kappa_rel * float(field.samples.max())
-    return HarnackReport(quotient(kappa), kappa, quotient(kappa / 10.0))
+    return HarnackReport(float((sup + kappa) / (inf + kappa)), kappa,
+                         float((sup + kappa / 10.0) / (inf + kappa / 10.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +202,6 @@ class MoserTrace:
     Cbig: float
     predicted_sup: float
     sup_inner: float
-
-    @property
-    def amplification(self):
-        return self.Ms[1:] / self.Ms[:-1]
 
 
 def moser_constant(fbc, rho, R, T, tau, R0=None):
@@ -245,25 +228,22 @@ def moser_trace(run, center, rho, R, T, tau, t_end, fbc, R0=None, kmax=8):
         raise ValueError("Moser trace expects a nonnegative field")
     chi = 1.0 + 2.0 / g.n
     betas = chi ** np.arange(kmax + 1)
-    X = g.meshgrid()
-    r = np.sqrt(sum((X[i] - center[i]) ** 2 for i in range(g.n)))
+    r = np.sqrt(_sq_distance(g.meshgrid(), center))
     Ms = []
     ladder = []
+    vol = g.cell_volume
     for k in range(kmax + 1):
         rk = rho + 2.0**-k * (R - rho)
         tk = tau - 2.0**-k * (tau - T)
         ladder.append((rk, tk))
         mask = r <= rk
         tidx, tw = _time_selection(g, tk, t_end)
-        vol = g.cell_volume
         meas = mask.sum() * vol * tw.sum()
         th2 = field.samples[tidx][:, mask] ** 2
         Ms.append(float(((th2 ** betas[k]).sum(axis=1) * vol @ tw / meas)
                         ** (1.0 / betas[k])))
-    rinf, tinf = rho, tau
-    mask = r <= rinf
-    tid, _ = _time_selection(g, tinf, t_end)
-    sup_inner = float(field.samples[tid][:, mask].max())
+    tid, _ = _time_selection(g, tau, t_end)
+    sup_inner = float(field.samples[tid][:, r <= rho].max())
     Cbig = moser_constant(fbc, rho, R, T, tau, R0)
     predicted = Cbig ** ((g.n + 2) / 4.0) * np.sqrt(Ms[0])
     return MoserTrace(chi, betas, np.asarray(Ms), ladder, float(Cbig),
@@ -332,8 +312,7 @@ def davies_energy(run, probe, params=None, c_max=1e6):
     """
     field = _trajectory(run)
     g = field.grid
-    X = g.meshgrid()
-    r = np.sqrt(sum(x**2 for x in X))
+    r = np.sqrt(_sq_distance(g.meshgrid(), (0.0,) * g.n))
     w = np.exp(2.0 * probe.psi(r))
     J = 0.5 * (field.samples**2 * w).sum(axis=tuple(range(1, g.n + 1))) * g.cell_volume
     ts = g.times - g.t0
@@ -378,12 +357,6 @@ class TailReport:
     outer: np.ndarray
     margins: np.ndarray
 
-    @property
-    def stretched_outer_fraction(self):
-        if not self.outer.any():
-            return 0.0
-        return float((~self.gauss_active & self.outer).sum() / self.outer.sum())
-
 
 def _tail_shape(r, tau, c, params, n):
     p0 = 1.0 + 1.0 / (1.0 + params.alpha0)
@@ -408,23 +381,16 @@ def tail_check(run, params, source, s, tau_min=None, rmax=None, floor_rel=1e-10,
     tau_min = tau_min if tau_min is not None else 40.0 * h**2
     L = min(g.hi[i] - g.lo[i] for i in range(g.n))
     rmax = rmax if rmax is not None else 0.4 * L
-    source = np.asarray(source, dtype=float)
-    X = g.meshgrid()
-    r = np.sqrt(sum((X[i] - source[i]) ** 2 for i in range(g.n)))
+    r = np.sqrt(_sq_distance(g.meshgrid(), np.asarray(source, dtype=float)))
     taus = g.times - s
     sel_t = taus >= tau_min
     if not sel_t.any():
         raise ValueError("no stored times above the resolution floor")
-    peak = field.samples[sel_t].max()
-    rs, ts, vals = [], [], []
-    for j in np.where(sel_t)[0]:
-        m = (r <= rmax) & (field.samples[j] > floor_rel * peak)
-        rs.append(r[m])
-        ts.append(np.full(m.sum(), taus[j]))
-        vals.append(field.samples[j][m])
-    rs = np.concatenate(rs)
-    ts = np.concatenate(ts)
-    vals = np.concatenate(vals)
+    sel = field.samples[sel_t]
+    m = (r <= rmax) & (sel > floor_rel * sel.max())
+    rs = np.broadcast_to(r, sel.shape)[m]
+    ts = np.broadcast_to(taus[sel_t].reshape((-1,) + (1,) * g.n), sel.shape)[m]
+    vals = sel[m]
 
     c_sweep = c_sweep if c_sweep is not None else np.geomspace(1e-3, 1.0, 60)
     Cs = np.empty(len(c_sweep))
@@ -466,10 +432,8 @@ def fbc_tilde_test(b, u, params, center, R, t0, t1,
              + ε (R⁻² ∬_{B_R×I} u² + ∬ |∇u|² + sup_t ∫_{B_R} u²).
     Satisfied iff the inequality holds for every ε in the sweep.
     """
-    g = u.grid
-    tidx, tw = _time_selection(g, t0, t1)
     slices = good_slices(b, center, R / 2.0, R, t0, t1, nr=nr)
-    lhs = _flux_average(b, u, center, slices, tidx, tw)
+    lhs = _flux_average(b, u, center, slices, t0, t1)
     e = _energy_terms(u, center, R / 2.0, R, t0, t1)
     rhs = {}
     ok = True

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .drifts import DriftAssembly, assemble_borderline, assemble_selfsimilar, hodge_decompose
-from .fields import Grid, SpaceTimeField, curl, read_field, write_field
+from .fields import Grid, SpaceTimeField, _sq_distance, curl, read_field, write_field
 from .norms import (
     SLICED_RT,
     SLICED_TR,
@@ -26,7 +26,7 @@ from .norms import (
     criticality_index,
     mixed_norm,
 )
-from .solver import FieldDrift, SolverConfig, fundamental_solution, solve
+from .solver import FieldDrift, SolverConfig, fundamental_solution, gaussian_blob, solve
 
 FMT = "%.17g"
 
@@ -108,7 +108,10 @@ def build_grid(cfg):
     n = _get_int(cfg, "grid.n", 2)
     lo = _get_tuple(cfg, "grid.lo", required=True)
     hi = _get_tuple(cfg, "grid.hi", required=True)
-    shape = tuple(int(x) for x in _get_tuple(cfg, "grid.shape", required=True))
+    shape = _get_tuple(cfg, "grid.shape", required=True)
+    if not all(float(x).is_integer() for x in shape):
+        raise ConfigError(f"grid.shape entries must be integers: {shape}")
+    shape = tuple(int(x) for x in shape)
     bc = _get(cfg, "grid.bc", "periodic")
     if len(lo) != n or len(hi) != n or len(shape) != n:
         raise ConfigError("grid.lo/hi/shape must all have grid.n entries")
@@ -205,13 +208,16 @@ def scenario_diffusion(cfg, config_path, jobs):
     init = _get(cfg, "init.kind", "blob")
     center = _get_tuple(cfg, "init.center", (0.0,) * grid.n)
     width = _get_float(cfg, "init.width", 4.0 * min(grid.h))
+    if len(center) != grid.n or not np.isfinite(center).all():
+        raise ConfigError(f"init.center must have {grid.n} finite entries")
+    if not 0.0 < width < np.inf:
+        raise ConfigError("init.width must be finite and positive")
     out = output_dir(cfg)
 
     try:
         if init == "fundamental":
             run = fundamental_solution(center, grid.t0, drift, grid, sol, width)
         elif init == "blob":
-            from .solver import gaussian_blob
             theta0 = gaussian_blob(grid, center, width,
                                    normalize=_get(cfg, "init.normalize", "true") == "true")
             run = solve(theta0, drift, grid, sol)
@@ -329,10 +335,10 @@ def blowup_probe_series(assembly, resolution, extent, tau0=0.2, tau1=0.5,
                     t_start, t_end, 2, "periodic")
         dgrid = grid.with_times(t_start, t_end, drift_nt)
         drift = FieldDrift(assembly.sample_drift(dgrid))
-        pts = np.stack(grid.meshgrid(), axis=-1)
-        theta0 = assembly.subsolution_at(t_start, pts)
+        X = grid.meshgrid()
+        theta0 = assembly.subsolution_at(t_start, np.stack(X, axis=-1))
         run = solve(theta0, drift, grid, SolverConfig(dt=dt))
-        r = np.sqrt((pts**2).sum(axis=-1))
+        r = np.sqrt(_sq_distance(X, (0.0,) * n))
         sups.append(float(run.trajectory.samples[-1][r <= probe_radius].max()))
         regs.append(blk.A * blk.t_prime ** (-n / 2.0))
     return np.array(sups), np.array(regs)

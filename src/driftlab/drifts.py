@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .fields import Grid, SpaceTimeField, ZERO, curl, divergence
+from .fields import Grid, SpaceTimeField, ZERO, _component_sum, curl, divergence
 
 E_CONST = float(np.e)
 C0_DEFAULT = float(np.exp(-np.e))  # largest time with logloglog(1/t) >= 0
@@ -89,7 +89,7 @@ def _dchi(r, r0, r1):
 def cap_velocity(points, r0=3.0, r1=3.8, n=2):
     """Analytic cap velocity U(x) (exactly solenoidal as a continuum field)."""
     pts = np.asarray(points, dtype=float)
-    r = np.sqrt((pts**2).sum(axis=-1))
+    r = np.sqrt(_component_sum(pts**2))
     rsafe = np.maximum(r, 1e-300)
     c = _chi(r, r0, r1)
     dc = _dchi(r, r0, r1)
@@ -115,11 +115,11 @@ class BogovskiiCap:
 
     @property
     def sup_norm(self):
-        return float(np.sqrt((self.field.samples[0] ** 2).sum(axis=-1)).max())
+        return self.lp_norm(np.inf)
 
     def lp_norm(self, p):
         """L^p(R^n) norm of |U| from the samples."""
-        mag = np.sqrt((self.field.samples[0] ** 2).sum(axis=-1))
+        mag = np.sqrt(_component_sum(self.field.samples[0] ** 2))
         if np.isinf(p):
             return float(mag.max())
         return float(((mag**p).sum() * self.field.grid.cell_volume) ** (1.0 / p))
@@ -155,7 +155,7 @@ def build_bogovskii_cap(resolution=128, n=2, ramp=(3.0, 3.8), extent=4.2):
 
 def heat_kernel(x, t, n):
     """Gaussian fundamental solution at points x (last axis = components)."""
-    r2 = (np.asarray(x, dtype=float) ** 2).sum(axis=-1)
+    r2 = _component_sum(np.asarray(x, dtype=float) ** 2)
     return (4.0 * np.pi * t) ** (-n / 2.0) * np.exp(-r2 / (4.0 * t))
 
 
@@ -514,12 +514,10 @@ class DriftAssembly:
         return SpaceTimeField(grid, out, grid.n)
 
     def sample_subsolution(self, grid):
-        X = grid.meshgrid()
-        pts = np.stack(X, axis=-1)
-        out = np.zeros((grid.nt,) + tuple(grid.shape))
+        pts = np.stack(grid.meshgrid(), axis=-1)
+        out = np.empty((grid.nt,) + tuple(grid.shape))
         for j, t in enumerate(grid.times):
-            for b in self.blocks:
-                out[j] += b.subsolution(t, pts)
+            out[j] = self.subsolution_at(t, pts)
         return SpaceTimeField(grid, out)
 
     def subsolution_at(self, t, pts):

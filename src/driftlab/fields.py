@@ -198,10 +198,11 @@ def curl(potential, grid):
     """Cell-centered curl of a stream function (2D) or vector potential (3D).
 
     ``potential`` is one time slice: an array on grid.shape in 2D, a triple of
-    them in 3D; the result has shape (*grid.shape, n).  The centered
-    differences are the ones `divergence` uses, with the grid's boundary mode
-    and per-axis spacing; they commute, so the discrete divergence of the
-    result vanishes to round-off.
+    them in 3D; the result has shape (*grid.shape, n).  In 2D the curl of ψ
+    is b = (−∂_y ψ, ∂_x ψ), the opposite sign of `solver.PotentialDrift`'s
+    convention.  The centered differences are the ones `divergence` uses,
+    with the grid's boundary mode and per-axis spacing; they commute, so the
+    discrete divergence of the result vanishes to round-off.
     """
     def d(a, axis):
         return _ddx(a, axis, grid.h[axis], grid.bc)
@@ -231,7 +232,58 @@ def laplacian(f):
 
 
 # ---------------------------------------------------------------------------
-# shell sampling
+# sampling: component sums, distances, interpolation, shells
+
+
+def _component_sum(a):
+    """Left-to-right sum over the last (component) axis: bit-equal to
+    ``a.sum(axis=-1)`` on 2 or 3 components, without its slow short-axis loop."""
+    out = a[..., 0] + a[..., 1]
+    for c in range(2, a.shape[-1]):
+        out += a[..., c]
+    return out
+
+
+def _sq_distance(X, center):
+    """|x − center|² at the points whose coordinates along each axis are X."""
+    out = (X[0] - center[0]) ** 2
+    for i in range(1, len(X)):
+        out += (X[i] - center[i]) ** 2
+    return out
+
+
+def _interpolate(grid, samples, pts):
+    """Linear interpolation in space of m slices (m, *grid.shape, *comp) at
+    points (npts, n), giving (m, npts, *comp): one bilinear (2D) or trilinear
+    (3D) multiply-add per cell corner serves every slice and component.
+    Periodic grids wrap; on zero grids a point beyond the outermost cell
+    centers on any axis samples 0."""
+    # cell index below each point and the fraction past it, per axis
+    base, frac = [], []
+    inside = np.ones(len(pts), dtype=bool)
+    for i in range(grid.n):
+        x = (pts[:, i] - grid.lo[i]) / grid.h[i] - 0.5
+        i0 = np.floor(x)
+        base.append(i0.astype(np.intp))
+        frac.append(x - i0)
+        inside &= (x >= 0) & (x <= grid.shape[i] - 1)
+    mode = "wrap" if grid.bc == PERIODIC else "clip"
+    comp = samples.shape[1 + grid.n:]
+    ncomp = math.prod(comp)
+    flat = samples.reshape((len(samples), -1, ncomp))
+    # components stay innermost, so each corner is one contiguous multiply-add
+    vals = np.zeros((len(samples), len(pts) * ncomp))
+    for corner in itertools.product((0, 1), repeat=grid.n):
+        cell = np.ravel_multi_index([b + c for b, c in zip(base, corner)], grid.shape,
+                                    mode=mode)
+        w = math.prod(fr if c else 1.0 - fr for fr, c in zip(frac, corner))
+        term = np.take(flat, cell, axis=1).reshape(vals.shape)
+        term *= np.repeat(w, ncomp)
+        vals += term
+    vals = vals.reshape((len(samples), len(pts)) + comp)
+    if grid.bc != PERIODIC and not inside.all():
+        vals[:, ~inside] = 0.0
+    return vals
 
 
 def sphere_points(n, radius, npts):
@@ -281,46 +333,22 @@ class ShellSamples:
 def shell_restrict(f, center, radii, npts=None):
     """Linear-interpolate f onto spheres around center, with quadrature weights.
 
-    Interpolation is in space only, per time slice: the points of all radii
-    share one bilinear (2D) or trilinear (3D) gather over every time slice and
-    component.  Periodic grids wrap; on zero grids a point beyond the outermost
-    cell centers on any axis samples 0.
+    The points of all radii share one `_interpolate` call over every time
+    slice and component.
     """
     g = f.grid
     center = np.asarray(center, dtype=float)
     hmin = min(g.h)
     pts, all_normals, all_weights = [], [], []
     for r in radii:
-        for i in range(g.n):
-            if g.bc != PERIODIC and (center[i] - r < g.lo[i] or center[i] + r > g.hi[i]):
-                raise ValueError(f"shell r={r} exits the domain")
+        if g.bc != PERIODIC and (np.any(center - r < g.lo) or np.any(center + r > g.hi)):
+            raise ValueError(f"shell r={r} exits the domain")
         p, normals, w = sphere_points(g.n, r, npts or default_shell_points(g.n, r, hmin))
         pts.append(p + center)
         all_normals.append(normals)
         all_weights.append(w)
     pts = np.concatenate(pts) if pts else np.empty((0, g.n))
-    # cell index below each point and the fraction past it, per axis
-    base, frac = [], []
-    inside = np.ones(len(pts), dtype=bool)
-    for i in range(g.n):
-        x = (pts[:, i] - g.lo[i]) / g.h[i] - 0.5
-        i0 = np.floor(x)
-        base.append(i0.astype(np.intp))
-        frac.append(x - i0)
-        inside &= (x >= 0) & (x <= g.shape[i] - 1)
-    mode = "wrap" if g.bc == PERIODIC else "clip"
-    flat = f.samples.reshape((g.nt, -1) + f.samples.shape[1 + g.n:])
-    # components stay innermost, so each corner is one contiguous multiply-add
-    vals = np.zeros((g.nt, len(pts) * f.ncomp))
-    for corner in itertools.product((0, 1), repeat=g.n):
-        cell = np.ravel_multi_index([b + c for b, c in zip(base, corner)], g.shape, mode=mode)
-        w = math.prod(fr if c else 1.0 - fr for fr, c in zip(frac, corner))
-        term = np.take(flat, cell, axis=1).reshape(vals.shape)
-        term *= np.repeat(w, f.ncomp)
-        vals += term
-    vals = vals.reshape((g.nt, len(pts)) + flat.shape[2:])
-    if g.bc != PERIODIC and not inside.all():
-        vals[:, ~inside] = 0.0
+    vals = _interpolate(g, f.samples, pts)
     ends = np.cumsum([len(w) for w in all_weights])
     return ShellSamples(tuple(center), np.asarray(radii, dtype=float),
                         [vals[:, e - len(w):e] for e, w in zip(ends, all_weights)],

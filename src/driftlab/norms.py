@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import SpaceTimeField, gradient, shell_restrict
+from .fields import _component_sum, _sq_distance, gradient, shell_restrict
 
 INF = np.inf
 
@@ -113,16 +113,32 @@ def _trapz_weights(m, dt):
     return w
 
 
-def _time_selection(grid, t0, t1):
+def _time_window(grid, t0, t1):
+    """Mask of the stored times in [t0, t1], with a 1e-12 tolerance at both ends."""
     times = grid.times
-    idx = np.where((times >= t0 - 1e-12) & (times <= t1 + 1e-12))[0]
+    return (times >= t0 - 1e-12) & (times <= t1 + 1e-12)
+
+
+def _time_selection(grid, t0, t1):
+    idx = np.flatnonzero(_time_window(grid, t0, t1))
     if len(idx) == 0:
         raise ValueError("region time window contains no samples")
     return idx, _trapz_weights(len(idx), grid.dt if grid.nt > 1 else 1.0)
 
 
-def _magnitude(f):
-    return np.abs(f.samples) if f.is_scalar else np.sqrt((f.samples**2).sum(axis=-1))
+def _magnitude(samples, scalar):
+    """|f| pointwise: the absolute value, or the Euclidean length of a vector."""
+    return np.abs(samples) if scalar else np.sqrt(_component_sum(samples**2))
+
+
+def _sphere_norms(f, center, radii, tidx, p, npts=None):
+    """Table of ||f(., t)||_{L^p_sigma(dB_r)}: one row per radius, one column per
+    selected time."""
+    sh = shell_restrict(f, center, radii, npts=npts)
+    out = np.empty((len(radii), len(tidx)))
+    for j, (s, w) in enumerate(zip(sh.samples, sh.weights)):
+        out[j] = _pnorm(_magnitude(s[tidx], f.is_scalar), w, p, axis=-1)
+    return out
 
 
 def _spatial_mask(grid, region):
@@ -132,8 +148,7 @@ def _spatial_mask(grid, region):
         for i in range(grid.n):
             m &= (X[i] >= region.lo[i]) & (X[i] <= region.hi[i])
         return m
-    c = region.center
-    r = np.sqrt(sum((X[i] - c[i]) ** 2 for i in range(grid.n)))
+    r = np.sqrt(_sq_distance(X, region.center))
     return (r >= region.r_inner) & (r <= region.r_outer)
 
 
@@ -148,13 +163,12 @@ def mixed_norm(f, spec, region, nshells=None, npts=None):
     if spec.order in (SLICED_TR, SLICED_RT) and not isinstance(region, Annulus):
         raise ValueError("sliced norms need an annulus region with a center")
     tidx, tw = _time_selection(g, region.t0, region.t1)
-    mag = _magnitude(f)[tidx]
 
     if spec.order in (TIME_OUTER, SPACE_OUTER):
         mask = _spatial_mask(g, region)
         if not mask.any():
             raise ValueError("region contains no spatial samples")
-        vals = mag[:, mask]  # (nt_sel, ncells)
+        vals = _magnitude(f.samples[tidx], f.is_scalar)[:, mask]  # (nt_sel, ncells)
         vol = np.full(vals.shape[1], g.cell_volume)
         if spec.order == TIME_OUTER:
             per_t = _pnorm(vals, vol, spec.p, axis=-1)
@@ -169,13 +183,8 @@ def mixed_norm(f, spec, region, nshells=None, npts=None):
     nr = nshells or max(17, int(np.ceil(3.0 * (r1 - r0) / min(g.h))) | 1)
     radii = np.linspace(r0, r1, nr)
     rw = _trapz_weights(nr, (r1 - r0) / (nr - 1))
-    sh = shell_restrict(f, region.center, radii, npts=npts)
-    per_rt = np.empty((nr, len(tidx)))
-    for j in range(nr):
-        s = sh.samples[j]
-        m = np.abs(s[tidx]) if f.is_scalar else np.sqrt((s[tidx] ** 2).sum(axis=-1))
-        inner_p = spec.gamma if spec.order == SLICED_TR else spec.p
-        per_rt[j] = _pnorm(m, sh.weights[j], inner_p, axis=-1)
+    inner_p = spec.gamma if spec.order == SLICED_TR else spec.p
+    per_rt = _sphere_norms(f, region.center, radii, tidx, inner_p, npts)
     if spec.order == SLICED_TR:
         per_t = _pnorm(per_rt.T, rw, spec.beta, axis=-1)  # L^beta_r
         return float(_pnorm(per_t, tw, spec.q, axis=-1))  # L^q_t
@@ -274,15 +283,9 @@ def good_slices(b, center, rho, R, t0, t1, q=INF, p=INF, kappa=1.0, nr=33, npts=
     """
     radii = rho + (R - rho) * (np.arange(nr) + 0.5) / nr
     dr = (R - rho) / nr
-    g = b.grid
-    tidx, tw = _time_selection(g, t0, t1)
-    sh = shell_restrict(b, center, radii, npts=npts)
-    norms = np.empty(nr)
-    for j in range(nr):
-        s = sh.samples[j][tidx]
-        m = np.abs(s) if b.is_scalar else np.sqrt((s**2).sum(axis=-1))
-        per_t = _pnorm(m, sh.weights[j], p, axis=-1)
-        norms[j] = _pnorm(per_t, tw, q, axis=-1)
+    tidx, tw = _time_selection(b.grid, t0, t1)
+    per_rt = _sphere_norms(b, center, radii, tidx, p, npts)
+    norms = np.array([_pnorm(per_t, tw, q) for per_t in per_rt])
     powered = norms**kappa
     threshold = 2.0 * powered.mean()
     mask = powered <= threshold + 1e-300
@@ -350,14 +353,18 @@ class FbcReport:
     terms: dict
 
 
-def _flux_average(b, u, center, slices, tidx, tw):
-    """-(1/|A|) * integral over B_A x I of (u^2/2)(b . n), plus its raw value."""
+def _flux_average(b, u, center, slices, t0, t1):
+    """(1/|A|) * integral over dB_A x I of (u^2/2)(b . n), A the good slices.
+
+    The sign is that of the outward flux; `fbc_test` negates it for its lhs.
+    """
+    tidx, tw = _time_selection(u.grid, t0, t1)
     radii = slices.radii[slices.mask]
     shb = shell_restrict(b, center, radii)
     shu = shell_restrict(u, center, radii)
     total = 0.0
     for j in range(len(radii)):
-        bn = (shb.samples[j][tidx] * shb.normals[j]).sum(axis=-1)
+        bn = _component_sum(shb.samples[j][tidx] * shb.normals[j])
         u2 = shu.samples[j][tidx] ** 2
         per_t = ((u2 / 2.0) * bn * shb.weights[j]).sum(axis=-1)
         total += (per_t * tw).sum() * slices.dr
@@ -368,20 +375,19 @@ def _energy_terms(u, center, rho, R, t0, t1):
     g = u.grid
     tidx, tw = _time_selection(g, t0, t1)
     X = g.meshgrid()
-    r = np.sqrt(sum((X[i] - center[i]) ** 2 for i in range(g.n)))
+    r = np.sqrt(_sq_distance(X, center))
     ann = (r >= rho) & (r <= R)
     ballm = r <= R
     u2 = u.samples[tidx] ** 2
+    g2 = _component_sum(gradient(u).samples[tidx] ** 2)
     vol = g.cell_volume
-    bulk_ann = float((u2[:, ann].sum(axis=1) * vol * tw).sum())
-    bulk_ball = float((u2[:, ballm].sum(axis=1) * vol * tw).sum())
-    gu = gradient(u).samples[tidx]
-    g2 = (gu**2).sum(axis=-1)
-    grad_ann = float((g2[:, ann].sum(axis=1) * vol * tw).sum())
-    grad_ball = float((g2[:, ballm].sum(axis=1) * vol * tw).sum())
-    sup_ball = float((u2[:, ballm].sum(axis=1) * vol).max())
-    return dict(bulk_annulus=bulk_ann, bulk_ball=bulk_ball, grad_annulus=grad_ann,
-                grad_ball=grad_ball, sup_ball=sup_ball)
+
+    def integral(a, mask):
+        return float((a[:, mask].sum(axis=1) * vol * tw).sum())
+
+    return dict(bulk_annulus=integral(u2, ann), bulk_ball=integral(u2, ballm),
+                grad_annulus=integral(g2, ann), grad_ball=integral(g2, ballm),
+                sup_ball=float((u2[:, ballm].sum(axis=1) * vol).max()))
 
 
 def fbc_test(b, u, params, center, rho, R, t0, t1, R0=None,
@@ -393,11 +399,9 @@ def fbc_test(b, u, params, center, rho, R, t0, t1, R0=None,
           + N iint |grad u|^2 + eps sup_t int_{B_R} u^2.
     """
     R0 = R0 if R0 is not None else R
-    g = u.grid
-    tidx, tw = _time_selection(g, t0, t1)
     slices = good_slices(b, center, rho, R, t0, t1, q=slice_q, p=slice_p,
                          kappa=kappa, nr=nr)
-    lhs = -_flux_average(b, u, center, slices, tidx, tw)
+    lhs = -_flux_average(b, u, center, slices, t0, t1)
     e = _energy_terms(u, center, rho, R, t0, t1)
     a, d = params.alpha, params.delta
     rhs = (params.M * R0**a / (d**a * R0**2 * (R - rho) ** a) * e["bulk_annulus"]

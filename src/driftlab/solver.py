@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
-from scipy import ndimage
 
-from .fields import (PERIODIC, ZERO, SpaceTimeField, _slab, cell_to_face, divergence,
-                     face_diff, face_to_cell, grid_laplacian)
+from .fields import (PERIODIC, ZERO, SpaceTimeField, _component_sum, _interpolate, _slab,
+                     _sq_distance, cell_to_face, divergence, face_diff, face_to_cell,
+                     grid_laplacian)
 
 EXPLICIT_FV = "explicit_fv"
 SEMI_IMPLICIT = "semi_implicit_spectral"
@@ -94,7 +94,8 @@ class PotentialDrift:
 
     ``stream_fn(t, X, Y)`` or ``potential_fn(t, X, Y, Z) -> (A1, A2, A3)``
     are sampled at cell corners / edge midpoints; face-normal velocities are
-    exact discrete curls, hence divergence-free to round-off.
+    exact discrete curls, hence divergence-free to round-off.  In 2D a stream
+    function ψ drives u = (∂_y ψ, −∂_x ψ), the opposite sign of `fields.curl`.
     """
 
     def __init__(self, n, stream_fn=None, potential_fn=None):
@@ -468,8 +469,7 @@ def solve(theta0, b, grid, config=None):
 
 def gaussian_blob(grid, center, width, normalize=True):
     """Discretely unit-mass Gaussian of the given width at center."""
-    X = grid.meshgrid()
-    r2 = sum((x - c) ** 2 for x, c in zip(X, center))
+    r2 = _sq_distance(grid.meshgrid(), center)
     g = np.exp(-r2 / (2.0 * width**2))
     if normalize:
         g = g / (g.sum() * grid.cell_volume)
@@ -497,8 +497,7 @@ def fundamental_solution(source, s, b, grid, config=None, width=None):
 
 def gaussian_comparison(grid, center, width, t_elapsed, n):
     """Analytic evolution of the discrete Gaussian source: width^2 -> width^2+2t."""
-    X = grid.meshgrid()
-    r2 = sum((x - c) ** 2 for x, c in zip(X, center))
+    r2 = _sq_distance(grid.meshgrid(), center)
     s2 = width**2 + 2.0 * t_elapsed
     return (2.0 * np.pi * s2) ** (-n / 2.0) * np.exp(-r2 / (2.0 * s2))
 
@@ -525,31 +524,28 @@ def dynamic_rescale(run, annulus=(0.5, 1.0)):
     """
     g = run.grid
     bfield = run.drift.sample(g)
-    speeds = np.array([np.sqrt((bfield.samples[j] ** 2).sum(axis=-1)).max()
-                       for j in range(g.nt)])
-    total = np.trapezoid(speeds, g.times)
-    if total > 0.125 + 1e-12:
-        raise ValueError("total speed exceeds 1/8; rescaling precondition fails")
-    lam = 1.0 - 2.0 * np.concatenate(
+    speeds = np.sqrt(_component_sum(bfield.samples**2)).max(axis=tuple(range(1, g.n + 1)))
+    # cumulative trapezoid rule: the speed integral up to each stored time
+    travelled = np.concatenate(
         [[0.0], np.cumsum(0.5 * (speeds[1:] + speeds[:-1]) * np.diff(g.times))])
+    if travelled[-1] > 0.125 + 1e-12:
+        raise ValueError("total speed exceeds 1/8; rescaling precondition fails")
+    lam = 1.0 - 2.0 * travelled
     lam_dot = -2.0 * speeds
 
     theta_t = np.empty_like(run.trajectory.samples)
     drift_t = np.empty_like(bfield.samples)
     Y = g.meshgrid()
-    mode = "grid-wrap" if g.bc == PERIODIC else "constant"
+    y = np.stack(Y, axis=-1)
     for j in range(g.nt):
-        coords = [(lam[j] * Y[i] - g.lo[i]) / g.h[i] - 0.5 for i in range(g.n)]
-        theta_t[j] = ndimage.map_coordinates(run.trajectory.samples[j], coords,
-                                             order=1, mode=mode, cval=0.0)
-        for c in range(g.n):
-            drift_t[j, ..., c] = ndimage.map_coordinates(
-                bfield.samples[j, ..., c], coords, order=1, mode=mode, cval=0.0)
-            drift_t[j, ..., c] -= lam_dot[j] * Y[c]
+        pts = (lam[j] * y).reshape(-1, g.n)
+        theta_t[j] = _interpolate(g, run.trajectory.samples[j:j + 1], pts).reshape(g.shape)
+        drift_t[j] = _interpolate(g, bfield.samples[j:j + 1], pts).reshape(y.shape)
+        drift_t[j] -= lam_dot[j] * y
 
-    r = np.sqrt(sum(y**2 for y in Y))
+    r = np.sqrt(_sq_distance(Y, (0.0,) * g.n))
     ann = (r >= annulus[0]) & (r <= annulus[1])
-    rad = sum(drift_t[..., c] * Y[c] for c in range(g.n)) / np.maximum(r, 1e-300)
+    rad = _component_sum(drift_t * y) / np.maximum(r, 1e-300)
     outward = float(rad[:, ann].min()) if ann.any() else np.inf
     return RescaleState(lam, lam_dot, SpaceTimeField(g, theta_t),
                         SpaceTimeField(g, drift_t, g.n), outward)

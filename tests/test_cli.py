@@ -186,6 +186,33 @@ def test_bad_blowup_setting_exit_code(tmp_path, monkeypatch, capsys, setting):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("settings", [
+    ("init.center = 0.5",), ("init.center = 0,0,0",), ("init.center = nan,0",),
+    ("init.center = 0,inf",), ("init.width = nan",), ("init.width = 0",),
+    ("init.kind = blob", "init.width = nan"), ("init.kind = blob", "init.width = -0.0"),
+    ("init.kind = blob", "init.width = inf"), ("init.kind = blob", "init.center = nan,0"),
+    ("grid.shape = 64.7,64",), ("grid.shape = nan,64",),
+])
+def test_bad_diffusion_setting_exit_code(tmp_path, monkeypatch, capsys, settings):
+    import driftlab.cli as cli
+    import driftlab.solver as solver
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a bad setting must be refused before any solve")
+
+    monkeypatch.setattr(cli, "solve", no_work)
+    monkeypatch.setattr(solver, "solve", no_work)
+    monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
+    new = {s.split("=")[0].strip(): s for s in settings}
+    lines = [line for line in (CONFIGS / "heat-2d.cfg").read_text().splitlines()
+             if line.split("=")[0].strip() not in new]
+    cfg = tmp_path / "bad-heat.cfg"
+    cfg.write_text("\n".join(lines + list(new.values())) + "\n")
+    assert run_cli("run", str(cfg)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_nonfinite_grid_bounds_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
     cfg = tmp_path / "nan-grid.cfg"

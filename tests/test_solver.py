@@ -254,6 +254,52 @@ def test_dynamic_rescale_precondition():
         dynamic_rescale(run)
 
 
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+def test_dynamic_rescale_matches_map_coordinates(bc):
+    from scipy import ndimage
+
+    # each box leaves out the origin along x, so some points λy exit it:
+    # they wrap on the periodic grid and sample 0 on the zero grid
+    if bc == "periodic":
+        g = Grid(2, (0.5, -np.pi), (0.5 + 2 * np.pi, np.pi), (64, 64), 0.0, 0.05, 6, bc)
+        config, center = SolverConfig(), (2.0, 0.0)
+    else:
+        g = Grid(2, (0.3, -1.0), (2.7, 1.0), (48, 40), 0.0, 0.05, 6, bc)
+        config, center = SolverConfig(scheme="explicit_fv"), (1.5, 0.0)
+
+    def stream(t, x, y):
+        return np.sin(2.0 * x + 0.3) * np.cos(y + t)
+
+    theta0 = gaussian_blob(g, center, 0.25, normalize=False)
+    run = solve(theta0, PotentialDrift(2, stream_fn=stream), g, config)
+    st = dynamic_rescale(run)
+
+    # reference: per-slice, per-component order-1 map_coordinates
+    theta = run.trajectory.samples
+    b = run.drift.sample(g).samples
+    speeds = np.array([np.sqrt((b[j] ** 2).sum(axis=-1)).max() for j in range(g.nt)])
+    lam = 1.0 - 2.0 * np.concatenate(
+        [[0.0], np.cumsum(0.5 * (speeds[1:] + speeds[:-1]) * np.diff(g.times))])
+    assert np.array_equal(st.lam, lam)
+    assert lam[-1] < 0.85
+    Y = g.meshgrid()
+    mode = "grid-wrap" if bc == "periodic" else "constant"
+    theta_ref = np.empty_like(theta)
+    drift_ref = np.empty_like(b)
+    for j in range(g.nt):
+        coords = [(lam[j] * Y[i] - g.lo[i]) / g.h[i] - 0.5 for i in range(g.n)]
+        theta_ref[j] = ndimage.map_coordinates(theta[j], coords, order=1, mode=mode, cval=0.0)
+        for c in range(g.n):
+            drift_ref[j, ..., c] = ndimage.map_coordinates(
+                b[j, ..., c], coords, order=1, mode=mode, cval=0.0)
+            drift_ref[j, ..., c] += 2.0 * speeds[j] * Y[c]
+    assert (lam[-1] * Y[0] < g.axis(0)[0]).any()
+    assert np.allclose(st.theta_t.samples, theta_ref, rtol=0,
+                       atol=1e-13 * np.abs(theta).max())
+    assert np.allclose(st.drift_t.samples, drift_ref, rtol=0,
+                       atol=1e-13 * np.abs(b).max())
+
+
 def test_simrun_csv(tmp_path):
     g = pgrid(32, t1=0.01)
     run = solve(np.ones((32, 32)), None, g, SolverConfig(dt=1e-3))
