@@ -115,11 +115,13 @@ def build_grid(cfg):
     bc = _get(cfg, "grid.bc", "periodic")
     if len(lo) != n or len(hi) != n or len(shape) != n:
         raise ConfigError("grid.lo/hi/shape must all have grid.n entries")
+    nt = _get_int(cfg, "grid.nt", 2)
+    if nt < 2:
+        raise ConfigError("grid.nt must be at least 2: a run stores its start and end")
     try:
         return Grid(n, lo, hi, shape,
                     _get_float(cfg, "grid.t0", 0.0),
-                    _get_float(cfg, "grid.t1", required=True),
-                    _get_int(cfg, "grid.nt", 2), bc)
+                    _get_float(cfg, "grid.t1", required=True), nt, bc)
     except ValueError as e:
         raise ConfigError(f"bad grid: {e}")
 
@@ -464,6 +466,8 @@ def cmd_norm(args):
             q=_parse_exponent(args.q), beta=_parse_exponent(args.beta),
             gamma=_parse_exponent(args.gamma), kappa=_parse_exponent(args.kappa))
         center = tuple(float(x) for x in args.center.split(","))
+        if len(center) != g.n:
+            raise ValueError(f"--center must have {g.n} entries for a {g.n}D dump")
         region = Annulus(center, args.rinner, args.radius,
                          g.t0 if args.t0 is None else args.t0,
                          g.t1 if args.t1 is None else args.t1)

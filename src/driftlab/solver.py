@@ -216,7 +216,7 @@ def _face_div(grid, faces):
 
 def _fd_symbol(grid):
     """Eigenvalues of the finite-difference Laplacian on the periodic FFT
-    basis, on the half spectrum that ``rfftn`` keeps (last axis 0..N//2)."""
+    basis, on the half spectrum that ``_rfftn`` keeps (last axis 0..N//2)."""
     sym = np.zeros(grid.shape)
     for a in range(grid.n):
         m = np.fft.fftfreq(grid.shape[a]) * grid.shape[a]
@@ -225,6 +225,34 @@ def _fd_symbol(grid):
         shape[a] = grid.shape[a]
         sym = sym + lam.reshape(shape)
     return np.ascontiguousarray(sym[..., : grid.shape[-1] // 2 + 1])
+
+
+def _half_spectrum(shape):
+    """Complex buffer for the half spectrum of a real array of this shape."""
+    return np.empty(tuple(shape[:-1]) + (shape[-1] // 2 + 1,), dtype=complex)
+
+
+def _rfftn(x, spec):
+    """Half-spectrum DFT of x into spec: a real FFT along the last axis, then
+    complex FFTs in place along the others in ascending order, as
+    ``scipy.fft.rfftn`` does them, so the result is bit-equal to it."""
+    np.fft.rfft(x, axis=-1, out=spec)
+    for a in range(x.ndim - 1):
+        np.fft.fft(spec, axis=a, out=spec)
+    return spec
+
+
+def _irfftn(spec, out):
+    """Inverse of ``_rfftn`` into the real array out, overwriting spec.
+
+    Bit-equal to ``scipy.fft.irfftn``: the same passes in the same order, then
+    one scaling by 1/prod(shape) rounded from long double, as pocketfft does.
+    """
+    for a in range(out.ndim - 1):
+        np.fft.ifft(spec, axis=a, norm="forward", out=spec)
+    np.fft.irfft(spec, n=out.shape[-1], axis=-1, norm="forward", out=out)
+    out *= float(1 / np.longdouble(math.prod(out.shape)))
+    return out
 
 
 def _dst_symbol(grid):
@@ -245,10 +273,10 @@ def _project_faces(grid, faces):
         # the symbol vanishes only at the zero mode, whose correction is 0
         sym = _fd_symbol(grid)
         sym[(0,) * grid.n] = 1.0
-        dh = sfft.rfftn(div)
+        dh = _rfftn(div, _half_spectrum(div.shape))
         dh[(0,) * grid.n] = 0.0
         dh /= sym
-        phi = sfft.irfftn(dh, s=div.shape)
+        phi = _irfftn(dh, div)
     else:
         sym = _dst_symbol(grid)
         dh = sfft.dstn(div, type=1)
@@ -281,54 +309,78 @@ def as_drift(b, grid):
 class _Upwind:
     """First-order upwind flux divergence on buffers allocated once per solve.
 
-    Along each axis the cells are copied into a ghost-extended buffer: one
-    leading ghost holding the wrapped last cell (periodic), or a zero cell at
-    both ends (zero extension), so the left and right states of the faces are
-    two shifted slices of it.  Periodic fluxes are extended by the wrapped
-    first face, so in both cases the divergence is one slice difference.
+    Face k along an axis is the low face of cell k, so its left state is cell
+    k − 1 and its right state cell k.  Both are read as views of θ, with no
+    ghost-padded copy:
+
+    * periodic grids: the faces have θ's shape, the right states are θ itself
+      and the left states are θ's flat buffer shifted by the axis stride
+      ``prod(shape[a+1:])``.  Only the hyperplanes that wrap are set through
+      slab views: the flux at i = 0 and the difference at i = N − 1;
+    * zero-extension grids: the interior faces read slab views of θ, and the
+      two end faces take the zero cell outside the box as a product with 0.0.
+
+    On every axis F = up·θ_L + um·θ_R, then (F_hi − F_lo)/h is accumulated
+    into the output.
     """
 
     def __init__(self, grid):
-        shape, self.h = tuple(grid.shape), grid.h
-        self.periodic = grid.bc == PERIODIC
+        shape, self.h, self.bc = tuple(grid.shape), grid.h, grid.bc
         face_shapes = _face_shapes(grid)
         self.up = [np.empty(s) for s in face_shapes]
         self.um = [np.empty(s) for s in face_shapes]
+        # flux and product buffers, shared by the axes whose faces have one shape
+        work = {s: (np.empty(s), np.empty(s)) for s in face_shapes}
+        self.work = [work[s] for s in face_shapes]
         self.part = np.empty(shape)
-        self.axes = []
-        for a, fs in enumerate(face_shapes):
-            N, nf = shape[a], fs[a]
-            ghosts = 1 if self.periodic else 2
-            pad = np.zeros(shape[:a] + (N + ghosts,) + shape[a + 1:])
-            flux = np.empty(shape[:a] + (N + 1,) + shape[a + 1:])
-            self.axes.append(dict(
-                interior=_slab(pad, a, 1, N + 1), ghost=_slab(pad, a, 0, 1),
-                last=_slab(pad, a, N, N + 1),
-                left=_slab(pad, a, 0, nf), right=_slab(pad, a, 1, nf + 1),
-                faces=_slab(flux, a, 0, nf), tmp=np.empty(fs),
-                wrap=_slab(flux, a, N, N + 1), first=_slab(flux, a, 0, 1),
-                hi=_slab(flux, a, 1, N + 1), lo=_slab(flux, a, 0, N)))
+        self.strides = [math.prod(shape[a + 1:]) for a in range(grid.n)]
 
     def split(self, faces):
-        """Store max(u, 0) and min(u, 0) of the face velocities; return max |u|."""
+        """Store max(u, 0) and min(u, 0) of the face velocities; return max |u|.
+
+        Also sets ``outflow_bound``, Σ_a (max u⁺ − min u⁻)/h_a over the faces
+        of each axis: no cell's outflow rate exceeds it.
+        """
+        peaks = []
         for u, up, um in zip(faces, self.up, self.um):
             np.maximum(u, 0.0, out=up)
             np.minimum(u, 0.0, out=um)
-        return max(max(up.max(), -um.min()) for up, um in zip(self.up, self.um))
+            peaks.append((up.max(), -um.min()))
+        self.outflow_bound = sum((p + m) / h for (p, m), h in zip(peaks, self.h))
+        return max(max(p) for p in peaks)
+
+    def max_outflow(self):
+        """Largest outflow rate of a cell for the faces of the last split():
+        max_i Σ_a (max(u, 0) on its high face − min(u, 0) on its low face) / h_a."""
+        total = 0.0
+        for a, (up, um) in enumerate(zip(self.up, self.um)):
+            total = total + (face_to_cell(up, a, self.bc)[1]
+                             - face_to_cell(um, a, self.bc)[0]) / self.h[a]
+        return total.max()
 
     def div(self, theta, out):
         """Write div(u theta) for the faces of the last split() into out."""
-        for a, ax in enumerate(self.axes):
-            ax["interior"][...] = theta
-            if self.periodic:
-                ax["ghost"][...] = ax["last"]
-            np.multiply(self.up[a], ax["left"], out=ax["faces"])
-            np.multiply(self.um[a], ax["right"], out=ax["tmp"])
-            ax["faces"] += ax["tmp"]
-            if self.periodic:
-                ax["wrap"][...] = ax["first"]
+        for a, (up, um, (F, tmp)) in enumerate(zip(self.up, self.um, self.work)):
+            N = theta.shape[a]
             dst = out if a == 0 else self.part
-            np.subtract(ax["hi"], ax["lo"], out=dst)
+            if self.bc == PERIODIC:
+                s = self.strides[a]
+                flat, Ff = theta.reshape(-1), F.reshape(-1)
+                np.multiply(up.reshape(-1)[s:], flat[:-s], out=Ff[s:])
+                np.multiply(_slab(up, a, 0, 1), _slab(theta, a, N - 1, N),
+                            out=_slab(F, a, 0, 1))
+                np.multiply(um, theta, out=tmp)
+                F += tmp
+                np.subtract(Ff[s:], Ff[:-s], out=dst.reshape(-1)[:-s])
+                np.subtract(_slab(F, a, 0, 1), _slab(F, a, N - 1, N),
+                            out=_slab(dst, a, N - 1, N))
+            else:
+                np.multiply(_slab(up, a, 1, N + 1), theta, out=_slab(F, a, 1, N + 1))
+                np.multiply(_slab(up, a, 0, 1), 0.0, out=_slab(F, a, 0, 1))
+                np.multiply(_slab(um, a, 0, N), theta, out=_slab(tmp, a, 0, N))
+                np.multiply(_slab(um, a, N, N + 1), 0.0, out=_slab(tmp, a, N, N + 1))
+                F += tmp
+                np.subtract(_slab(F, a, 1, N + 1), _slab(F, a, 0, N), out=dst)
             dst /= self.h[a]
             if a:
                 out += dst
@@ -368,13 +420,36 @@ class SimRun:
                          f"{self.minimum[i]:.17g},{self.maximum[i]:.17g}\n")
 
 
-def _cfl_bounds(grid, config, speed):
+def _timestep(grid, config, upwind, speed):
+    """The step before it is cut to the next stored time.
+
+    The automatic step keeps below the diffusion bound safety·h²/(2n) (for
+    ``explicit_fv``) and a 1/n share of the advective bound safety·h/speed.
+    A configured dt must meet both bounds and the per-cell positivity bound
+    dt·(D + max_i A_i) ≤ safety, where A_i is the outflow rate of cell i and
+    D = 2Σ1/h_a² for ``explicit_fv`` (0 otherwise): then every cell's update
+    is a convex combination and the max principle holds.
+    """
     h = min(grid.h)
-    diff_bound = np.inf
-    if config.scheme == EXPLICIT_FV:
-        diff_bound = config.safety * h**2 / (2.0 * grid.n)
+    explicit = config.scheme == EXPLICIT_FV
+    diff_bound = config.safety * h**2 / (2.0 * grid.n) if explicit else np.inf
     adv_bound = np.inf if speed == 0 else config.safety * h / speed
-    return diff_bound, adv_bound
+    if config.dt is None:
+        # the extra 1/n on the advective bound keeps the upwind update
+        # a convex combination in every dimension
+        return min(diff_bound, adv_bound / grid.n, (grid.t1 - grid.t0) / 50.0)
+    diffusion = 2.0 * sum(1.0 / ha**2 for ha in grid.h) if explicit else 0.0
+    # the exact largest outflow takes a pass over the faces: skip it when the
+    # bound from split() already admits dt
+    if (config.dt * (diffusion + upwind.outflow_bound) > config.safety
+            or config.dt > min(diff_bound, adv_bound) * (1 + 1e-12)):
+        rate = diffusion + upwind.max_outflow()
+        cell_bound = np.inf if rate == 0 else config.safety / rate
+        if config.dt > min(diff_bound, adv_bound, cell_bound) * (1 + 1e-12):
+            raise ValueError(
+                f"timestep {config.dt:g} violates CFL bounds (diffusion {diff_bound:g}, "
+                f"advection {adv_bound:g}, per-cell {cell_bound:g})")
+    return config.dt
 
 
 def solve(theta0, b, grid, config=None):
@@ -383,7 +458,8 @@ def solve(theta0, b, grid, config=None):
     theta0 is an array on grid.shape (or a single-snapshot SpaceTimeField);
     b is None, a vector SpaceTimeField, or a face-velocity provider.  The
     stepper substeps between stored times with a CFL-admissible dt; an
-    explicitly configured dt that violates the CFL constraints is refused.
+    explicitly configured dt that violates the CFL or per-cell positivity
+    bounds is refused.
     """
     config = config or SolverConfig()
     if config.scheme == SEMI_IMPLICIT and grid.bc != PERIODIC:
@@ -394,7 +470,7 @@ def solve(theta0, b, grid, config=None):
         raise ValueError("run grid needs at least two stored times")
     if isinstance(theta0, SpaceTimeField):
         theta0 = theta0.samples[0]
-    theta = np.array(theta0, dtype=float)
+    theta = np.array(theta0, dtype=float, order="C")
     if theta.shape != tuple(grid.shape):
         raise ValueError("initial data shape does not match the grid")
     drift = as_drift(b, grid)
@@ -402,6 +478,7 @@ def solve(theta0, b, grid, config=None):
     if config.scheme == SEMI_IMPLICIT:
         sym = _fd_symbol(grid)
         den = np.empty_like(sym)
+        spec = _half_spectrum(grid.shape)
     upwind = _Upwind(grid)
     adv = np.empty(grid.shape)
     vol = grid.cell_volume
@@ -423,29 +500,17 @@ def solve(theta0, b, grid, config=None):
         t_end = out_times[j]
         while t < t_end - 1e-14 * max(1.0, abs(t_end)):
             speed = upwind.split(drift.face_velocities(grid, t))
-            diff_bound, adv_bound = _cfl_bounds(grid, config, speed)
-            if config.dt is not None:
-                if config.dt > min(diff_bound, adv_bound) * (1 + 1e-12):
-                    raise ValueError(
-                        f"timestep {config.dt:g} violates CFL bounds "
-                        f"(diffusion {diff_bound:g}, advection {adv_bound:g})")
-                dt = config.dt
-            else:
-                # the extra 1/n on the advective bound keeps the upwind update
-                # a convex combination in every dimension
-                dt = min(diff_bound, adv_bound / grid.n, (grid.t1 - grid.t0) / 50.0)
-            dt = min(dt, t_end - t)
+            dt = min(_timestep(grid, config, upwind, speed), t_end - t)
             upwind.div(theta, adv)
             if config.scheme == EXPLICIT_FV:
                 theta = theta + dt * (grid_laplacian(theta, grid) - adv)
             else:
                 adv *= dt
-                star = np.subtract(theta, adv, out=adv)
-                spec = sfft.rfftn(star)
+                _rfftn(np.subtract(theta, adv, out=adv), spec)
                 np.multiply(sym, -dt, out=den)
                 den += 1.0
                 spec /= den
-                theta = sfft.irfftn(spec, s=theta.shape, overwrite_x=True)
+                _irfftn(spec, theta)
             if grid.bc == ZERO:
                 _apply_buffer(theta, grid)
             t += dt
@@ -482,6 +547,8 @@ def fundamental_solution(source, s, b, grid, config=None, width=None):
     The effective initial width is max(2h, requested); the result matches
     the true fundamental solution once t − s dominates the squared width.
     """
+    if width is not None and not (math.isfinite(width) and width > 0):
+        raise ValueError("width must be finite and positive")
     h = min(grid.h)
     width = max(2.0 * h, width or 0.0)
     source = np.asarray(source, dtype=float)

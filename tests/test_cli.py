@@ -290,3 +290,36 @@ def test_manifest_missing_key_exit_code(tmp_path, monkeypatch, capsys):
 
 def test_report_empty_dir(tmp_path):
     assert run_cli("report", str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("name", ["heat-2d.cfg", "nash-ensemble.cfg"])
+def test_single_stored_time_exit_code(tmp_path, monkeypatch, capsys, name):
+    import driftlab.cli as cli
+    import driftlab.solver as solver
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("grid.nt = 1 must be refused before any solve")
+
+    monkeypatch.setattr(cli, "solve", no_work)
+    monkeypatch.setattr(solver, "solve", no_work)
+    monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
+    lines = [line for line in (CONFIGS / name).read_text().splitlines()
+             if line.split("=")[0].strip() != "grid.nt"]
+    cfg = tmp_path / name
+    cfg.write_text("\n".join(lines + ["grid.nt = 1"]) + "\n")
+    assert run_cli("run", str(cfg)) == 2
+    assert "grid.nt" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("order", ["tq", "xt", "sliced-tr", "sliced-rt"])
+def test_norm_center_must_match_dump_dimension(tmp_path, capsys, order):
+    g = Grid(3, (-1.0,) * 3, (1.0,) * 3, (8,) * 3, 0.0, 1.0, 2, "periodic")
+    dump = tmp_path / "ones3.dlf1"
+    write_field(dump, SpaceTimeField(g, np.ones((2, 8, 8, 8))))
+    args = ("norm", str(dump), "--order", order, "--p", "2", "--q", "2",
+            "--rinner", "0.25", "--radius", "0.75")
+    assert run_cli(*args) == 2  # the default --center is 2D
+    assert "--center must have 3 entries" in capsys.readouterr().err
+    assert run_cli(*args, "--center", "0,0,0") == 0
+    assert float(capsys.readouterr().out) > 0

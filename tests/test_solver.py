@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import fft as sfft
 
 from driftlab.fields import Grid, SpaceTimeField
 from driftlab.solver import (
@@ -9,7 +12,11 @@ from driftlab.solver import (
     ZeroDrift,
     _face_div,
     _fd_symbol,
+    _half_spectrum,
+    _irfftn,
     _project_faces,
+    _rfftn,
+    _Upwind,
     dynamic_rescale,
     fundamental_solution,
     gaussian_blob,
@@ -511,3 +518,145 @@ def test_nan_initial_data_detected(scheme, grid):
     theta0[16, 16] = np.nan
     with pytest.raises(RuntimeError, match=r"NaN detected at step 1 "):
         solve(theta0, None, grid, SolverConfig(scheme=scheme))
+
+
+def ghost_pad_div(theta, faces, grid):
+    """Upwind flux divergence through a ghost-extended copy of theta per axis:
+    the reference for _Upwind.div, with its order of operations."""
+    out = np.zeros(theta.shape)
+    for a in range(grid.n):
+        up, um = np.maximum(faces[a], 0.0), np.minimum(faces[a], 0.0)
+        if grid.bc == "periodic":
+            pad = np.concatenate([np.take(theta, [-1], axis=a), theta], axis=a)
+        else:
+            widths = [(1, 1) if i == a else (0, 0) for i in range(grid.n)]
+            pad = np.pad(theta, widths)
+        nf = faces[a].shape[a]
+        F = up * np.take(pad, range(nf), axis=a)
+        F += um * np.take(pad, range(1, nf + 1), axis=a)
+        if grid.bc == "periodic":
+            F = np.concatenate([F, np.take(F, [0], axis=a)], axis=a)
+        d = np.diff(F, axis=a)
+        d /= grid.h[a]
+        out = d if a == 0 else out + d
+    return out
+
+
+@pytest.mark.parametrize("shape,bc", [
+    ((32, 32), "periodic"),
+    ((15, 17), "periodic"),
+    ((8, 8, 9), "periodic"),
+    ((32, 32), "zero"),
+    ((8, 9, 10), "zero"),
+])
+def test_upwind_div_matches_ghost_pad_reference(shape, bc):
+    n = len(shape)
+    g = Grid(n, (-1.0,) * n, (1.5,) * n, shape, 0.0, 1.0, 2, bc)
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    faces = []
+    for a in range(n):
+        face_shape = list(shape)
+        face_shape[a] += bc == "zero"
+        faces.append(rng.standard_normal(face_shape))
+        if bc == "zero":
+            # an infinite end face times the zero cell outside is NaN, as in the reference
+            corner = [0] * n
+            faces[a][tuple(corner)] = np.inf
+            corner[a] = -1
+            faces[a][tuple(corner)] = -np.inf
+    upwind = _Upwind(g)
+    upwind.split(faces)
+    out = np.empty(shape)
+    for _ in range(2):  # the buffers are reused from one call to the next
+        theta = rng.standard_normal(shape)
+        with np.errstate(invalid="ignore"):
+            want = ghost_pad_div(theta, faces, g)
+            got = upwind.div(theta, out)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(want).any() == (bc == "zero")
+
+
+@pytest.mark.parametrize("shape", [(15, 17), (24, 17), (8, 8, 9), (10, 13, 8), (67, 69)])
+def test_fft_helpers_match_scipy(shape):
+    # 67 x 69 = 4623 is a size where 1/prod rounded in double and in long
+    # double differ in the last bit
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal(shape)
+    spec = _rfftn(x, _half_spectrum(shape))
+    assert np.array_equal(spec, sfft.rfftn(x))
+    spec *= 1.0 + rng.standard_normal(spec.shape)
+    want = sfft.irfftn(spec, s=shape)
+    out = np.empty(shape)
+    assert _irfftn(spec, out) is out
+    assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("data", ["uniform", "checkerboard"])
+def test_checkerboard_drift_refuses_largest_cfl_dt(data):
+    # h = 1/8 and a node checkerboard stream function of amplitude 2 put
+    # every face at +-4/h, so the diffusion and advection bounds are equal
+    g = Grid(2, (-1.0, -1.0), (1.0, 1.0), (16, 16), 0.0, 0.05, 2, "zero")
+
+    def stream(t, x, y):
+        i = np.rint((x - g.lo[0]) / g.h[0]).astype(int)
+        j = np.rint((y - g.lo[1]) / g.h[1]).astype(int)
+        return 2.0 * (-1.0) ** (i + j)
+
+    if data == "uniform":
+        theta0 = np.random.default_rng(0).uniform(0.0, 1.0, g.shape)
+    else:
+        theta0 = np.indices(g.shape).sum(axis=0) % 2.0
+    theta0[buffer_frame(g.shape)] = 0.0
+    drift = PotentialDrift(2, stream_fn=stream)
+    # 1.5625e-3 meets safety·h²/(2n) and safety·h/speed, but every interior
+    # cell has outflow 8/h on two faces: max and min left [0, 1] with it
+    with pytest.raises(ValueError, match="per-cell"):
+        solve(theta0, drift, g, SolverConfig(scheme="explicit_fv", dt=1.5625e-3))
+    run = solve(theta0, drift, g, SolverConfig(scheme="explicit_fv"))
+    assert run.minimum.min() >= 0.0
+    assert run.maximum.max() <= 1.0
+
+
+def admitted_dt(grid, faces, scheme, safety):
+    """Largest dt the per-cell positivity rule admits, from the faces directly."""
+    h = min(grid.h)
+    speed = max(np.abs(f).max() for f in faces)
+    rate = np.zeros(grid.shape)
+    for a in range(grid.n):
+        f = faces[a]
+        if grid.bc == "periodic":
+            f = np.concatenate([f, np.take(f, [0], axis=a)], axis=a)
+        lo, hi = np.delete(f, -1, a), np.delete(f, 0, a)
+        rate += (np.maximum(hi, 0.0) - np.minimum(lo, 0.0)) / grid.h[a]
+    bounds = [safety * h / speed]
+    if scheme == "explicit_fv":
+        bounds.append(safety * h**2 / (2.0 * grid.n))
+        rate += 2.0 * sum(1.0 / ha**2 for ha in grid.h)
+    return min(bounds + [safety / rate.max()])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scheme=st.sampled_from(["explicit_fv",
+                                                                "semi_implicit_spectral"]),
+       amp=st.floats(0.01, 10.0), safety=st.floats(0.05, 0.95))
+def test_admitted_dt_keeps_data_in_unit_interval(seed, scheme, amp, safety):
+    bc = "zero" if scheme == "explicit_fv" else "periodic"
+    g = Grid(2, (-1.0, -1.0), (1.0, 1.5), (12, 14), 0.0, 1.0, 2, bc)
+    rng = np.random.default_rng(seed)
+    psi = amp * rng.standard_normal((13, 15) if bc == "zero" else (12, 14))
+    drift = PotentialDrift(2, stream_fn=lambda t, x, y: psi)
+    dt = admitted_dt(g, drift.face_velocities(g, 0.0), scheme, safety)
+    theta0 = rng.uniform(0.0, 1.0, g.shape)
+    if bc == "zero":
+        theta0[buffer_frame(g.shape)] = 0.0
+    run_grid = g.with_times(0.0, 5 * dt, 2)
+    run = solve(theta0, drift, run_grid, SolverConfig(scheme=scheme, dt=dt, safety=safety))
+    assert len(run.step_times) == 6
+    assert run.minimum.min() >= -1e-12
+    assert run.maximum.max() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("width", [np.nan, np.inf, -1.0, 0.0])
+def test_fundamental_solution_refuses_bad_width(width):
+    with pytest.raises(ValueError, match="width"):
+        fundamental_solution((0.0, 0.0), 0.0, None, pgrid(32, t1=0.01), width=width)
