@@ -9,7 +9,7 @@ precondition (CFL, total-speed bound) violated.
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,10 @@ class ConfigError(Exception):
 
 class PreconditionError(Exception):
     pass
+
+
+# solve refuses input with ValueError and stops on a NaN with RuntimeError
+SOLVE_ERRORS = (ValueError, RuntimeError)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +229,7 @@ def scenario_diffusion(cfg, config_path, jobs):
             run = solve(theta0, drift, grid, sol)
         else:
             raise ConfigError(f"unknown init.kind {init!r}")
-    except ValueError as e:
+    except SOLVE_ERRORS as e:
         raise PreconditionError(str(e))
 
     out.mkdir(parents=True, exist_ok=True)
@@ -296,7 +300,9 @@ def scenario_nash_ensemble(cfg, config_path, jobs):
                 results = list(ex.map(_nash_member, payloads))
         else:
             results = [_nash_member(p) for p in payloads]
-    except ValueError as e:
+    except BrokenExecutor:
+        raise  # a lost worker is no precondition
+    except SOLVE_ERRORS as e:
         raise PreconditionError(str(e))
 
     out.mkdir(parents=True, exist_ok=True)
@@ -382,7 +388,7 @@ def scenario_borderline_blowup(cfg, config_path, jobs):
             asm, resolution, extent, tau0, tau1, probe_radius,
             drift_nt=_get_int(cfg, "drift.nt", 17),
             dt=_get_float(cfg, "solver.dt"))
-    except ValueError as e:
+    except SOLVE_ERRORS as e:
         raise PreconditionError(str(e))
 
     out.mkdir(parents=True, exist_ok=True)

@@ -188,8 +188,8 @@ class FieldDrift:
             raise ValueError("drift grid does not match the run grid")
         if g.nt == 1:
             return self._faces_at_slice(0)
-        s = np.clip((t - g.t0) / (g.t1 - g.t0) * (g.nt - 1), 0, g.nt - 1)
-        j0 = int(np.floor(s))
+        s = min(max((t - g.t0) / (g.t1 - g.t0) * (g.nt - 1), 0.0), g.nt - 1.0)
+        j0 = math.floor(s)
         j1 = min(j0 + 1, g.nt - 1)
         w = s - j0
         f0 = self._faces_at_slice(j0)
@@ -320,15 +320,14 @@ class _Upwind:
     * zero-extension grids: the interior faces read slab views of θ, and the
       two end faces take the zero cell outside the box as a product with 0.0.
 
-    On every axis F = up·θ_L + um·θ_R, then (F_hi − F_lo)/h is accumulated
-    into the output.
+    On every axis F = max(u, 0)·θ_L + min(u, 0)·θ_R, then (F_hi − F_lo)/h is
+    accumulated into the output.  ``split`` keeps a reference to the faces and
+    stores no copy of their split, so they must stay unchanged until ``div``.
     """
 
     def __init__(self, grid):
         shape, self.h, self.bc = tuple(grid.shape), grid.h, grid.bc
         face_shapes = _face_shapes(grid)
-        self.up = [np.empty(s) for s in face_shapes]
-        self.um = [np.empty(s) for s in face_shapes]
         # flux and product buffers, shared by the axes whose faces have one shape
         work = {s: (np.empty(s), np.empty(s)) for s in face_shapes}
         self.work = [work[s] for s in face_shapes]
@@ -336,16 +335,13 @@ class _Upwind:
         self.strides = [math.prod(shape[a + 1:]) for a in range(grid.n)]
 
     def split(self, faces):
-        """Store max(u, 0) and min(u, 0) of the face velocities; return max |u|.
+        """Keep the face velocities for div(); return max |u|.
 
         Also sets ``outflow_bound``, Σ_a (max u⁺ − min u⁻)/h_a over the faces
         of each axis: no cell's outflow rate exceeds it.
         """
-        peaks = []
-        for u, up, um in zip(faces, self.up, self.um):
-            np.maximum(u, 0.0, out=up)
-            np.minimum(u, 0.0, out=um)
-            peaks.append((up.max(), -um.min()))
+        self.faces = faces
+        peaks = [(max(u.max(), 0.0), -min(u.min(), 0.0)) for u in faces]
         self.outflow_bound = sum((p + m) / h for (p, m), h in zip(peaks, self.h))
         return max(max(p) for p in peaks)
 
@@ -353,32 +349,34 @@ class _Upwind:
         """Largest outflow rate of a cell for the faces of the last split():
         max_i Σ_a (max(u, 0) on its high face − min(u, 0) on its low face) / h_a."""
         total = 0.0
-        for a, (up, um) in enumerate(zip(self.up, self.um)):
-            total = total + (face_to_cell(up, a, self.bc)[1]
-                             - face_to_cell(um, a, self.bc)[0]) / self.h[a]
+        for a, u in enumerate(self.faces):
+            total = total + (face_to_cell(np.maximum(u, 0.0), a, self.bc)[1]
+                             - face_to_cell(np.minimum(u, 0.0), a, self.bc)[0]) / self.h[a]
         return total.max()
 
     def div(self, theta, out):
         """Write div(u theta) for the faces of the last split() into out."""
-        for a, (up, um, (F, tmp)) in enumerate(zip(self.up, self.um, self.work)):
+        for a, (u, (F, tmp)) in enumerate(zip(self.faces, self.work)):
             N = theta.shape[a]
             dst = out if a == 0 else self.part
+            np.maximum(u, 0.0, out=F)
+            np.minimum(u, 0.0, out=tmp)
             if self.bc == PERIODIC:
                 s = self.strides[a]
                 flat, Ff = theta.reshape(-1), F.reshape(-1)
-                np.multiply(up.reshape(-1)[s:], flat[:-s], out=Ff[s:])
-                np.multiply(_slab(up, a, 0, 1), _slab(theta, a, N - 1, N),
-                            out=_slab(F, a, 0, 1))
-                np.multiply(um, theta, out=tmp)
+                Ff[s:] *= flat[:-s]
+                # the flat shift has written the wrapped hyperplane: rebuild it
+                F0 = np.maximum(_slab(u, a, 0, 1), 0.0, out=_slab(F, a, 0, 1))
+                F0 *= _slab(theta, a, N - 1, N)
+                tmp *= theta
                 F += tmp
                 np.subtract(Ff[s:], Ff[:-s], out=dst.reshape(-1)[:-s])
-                np.subtract(_slab(F, a, 0, 1), _slab(F, a, N - 1, N),
-                            out=_slab(dst, a, N - 1, N))
+                np.subtract(F0, _slab(F, a, N - 1, N), out=_slab(dst, a, N - 1, N))
             else:
-                np.multiply(_slab(up, a, 1, N + 1), theta, out=_slab(F, a, 1, N + 1))
-                np.multiply(_slab(up, a, 0, 1), 0.0, out=_slab(F, a, 0, 1))
-                np.multiply(_slab(um, a, 0, N), theta, out=_slab(tmp, a, 0, N))
-                np.multiply(_slab(um, a, N, N + 1), 0.0, out=_slab(tmp, a, N, N + 1))
+                np.multiply(_slab(F, a, 1, N + 1), theta, out=_slab(F, a, 1, N + 1))
+                np.multiply(_slab(F, a, 0, 1), 0.0, out=_slab(F, a, 0, 1))
+                np.multiply(_slab(tmp, a, 0, N), theta, out=_slab(tmp, a, 0, N))
+                np.multiply(_slab(tmp, a, N, N + 1), 0.0, out=_slab(tmp, a, N, N + 1))
                 F += tmp
                 np.subtract(_slab(F, a, 1, N + 1), _slab(F, a, 0, N), out=dst)
             dst /= self.h[a]
@@ -425,30 +423,42 @@ def _timestep(grid, config, upwind, speed):
 
     The automatic step keeps below the diffusion bound safety·h²/(2n) (for
     ``explicit_fv``) and a 1/n share of the advective bound safety·h/speed.
-    A configured dt must meet both bounds and the per-cell positivity bound
+    Every step with a drift must also meet the per-cell positivity bound
     dt·(D + max_i A_i) ≤ safety, where A_i is the outflow rate of cell i and
     D = 2Σ1/h_a² for ``explicit_fv`` (0 otherwise): then every cell's update
-    is a convex combination and the max principle holds.
+    is a convex combination and the max principle holds.  The automatic step
+    of ``explicit_fv`` is cut to it; a configured dt that breaks any of the
+    bounds is refused.
     """
     h = min(grid.h)
     explicit = config.scheme == EXPLICIT_FV
     diff_bound = config.safety * h**2 / (2.0 * grid.n) if explicit else np.inf
     adv_bound = np.inf if speed == 0 else config.safety * h / speed
-    if config.dt is None:
-        # the extra 1/n on the advective bound keeps the upwind update
-        # a convex combination in every dimension
-        return min(diff_bound, adv_bound / grid.n, (grid.t1 - grid.t0) / 50.0)
     diffusion = 2.0 * sum(1.0 / ha**2 for ha in grid.h) if explicit else 0.0
-    # the exact largest outflow takes a pass over the faces: skip it when the
-    # bound from split() already admits dt
-    if (config.dt * (diffusion + upwind.outflow_bound) > config.safety
-            or config.dt > min(diff_bound, adv_bound) * (1 + 1e-12)):
+
+    def admits(dt):
+        # split()'s bound on the outflow, which needs no pass over the faces
+        return dt * (diffusion + upwind.outflow_bound) <= config.safety
+
+    def cell_bound():
         rate = diffusion + upwind.max_outflow()
-        cell_bound = np.inf if rate == 0 else config.safety / rate
-        if config.dt > min(diff_bound, adv_bound, cell_bound) * (1 + 1e-12):
+        return np.inf if rate == 0 else config.safety / rate
+
+    if config.dt is None:
+        # the extra 1/n on the advective bound keeps the upwind update a
+        # convex combination in every dimension; explicit_fv meets its two
+        # bounds one at a time, not summed, so with a drift it is cut to the
+        # cell bound
+        dt = min(diff_bound, adv_bound / grid.n, (grid.t1 - grid.t0) / 50.0)
+        if explicit and speed != 0 and not admits(dt):
+            dt = min(dt, cell_bound())
+        return dt
+    if not admits(config.dt) or config.dt > min(diff_bound, adv_bound) * (1 + 1e-12):
+        cell = cell_bound()
+        if config.dt > min(diff_bound, adv_bound, cell) * (1 + 1e-12):
             raise ValueError(
                 f"timestep {config.dt:g} violates CFL bounds (diffusion {diff_bound:g}, "
-                f"advection {adv_bound:g}, per-cell {cell_bound:g})")
+                f"advection {adv_bound:g}, per-cell {cell:g})")
     return config.dt
 
 
@@ -509,7 +519,8 @@ def solve(theta0, b, grid, config=None):
                 _rfftn(np.subtract(theta, adv, out=adv), spec)
                 np.multiply(sym, -dt, out=den)
                 den += 1.0
-                spec /= den
+                # times the real reciprocal: the values of spec / den, no complex division
+                spec *= np.divide(1.0, den, out=den)
                 _irfftn(spec, theta)
             if grid.bc == ZERO:
                 _apply_buffer(theta, grid)

@@ -323,3 +323,32 @@ def test_norm_center_must_match_dump_dimension(tmp_path, capsys, order):
     assert "--center must have 3 entries" in capsys.readouterr().err
     assert run_cli(*args, "--center", "0,0,0") == 0
     assert float(capsys.readouterr().out) > 0
+
+
+NAN_STOP = "NaN detected at step 1 (t = 0)"
+
+
+@pytest.mark.parametrize("name,edits", [
+    ("heat-2d.cfg", ["grid.shape = 16,16"]),
+    ("heat-2d.cfg", ["grid.shape = 16,16", "init.kind = blob"]),
+    ("nash-ensemble.cfg", ["grid.shape = 16,16", "ensemble.count = 3", "drift.nt = 3"]),
+    ("borderline-blowup.cfg", ["assembly.K = 2", "run.resolution = 16", "drift.nt = 3"]),
+])
+def test_solver_runtime_error_exit_code(tmp_path, monkeypatch, capsys, name, edits):
+    import driftlab.cli as cli
+    import driftlab.solver as solver
+
+    def nan_stop(*args, **kwargs):
+        raise RuntimeError(NAN_STOP)
+
+    monkeypatch.setattr(cli, "solve", nan_stop)
+    monkeypatch.setattr(solver, "solve", nan_stop)
+    monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
+    keys = {e.split("=")[0].strip() for e in edits}
+    lines = [line for line in (CONFIGS / name).read_text().splitlines()
+             if line.split("=")[0].strip() not in keys]
+    cfg = tmp_path / name
+    cfg.write_text("\n".join(lines + edits) + "\n")
+    assert run_cli("run", str(cfg), "--jobs", "1") == 3
+    assert capsys.readouterr().err.strip() == f"precondition violated: {NAN_STOP}"
+    assert not (tmp_path / "out").exists()

@@ -660,3 +660,99 @@ def test_admitted_dt_keeps_data_in_unit_interval(seed, scheme, amp, safety):
 def test_fundamental_solution_refuses_bad_width(width):
     with pytest.raises(ValueError, match="width"):
         fundamental_solution((0.0, 0.0), 0.0, None, pgrid(32, t1=0.01), width=width)
+
+
+def stored_split_peaks(faces, h):
+    """speed and outflow_bound as split() formed them from stored max(u, 0)
+    and min(u, 0) copies of the faces."""
+    peaks = [(np.maximum(u, 0.0).max(), -np.minimum(u, 0.0).min()) for u in faces]
+    return max(max(p) for p in peaks), sum((p + m) / ha for (p, m), ha in zip(peaks, h))
+
+
+def split_cases():
+    rng = np.random.default_rng(17)
+    mixed = [rng.standard_normal((12, 10)) for _ in range(2)]
+    yield "mixed", mixed
+    yield "one sign per axis", [np.abs(mixed[0]) + 0.5, -np.abs(mixed[1]) - 0.5]
+    for sign in (1.0, -1.0):
+        signed = [sign * np.abs(u) for u in mixed]
+        for u in signed:
+            u[rng.random(u.shape) < 0.3] = 0.0
+            u[rng.random(u.shape) < 0.3] = -0.0
+        yield f"sign {sign:+g} with signed zeros", signed
+        yield f"sign {sign:+g} with -0.0", [np.where(u == 0.0, -0.0, u) for u in signed]
+    with_nan = [u.copy() for u in mixed]
+    with_nan[1][3, 4] = np.nan
+    yield "nan face", with_nan
+
+
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+def test_split_peaks_match_stored_split(bc):
+    g = Grid(2, (-1.0, -1.0), (1.0, 1.5), (12, 10), 0.0, 1.0, 2, bc)
+    upwind = _Upwind(g)
+
+    def on_grid(faces):
+        if bc == "periodic":
+            return faces
+        return [np.concatenate([u, np.take(u, [0], axis=a)], axis=a)
+                for a, u in enumerate(faces)]
+
+    for name, faces in split_cases():
+        faces = on_grid(faces)
+        got = (upwind.split(faces), upwind.outflow_bound)
+        want = stored_split_peaks(faces, g.h)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), name
+    # when every face is a signed zero only the sign of the zero speed can
+    # differ, and the speed is only compared with 0
+    zeros = on_grid([np.where(np.indices((12, 10)).sum(axis=0) % 3, -0.0, 0.0)] * 2)
+    got = (upwind.split(zeros), upwind.outflow_bound)
+    want = stored_split_peaks(zeros, g.h)
+    assert got[0] == want[0] == 0.0
+    assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(15, 17), (24, 17), (8, 8, 9), (10, 13, 8), (67, 69)])
+def test_reciprocal_scale_matches_division(shape):
+    n = len(shape)
+    g = Grid(n, (-1.0,) * n, (1.5,) * n, shape, 0.0, 1.0, 2, "periodic")
+    sym = _fd_symbol(g)
+    rng = np.random.default_rng(sum(shape))
+    spec = sfft.rfftn(rng.standard_normal(shape))
+    for dt in (1e-6, 3.7e-4, 1e-2, 0.5):
+        den = 1.0 - dt * sym
+        assert np.array_equal(spec * (1.0 / den), spec / den)
+
+
+@pytest.mark.parametrize("safety", [0.8, 0.9])
+@pytest.mark.parametrize("data", ["uniform", "checkerboard"])
+def test_explicit_fv_auto_dt_keeps_checkerboard_in_unit_interval(data, safety):
+    # the drift of test_checkerboard_drift_refuses_largest_cfl_dt: an automatic
+    # step that met the diffusion and advection bounds only one at a time
+    # blew these data up to about 1e14 at safety 0.8
+    g = Grid(2, (-1.0, -1.0), (1.0, 1.0), (16, 16), 0.0, 0.2, 2, "zero")
+
+    def stream(t, x, y):
+        i = np.rint((x - g.lo[0]) / g.h[0]).astype(int)
+        j = np.rint((y - g.lo[1]) / g.h[1]).astype(int)
+        return 2.0 * (-1.0) ** (i + j)
+
+    if data == "uniform":
+        theta0 = np.random.default_rng(0).uniform(0.0, 1.0, g.shape)
+    else:
+        theta0 = np.indices(g.shape).sum(axis=0) % 2.0
+    theta0[buffer_frame(g.shape)] = 0.0
+    config = SolverConfig(scheme="explicit_fv", safety=safety)
+    run = solve(theta0, PotentialDrift(2, stream_fn=stream), g, config)
+    assert run.minimum.min() >= 0.0
+    assert run.maximum.max() <= 1.0
+
+
+@pytest.mark.parametrize("safety", [0.4, 0.9])
+def test_drift_free_explicit_fv_auto_dt_unchanged(safety):
+    # without a drift the automatic step stays safety·h²/(2n)
+    g = zgrid(64, t1=0.05)
+    run = solve(gaussian_blob(g, (0.0, 0.0), 0.2), None, g,
+                SolverConfig(scheme="explicit_fv", safety=safety))
+    dt = safety * g.h[0] ** 2 / 4.0
+    assert run.step_times[1] == dt
+    assert np.allclose(np.diff(run.step_times)[:-1], dt, rtol=1e-9, atol=0.0)

@@ -3,27 +3,41 @@
     python3 tools/bench_pairs.py --base REV --label NAME \
         [--workload blowup nash diagnose] [--seeds 4001-4010 | --pairs N] \
         [--seconds 25]
+    python3 tools/bench_pairs.py --base REV --label NAME --pairs N \
+        --command 'PYTHONPATH=src python3 -m driftlab.cli run configs/heat-2d.cfg' \
+        [--command ...]
 
-Run it from the repository root.  REV is checked out with ``git worktree`` into
-a temporary directory (under $TMPDIR), and ``perfbench/run.py --trace 0`` runs
+Run it from the repository root.  The tree of REV is exported with ``git archive``
+into a temporary directory (under $TMPDIR), and ``perfbench/run.py --trace 0`` runs
 once per seed on each side: the base checkout and the working tree as it is.
-The side that runs first alternates from one pair to the next.  The result
-goes to ``BENCH_<label>.json`` (or ``--out``): both revisions, nproc, the
-versions, the seeds, every pair's end-to-end metrics, and per metric each
-side's median and quartiles, the wins of the change, and whether the change
-stays within the bound that ``BENCHMARK.json`` sets.  A metric counts as a
-claimable gain when the change wins at least nine pairs in ten (ties count for
-neither side) and the medians differ by more than the base's interquartile
-range, over at least ten pairs.  Uses the standard library only.
+With ``--command``, each shell command runs instead, once per pair on each
+side, with the side's checkout as its working directory; its metrics are the
+wall time, the peak RSS of the largest process in its tree, and ``pass_ratio``
+(1 when it exits 0).  The side that runs first alternates from one pair to the
+next.  The result goes to ``BENCH_<label>.json`` (or ``--out``): both
+revisions, nproc, the versions, the seeds, every pair's end-to-end metrics, and
+per metric each side's median and quartiles, the wins of the change, and
+whether the change stays within the bound that ``BENCHMARK.json`` sets.  A
+metric counts as a claimable gain when the change wins at least nine pairs in
+ten (ties count for neither side) and the medians differ by more than the
+base's interquartile range, over at least ten pairs.  Uses the standard
+library only.
 """
 import argparse
 import datetime
+import importlib.metadata
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from envinfo import src_digest  # noqa: E402  (the digest perfbench records)
 
 ROOT = Path.cwd()
 
@@ -53,6 +67,34 @@ def run_bench(root, workload, seed, seconds):
     return json.loads(lines[-1]), json.loads(lines[-2])["env"]
 
 
+def run_command(root, command):
+    """One run of a shell command in the checkout at root: its metrics and exit code.
+
+    The peak RSS is at least the runner's own, which the forked child starts with.
+    """
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(command, shell=True, cwd=root, stdout=subprocess.DEVNULL,
+                                stderr=err)
+        # wait4 gives the rusage of this child and its reaped descendants
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            err.seek(0)
+            print(f"{command!r} in {root} exited {code}:\n"
+                  f"{err.read()[-2000:].decode(errors='replace')}", file=sys.stderr)
+    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0,
+            "pass_ratio": float(code == 0)}, code
+
+
+def _local_env():
+    return {"nproc": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy"),
+            "scipy": importlib.metadata.version("scipy"), "machine": platform.machine()}
+
+
 def _quartiles(values):
     if len(values) < 2:
         return values[0], values[0]
@@ -64,6 +106,8 @@ def summarize(pairs, spec):
     out = {}
     for m in spec["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
+        if name not in pairs[0]["base"]:
+            continue
         sides = {}
         for side in ("base", "change"):
             vals = [p[side][name] for p in pairs]
@@ -97,8 +141,12 @@ def main():
     ap.add_argument("--pairs", type=int, default=None,
                     help="number of pairs (default: one per seed, or 10 from seed 1)")
     ap.add_argument("--seconds", type=float, default=25.0, help="perfbench --seconds")
+    ap.add_argument("--command", action="append", default=None,
+                    help="time this shell command instead of perfbench (repeatable)")
     args = ap.parse_args()
 
+    if args.command and args.seeds:
+        ap.error("--command runs take --pairs, not --seeds")
     seeds = _seeds(args.seeds) if args.seeds else list(range(1, (args.pairs or 10) + 1))
     if args.pairs is not None:
         if not 0 < args.pairs <= len(seeds):
@@ -119,30 +167,37 @@ def main():
                    "dirty": bool(_git("status", "--porcelain", "--untracked-files=no"))},
         "seconds": args.seconds, "seeds": seeds, "workloads": {},
     }
+    if args.command:
+        record.update(_local_env(), seconds=None, seeds=None)
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base_root = Path(tmp) / "base"
-        _git("worktree", "add", "--detach", str(base_root), base_sha)
-        try:
-            for workload in args.workload:
-                pairs = []
-                for i, seed in enumerate(seeds):
-                    order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                    pair = {"seed": seed, "first": order[0]}
-                    for side in order:
-                        res, env = run_bench(base_root if side == "base" else ROOT,
-                                             workload, seed, args.seconds)
-                        pair[side] = {k: v["value"] for k, v in res["metrics"].items()}
-                        pair[side + "_correct"] = res["correct"]
-                        record[side].setdefault("src_sha256", env["src_sha256"])
+        tree = subprocess.run(["git", "archive", base_sha], cwd=ROOT, check=True,
+                              capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=tree, check=True)
+        roots = {"base": Path(tmp), "change": ROOT}
+        for side, root in roots.items():
+            record[side]["src_sha256"] = src_digest(root)
+        for workload in args.command or args.workload:
+            pairs = []
+            for i, seed in enumerate(seeds):
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                pair = {"pair": i} if args.command else {"seed": seed}
+                pair["first"] = order[0]
+                for side in order:
+                    if args.command:
+                        metrics, code = run_command(roots[side], workload)
+                        correct = code == 0
+                    else:
+                        res, env = run_bench(roots[side], workload, seed, args.seconds)
+                        metrics = {k: v["value"] for k, v in res["metrics"].items()}
+                        correct = res["correct"]
                         for key in ("nproc", "affinity", "python", "numpy", "scipy",
                                     "machine"):
                             record.setdefault(key, env[key])
-                    pairs.append(pair)
-                    print(json.dumps({"workload": workload, **pair}), flush=True)
-                record["workloads"][workload] = {"pairs": pairs,
-                                                 "metrics": summarize(pairs, spec)}
-        finally:
-            _git("worktree", "remove", "--force", str(base_root))
+                    pair[side], pair[side + "_correct"] = metrics, correct
+                pairs.append(pair)
+                print(json.dumps({"workload": workload, **pair}), flush=True)
+            record["workloads"][workload] = {"pairs": pairs,
+                                             "metrics": summarize(pairs, spec)}
     out_path.write_text(json.dumps(record, indent=1) + "\n")
     for workload, w in record["workloads"].items():
         for name, m in w["metrics"].items():
