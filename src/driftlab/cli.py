@@ -220,17 +220,14 @@ def scenario_diffusion(cfg, config_path, jobs):
         raise ConfigError("init.width must be finite and positive")
     out = output_dir(cfg)
 
-    try:
-        if init == "fundamental":
-            run = fundamental_solution(center, grid.t0, drift, grid, sol, width)
-        elif init == "blob":
-            theta0 = gaussian_blob(grid, center, width,
-                                   normalize=_get(cfg, "init.normalize", "true") == "true")
-            run = solve(theta0, drift, grid, sol)
-        else:
-            raise ConfigError(f"unknown init.kind {init!r}")
-    except SOLVE_ERRORS as e:
-        raise PreconditionError(str(e))
+    if init == "fundamental":
+        run = fundamental_solution(center, grid.t0, drift, grid, sol, width)
+    elif init == "blob":
+        theta0 = gaussian_blob(grid, center, width,
+                               normalize=_get(cfg, "init.normalize", "true") == "true")
+        run = solve(theta0, drift, grid, sol)
+    else:
+        raise ConfigError(f"unknown init.kind {init!r}")
 
     out.mkdir(parents=True, exist_ok=True)
     run.write_csv(out / "ledger.csv")
@@ -294,16 +291,12 @@ def scenario_nash_ensemble(cfg, config_path, jobs):
     build_grid(cfg)  # validate before any work
     out = output_dir(cfg)
     payloads = [(cfg, str(config_path), i) for i in range(count)]
-    try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as ex:
-                results = list(ex.map(_nash_member, payloads))
-        else:
-            results = [_nash_member(p) for p in payloads]
-    except BrokenExecutor:
-        raise  # a lost worker is no precondition
-    except SOLVE_ERRORS as e:
-        raise PreconditionError(str(e))
+    if jobs > 1:
+        # the pool forks all its workers at once, so never more than members
+        with ProcessPoolExecutor(max_workers=min(jobs, count)) as ex:
+            results = list(ex.map(_nash_member, payloads))
+    else:
+        results = [_nash_member(p) for p in payloads]
 
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "members.csv", "w") as f:
@@ -348,7 +341,7 @@ def blowup_probe_series(assembly, resolution, extent, tau0=0.2, tau1=0.5,
         run = solve(theta0, drift, grid, SolverConfig(dt=dt))
         r = np.sqrt(_sq_distance(X, (0.0,) * n))
         sups.append(float(run.trajectory.samples[-1][r <= probe_radius].max()))
-        regs.append(blk.A * blk.t_prime ** (-n / 2.0))
+        regs.append(blk.A * blk.width ** (-n / 2.0))
     return np.array(sups), np.array(regs)
 
 
@@ -383,13 +376,9 @@ def scenario_borderline_blowup(cfg, config_path, jobs):
     except ValueError as e:
         raise ConfigError(str(e))
     out = output_dir(cfg)
-    try:
-        sups, regs = blowup_probe_series(
-            asm, resolution, extent, tau0, tau1, probe_radius,
-            drift_nt=_get_int(cfg, "drift.nt", 17),
-            dt=_get_float(cfg, "solver.dt"))
-    except SOLVE_ERRORS as e:
-        raise PreconditionError(str(e))
+    sups, regs = blowup_probe_series(
+        asm, resolution, extent, tau0, tau1, probe_radius,
+        drift_nt=_get_int(cfg, "drift.nt", 17), dt=_get_float(cfg, "solver.dt"))
 
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.txt").write_text(asm.manifest())
@@ -423,7 +412,12 @@ def cmd_run(args):
     kind = _get(cfg, "scenario.kind", required=True)
     if kind not in SCENARIOS:
         raise ConfigError(f"unknown scenario.kind {kind!r}")
-    return SCENARIOS[kind](cfg, args.config, args.jobs)
+    try:
+        return SCENARIOS[kind](cfg, args.config, args.jobs)
+    except BrokenExecutor:
+        raise  # a lost worker is no precondition
+    except SOLVE_ERRORS as e:
+        raise PreconditionError(str(e))
 
 
 _ORDERS = {"tq": TIME_OUTER, "xt": SPACE_OUTER,
@@ -507,9 +501,14 @@ def cmd_report(args):
     found = 0
     for summary in sorted(root.rglob("summary.csv")):
         found += 1
+        try:
+            rows = [line.split(",") for line in summary.read_text().strip().splitlines()[1:]]
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"cannot read {summary}: {e}")
+        if any(len(row) != 4 for row in rows):
+            raise ConfigError(f"{summary}: rows must read 'check,value,threshold,pass'")
         print(f"[{summary.parent.relative_to(root)}]")
-        for line in summary.read_text().strip().splitlines()[1:]:
-            check, value, threshold, passed = line.split(",")
+        for check, value, threshold, passed in rows:
             status = "pass" if passed == "1" else "FAIL"
             if passed != "1":
                 failures += 1
@@ -517,6 +516,15 @@ def cmd_report(args):
     if found == 0:
         raise ConfigError("no summary.csv files found")
     return 1 if failures else 0
+
+
+def _positive_int(s):
+    try:
+        if int(s) >= 1:
+            return int(s)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {s!r}")
 
 
 def build_parser():
@@ -527,8 +535,8 @@ def build_parser():
 
     p = sub.add_parser("run", help="run a scenario config")
     p.add_argument("config")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for ensemble members")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="parallel workers for ensemble members (at most one per member)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("classify", help="classify a mixed-norm drift space")

@@ -66,18 +66,14 @@ def _chi(r, r0, r1):
     return 1.0 - smoothstep((np.asarray(r, dtype=float) - r0) / (r1 - r0))
 
 
-def _cap_stream_2d(x, y, r0, r1):
-    """Stream function of the cap: psi = -y chi(r); curl psi = e1 where chi = 1."""
-    r = np.sqrt(x**2 + y**2)
-    return -y * _chi(r, r0, r1)
-
-
-def _cap_potential_3d(x, y, z, r0, r1):
-    """Vector potential chi(r) (0, -z/2, y/2); its curl is e1 where chi = 1."""
-    r = np.sqrt(x**2 + y**2 + z**2)
-    c = _chi(r, r0, r1)
-    zeros = np.zeros_like(x)
-    return zeros, -0.5 * z * c, 0.5 * y * c
+def _cap_potential(X, r0, r1):
+    """Potential of the cap at the points with coordinates X; its curl is e1
+    where chi = 1.  2D: the stream function psi = -y chi(r).  3D: the vector
+    potential chi(r) (0, -z/2, y/2) as a (3, *shape) array."""
+    c = _chi(np.sqrt(sum(x**2 for x in X)), r0, r1)
+    if len(X) == 2:
+        return -X[1] * c
+    return np.stack([np.zeros_like(c), -0.5 * X[2] * c, 0.5 * X[1] * c])
 
 
 def _dchi(r, r0, r1):
@@ -140,9 +136,7 @@ def build_bogovskii_cap(resolution=128, n=2, ramp=(3.0, 3.8), extent=4.2):
     h = g.h[0]
     if ramp[1] + 2 * h > 4.0 or ramp[0] - 2 * h < 2.0:
         raise ValueError("grid too coarse for the cutoff ramp")
-    X = g.meshgrid()
-    potential = _cap_stream_2d(*X, *ramp) if n == 2 else _cap_potential_3d(*X, *ramp)
-    f = SpaceTimeField(g, curl(potential, g)[None], n)
+    f = SpaceTimeField(g, curl(_cap_potential(g.meshgrid(), *ramp), g)[None], n)
     res = float(np.abs(divergence(f).samples).max())
     if res > 1e-6:
         raise RuntimeError(f"cap divergence residual {res:.2e} above 1e-6")
@@ -400,12 +394,6 @@ class AssemblyBlock:
     def width(self):
         return self.t1 - self.t0
 
-    @property
-    def t_prime(self):
-        # internal activation length; the peak-amplitude regressor uses
-        # A * t_prime^{-n/2}
-        return self.width
-
     def speed(self, t):
         return (self.travel / self.width) * bump_unit((t - self.t0) / self.width)
 
@@ -422,23 +410,12 @@ class AssemblyBlock:
     def active(self, t):
         return (t > self.t0) & (t < self.t1)
 
-    # -- potential of the drift block (stream function / vector potential)
-
-    def stream(self, t, x, y):
-        """2D stream function of S(t) U((x - X)/R) (positions as arrays)."""
-        S = self.speed(t)
-        if S == 0.0:
-            return np.zeros_like(x)
-        X = self.position(float(t))
-        return S * self.R * _cap_stream_2d((x - X[0]) / self.R, (y - X[1]) / self.R,
-                                           *self.ramp)
-
-    def potential3(self, t, x, y, z):
-        S = self.speed(t)
-        X = self.position(float(t))
-        a = _cap_potential_3d((x - X[0]) / self.R, (y - X[1]) / self.R,
-                              (z - X[2]) / self.R, *self.ramp)
-        return tuple(S * self.R * c for c in a)
+    def potential(self, t, X):
+        """Potential (as `_cap_potential`) of S(t) U((x - X(t))/R) at the
+        points with coordinates X."""
+        pos = self.position(float(t))
+        Y = [(x - p) / self.R for x, p in zip(X, pos)]
+        return self.speed(t) * self.R * _cap_potential(Y, *self.ramp)
 
     def velocity(self, t, pts):
         """Analytic block velocity at points (for diagnostics)."""
@@ -459,12 +436,6 @@ class AssemblyBlock:
         X = self.position(t)
         val, _ = heat_subsolution((np.asarray(pts) - X) / self.R, tau, self.n)
         return self.A * self.R ** (-self.n) * val
-
-
-def _default_amplitudes(K):
-    # pruning rule: A_k = 1/(k^2 max(1, sup_t ||E_k||_L1)); the rescaled
-    # subsolution has sup_t L^1 mass = sup_t int (Gamma - c_n)_+ < 1
-    return np.array([1.0 / k**2 for k in range(1, K + 1)])
 
 
 @dataclass
@@ -488,29 +459,20 @@ class DriftAssembly:
 
     # -- field materialization
 
-    def stream(self, t, x, y):
-        out = np.zeros_like(x)
+    def potential(self, t, X):
+        """Sum of the active blocks' potentials at the points with coordinates X."""
+        out = np.zeros(np.shape(X[0]) if self.n == 2 else (3,) + np.shape(X[0]))
         for b in self.blocks:
             if b.active(t):
-                out = out + b.stream(t, x, y)
+                out = out + b.potential(t, X)
         return out
-
-    def potential3(self, t, x, y, z):
-        out = [np.zeros_like(x) for _ in range(3)]
-        for b in self.blocks:
-            if b.active(t):
-                p = b.potential3(t, x, y, z)
-                for i in range(3):
-                    out[i] = out[i] + p[i]
-        return tuple(out)
 
     def sample_drift(self, grid):
         """Cell-centered drift samples via the discrete curl (div-free exactly)."""
         X = grid.meshgrid()
-        potential = self.stream if grid.n == 2 else self.potential3
         out = np.empty((grid.nt,) + tuple(grid.shape) + (grid.n,))
         for j, t in enumerate(grid.times):
-            out[j] = curl(potential(t, *X), grid)
+            out[j] = curl(self.potential(t, X), grid)
         return SpaceTimeField(grid, out, grid.n)
 
     def sample_subsolution(self, grid):
@@ -574,27 +536,17 @@ def assemble_borderline(K, amplitudes=None, n=2, scale0=0.3, ratio=0.85,
     """
     if K < 1:
         raise ValueError("need at least one block")
-    amplitudes = _default_amplitudes(K) if amplitudes is None else np.asarray(amplitudes, dtype=float)
-    if len(amplitudes) != K or np.any(amplitudes < 0):
-        raise ValueError("need K nonnegative amplitudes")
-    travel = 20.0 * n if travel is None else float(travel)
     scales = scale0 * ratio ** np.arange(K)
     widths = scales**2
     total = widths.sum() * (1.0 + gap_frac)
     if total >= end_time:
         raise ValueError("blocks do not fit before the accumulation time")
-    start = end_time - total
-    if x_start is None:
-        x_start = np.zeros(n)
-        x_start[0] = -travel / 2.0
-    blocks = []
-    t = start
-    for k in range(K):
-        blocks.append(AssemblyBlock(t, t + widths[k], float(scales[k]),
-                                    float(amplitudes[k]), travel,
-                                    np.asarray(x_start, dtype=float), n))
-        t += widths[k] * (1.0 + gap_frac)
-    return DriftAssembly(blocks, n, BORDERLINE)
+    windows = []
+    t = end_time - total
+    for w in widths:
+        windows.append((t, t + w))
+        t += w * (1.0 + gap_frac)
+    return _assembly(BORDERLINE, windows, scales, amplitudes, n, travel, x_start)
 
 
 def assemble_selfsimilar(t_seq, amplitudes=None, n=2, travel=None, x_start=None):
@@ -602,19 +554,32 @@ def assemble_selfsimilar(t_seq, amplitudes=None, n=2, travel=None, x_start=None)
     t_seq = np.asarray(t_seq, dtype=float)
     if np.any(np.diff(t_seq) <= 0):
         raise ValueError("t_k must be strictly increasing")
-    K = len(t_seq) - 1
-    amplitudes = _default_amplitudes(K) if amplitudes is None else np.asarray(amplitudes, dtype=float)
+    windows = [(float(a), float(b)) for a, b in zip(t_seq[:-1], t_seq[1:])]
+    return _assembly(BLOCK_RESCALED, windows, np.sqrt(np.diff(t_seq)), amplitudes, n,
+                     travel, x_start)
+
+
+def _assembly(kind, windows, scales, amplitudes, n, travel, x_start):
+    """Blocks on the time windows (t0, t1) with spatial scales R_k.
+
+    Defaults: the pruning rule A_k = 1/(k^2 max(1, sup_t ||E_k||_L1)) = 1/k^2
+    (the rescaled subsolution has sup_t L^1 mass sup_t int (Gamma - c_n)_+ < 1),
+    travel 20 n, and start -travel/2 e1.
+    """
+    K = len(windows)
+    if amplitudes is None:
+        amplitudes = [1.0 / k**2 for k in range(1, K + 1)]
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    if amplitudes.shape != (K,) or not np.all(amplitudes >= 0):
+        raise ValueError("need K nonnegative amplitudes")
     travel = 20.0 * n if travel is None else float(travel)
     if x_start is None:
         x_start = np.zeros(n)
         x_start[0] = -travel / 2.0
-    blocks = []
-    for k in range(K):
-        w = t_seq[k + 1] - t_seq[k]
-        blocks.append(AssemblyBlock(float(t_seq[k]), float(t_seq[k + 1]),
-                                    float(np.sqrt(w)), float(amplitudes[k]),
-                                    travel, np.asarray(x_start, dtype=float), n))
-    return DriftAssembly(blocks, n, BLOCK_RESCALED)
+    x_start = np.asarray(x_start, dtype=float)
+    blocks = [AssemblyBlock(t0, t1, float(R), float(A), travel, x_start, n)
+              for (t0, t1), R, A in zip(windows, scales, amplitudes)]
+    return DriftAssembly(blocks, n, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -815,8 +780,11 @@ def hodge_decompose(b):
     n = g.n
     a = np.zeros((g.nt,) + tuple(g.shape) + (n, n))
     b1 = np.zeros_like(b.samples)
+    denom = 0.0
     for j in range(g.nt):
         bh = [np.fft.fftn(b.samples[j, ..., c]) for c in range(n)]
+        for c in range(n):
+            denom += (np.abs(bh[c]) ** 2).sum()
         for i in range(n):
             for l in range(i + 1, n):
                 # a_il solves Lap a_il = d_i b_l - d_l b_i
@@ -838,8 +806,6 @@ def hodge_decompose(b):
             sol = rh[c] - 1j * K[c] * div * inv
             sol[tuple(0 for _ in range(g.n))] = 0.0
             leak += float((np.abs(sol) ** 2).sum())
-    denom = float(sum((np.abs(np.fft.fftn(b.samples[j, ..., c])) ** 2).sum()
-                      for j in range(g.nt) for c in range(n)))
     res = 0.0 if denom == 0 else float(np.sqrt(leak / denom))
     return HodgeDecomposition(a, b2, g, res)
 

@@ -194,24 +194,28 @@ def divergence(v):
     return SpaceTimeField(g, out)
 
 
+def _curl_components(potential, n, d):
+    """Components of the curl of a stream function ψ (n = 2) or a vector
+    potential (a1, a2, a3) (n = 3), for a difference ``d(a, axis)``: the one
+    curl formula behind `curl` and `solver.PotentialDrift`.  In 2D it is
+    (−∂_y ψ, ∂_x ψ)."""
+    if n == 2:
+        return [-d(potential, 1), d(potential, 0)]
+    a1, a2, a3 = potential
+    return [d(a3, 1) - d(a2, 2), d(a1, 2) - d(a3, 0), d(a2, 0) - d(a1, 1)]
+
+
 def curl(potential, grid):
     """Cell-centered curl of a stream function (2D) or vector potential (3D).
 
     ``potential`` is one time slice: an array on grid.shape in 2D, a triple of
-    them in 3D; the result has shape (*grid.shape, n).  In 2D the curl of ψ
-    is b = (−∂_y ψ, ∂_x ψ), the opposite sign of `solver.PotentialDrift`'s
-    convention.  The centered differences are the ones `divergence` uses,
-    with the grid's boundary mode and per-axis spacing; they commute, so the
-    discrete divergence of the result vanishes to round-off.
+    them (or a (3, *grid.shape) array) in 3D; the result has shape
+    (*grid.shape, n).  The centered differences are the ones `divergence`
+    uses, with the grid's boundary mode and per-axis spacing; they commute,
+    so the discrete divergence of the result vanishes to round-off.
     """
-    def d(a, axis):
-        return _ddx(a, axis, grid.h[axis], grid.bc)
-
-    if grid.n == 2:
-        return np.stack([-d(potential, 1), d(potential, 0)], axis=-1)
-    a1, a2, a3 = potential
-    return np.stack([d(a3, 1) - d(a2, 2), d(a1, 2) - d(a3, 0), d(a2, 0) - d(a1, 1)],
-                    axis=-1)
+    return np.stack(_curl_components(
+        potential, grid.n, lambda a, axis: _ddx(a, axis, grid.h[axis], grid.bc)), axis=-1)
 
 
 def grid_laplacian(a, grid, first_axis=0):

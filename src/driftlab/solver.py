@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .fields import (PERIODIC, ZERO, SpaceTimeField, _component_sum, _interpolate, _slab,
-                     _sq_distance, cell_to_face, divergence, face_diff, face_to_cell,
-                     grid_laplacian)
+from .fields import (PERIODIC, ZERO, SpaceTimeField, _component_sum, _curl_components,
+                     _interpolate, _slab, _sq_distance, cell_to_face, divergence, face_diff,
+                     face_to_cell, grid_laplacian)
 
 EXPLICIT_FV = "explicit_fv"
 SEMI_IMPLICIT = "semi_implicit_spectral"
@@ -112,12 +112,11 @@ class PotentialDrift:
         h = grid.h
 
         def diff(arr, axis):
-            return face_diff(arr, axis, grid.bc)
+            return face_diff(arr, axis, grid.bc) / h[axis]
 
         if grid.n == 2:
             X, Y = np.meshgrid(ax[0], ax[1], indexing="ij")
-            psi = self.stream_fn(t, X, Y)
-            return [diff(psi, 1) / h[1], -diff(psi, 0) / h[0]]
+            return [-c for c in _curl_components(self.stream_fn(t, X, Y), 2, diff)]
         # 3D: sample the potential components at edge midpoints
         def mid(i):
             return ax[i][: len(ax[i]) - (0 if grid.bc == PERIODIC else 1)] + h[i] / 2
@@ -125,13 +124,9 @@ class PotentialDrift:
         X1 = np.meshgrid(mid(0), ax[1], ax[2], indexing="ij")
         X2 = np.meshgrid(ax[0], mid(1), ax[2], indexing="ij")
         X3 = np.meshgrid(ax[0], ax[1], mid(2), indexing="ij")
-        A1 = self.potential_fn(t, *X1)[0]
-        A2 = self.potential_fn(t, *X2)[1]
-        A3 = self.potential_fn(t, *X3)[2]
-        ux = diff(A3, 1) / h[1] - diff(A2, 2) / h[2]
-        uy = diff(A1, 2) / h[2] - diff(A3, 0) / h[0]
-        uz = diff(A2, 0) / h[0] - diff(A1, 1) / h[1]
-        return [ux, uy, uz]
+        A = (self.potential_fn(t, *X1)[0], self.potential_fn(t, *X2)[1],
+             self.potential_fn(t, *X3)[2])
+        return _curl_components(A, 3, diff)
 
     def sample(self, grid):
         """Cell-centered samples by averaging the two faces of each cell."""
@@ -155,11 +150,10 @@ class FieldDrift:
     projected once.
     """
 
-    def __init__(self, b, project=True):
+    def __init__(self, b):
         if b.ncomp != b.grid.n:
             raise ValueError("drift must be a vector field")
         self.b = b
-        self.project = project
         self._cache = {}
         # each slice maps to the first slice of its run of equal slices
         s = b.samples
@@ -177,8 +171,7 @@ class FieldDrift:
         for a in range(g.n):
             lo, hi = cell_to_face(self.b.samples[j, ..., a], a, g.bc)
             faces.append(0.5 * (lo + hi))
-        if self.project:
-            faces = _project_faces(g, faces)
+        faces = _project_faces(g, faces)
         self._cache[j] = faces
         return faces
 

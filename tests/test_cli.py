@@ -352,3 +352,59 @@ def test_solver_runtime_error_exit_code(tmp_path, monkeypatch, capsys, name, edi
     assert run_cli("run", str(cfg), "--jobs", "1") == 3
     assert capsys.readouterr().err.strip() == f"precondition violated: {NAN_STOP}"
     assert not (tmp_path / "out").exists()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs,workers", [("500", 3), ("2", 2)])
+def test_jobs_capped_at_member_count(tmp_path, monkeypatch, jobs, workers):
+    import driftlab.cli as cli
+
+    monkeypatch.setattr(_RecordingPool, "workers", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
+    edits = ["grid.shape = 16,16", "ensemble.count = 3", "drift.nt = 3"]
+    keys = {e.split("=")[0].strip() for e in edits}
+    lines = [line for line in (CONFIGS / "nash-ensemble.cfg").read_text().splitlines()
+             if line.split("=")[0].strip() not in keys]
+    cfg = tmp_path / "nash.cfg"
+    cfg.write_text("\n".join(lines + edits) + "\n")
+    assert run_cli("run", str(cfg), "--jobs", jobs) in (0, 1)
+    assert _RecordingPool.workers == [workers]
+    members = (tmp_path / "out" / "nash-ensemble" / "members.csv").read_text()
+    assert len(members.strip().splitlines()) == 4
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "x"])
+def test_jobs_below_one_refused(tmp_path, monkeypatch, capsys, jobs):
+    monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", str(CONFIGS / "heat-2d.cfg"), "--jobs", jobs)
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content", [b"check,value,threshold,pass\nfoo,1\n", b"\xff\xfe"])
+def test_report_malformed_summary_exit_code(tmp_path, capsys, content):
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "summary.csv").write_bytes(content)
+    assert run_cli("report", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "summary.csv" in err

@@ -305,6 +305,14 @@ def test_assemble_selfsimilar():
                       2, "block_rescaled")
 
 
+@pytest.mark.parametrize("amplitudes", [[1.0], [1.0, 0.5, 0.2], [1.0, -0.5], [1.0, np.nan]])
+def test_assemble_selfsimilar_refuses_bad_amplitudes(amplitudes):
+    with pytest.raises(ValueError, match="amplitudes"):
+        assemble_selfsimilar([0.0, 0.5, 1.0], amplitudes=amplitudes, travel=2.0)
+    with pytest.raises(ValueError, match="amplitudes"):
+        assemble_borderline(2, amplitudes=amplitudes, travel=2.0)
+
+
 # ---------------------------------------------------------------------------
 # elliptic counterexample
 
