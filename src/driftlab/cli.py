@@ -132,17 +132,20 @@ def build_grid(cfg):
 
 def build_solver_config(cfg):
     try:
-        return SolverConfig(
-            scheme=_get(cfg, "solver.scheme", "semi_implicit_spectral"),
-            dt=_get_float(cfg, "solver.dt"),
-            advection=_get(cfg, "solver.advection", "upwind"),
-            safety=_get_float(cfg, "solver.safety", 0.4))
+        return SolverConfig(dt=_get_float(cfg, "solver.dt"),
+                            safety=_get_float(cfg, "solver.safety", 0.4))
     except ValueError as e:
         raise ConfigError(f"bad solver config: {e}")
 
 
 def output_dir(cfg):
-    return Path(os.environ.get("DRIFTLAB_OUT", ".")) / _get(cfg, "output.dir", required=True)
+    """The scenario's output directory, refused before any work if it could
+    not be created: its nearest existing ancestor must be a directory."""
+    out = Path(os.environ.get("DRIFTLAB_OUT", ".")) / _get(cfg, "output.dir", required=True)
+    base = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not base.is_dir():
+        raise ConfigError(f"cannot create output directory {out}: {base} is not a directory")
+    return out
 
 
 def write_summary(path, rows):
@@ -434,16 +437,10 @@ _CLASS_LABELS = {
 }
 
 
-def _parse_exponent(s):
-    if s in ("inf", "Inf", "INF"):
-        return np.inf
-    return float(s)
-
-
 def cmd_classify(args):
     try:
         spec = MixedNormSpec(_ORDERS[args.order], args.n,
-                             p=_parse_exponent(args.p), q=_parse_exponent(args.q))
+                             p=float(args.p), q=float(args.q))
         rep = criticality_index(spec)
     except (KeyError, ValueError) as e:
         raise ConfigError(str(e))
@@ -462,9 +459,8 @@ def cmd_norm(args):
     g = field.grid
     try:
         spec = MixedNormSpec(
-            _ORDERS[args.order], g.n, p=_parse_exponent(args.p),
-            q=_parse_exponent(args.q), beta=_parse_exponent(args.beta),
-            gamma=_parse_exponent(args.gamma), kappa=_parse_exponent(args.kappa))
+            _ORDERS[args.order], g.n, p=float(args.p), q=float(args.q),
+            beta=float(args.beta), gamma=float(args.gamma), kappa=float(args.kappa))
         center = tuple(float(x) for x in args.center.split(","))
         if len(center) != g.n:
             raise ValueError(f"--center must have {g.n} entries for a {g.n}D dump")

@@ -109,9 +109,6 @@ class SpaceTimeField:
     def is_scalar(self):
         return self.ncomp == 1
 
-    def copy(self):
-        return SpaceTimeField(self.grid, self.samples.copy(), self.ncomp)
-
     @classmethod
     def from_function(cls, grid, fn, ncomp=1):
         """Sample fn(t, *X) (scalar) or fn(t, *X) -> (..., ncomp) on the grid."""

@@ -1,14 +1,15 @@
 """Conservative advection-diffusion stepper and the dynamic-rescaling transform.
 
-Solves ∂_t θ − Δθ + b·∇θ = 0 with unit diffusivity.  Two schemes:
+Solves ∂_t θ − Δθ + b·∇θ = 0 with unit diffusivity by first-order upwind
+flux-form advection.  The grid's boundary mode picks the diffusion step:
 
-* ``explicit_fv`` — forward Euler diffusion plus flux-form advection on a
-  bounded box with zero-extension (Dirichlet) boundary data, enforced on a
-  three-cell buffer frame;
-* ``semi_implicit_spectral`` — explicit flux-form advection plus backward
-  Euler diffusion, with the finite-difference Laplacian inverted exactly by
-  FFT on periodic grids.  The implicit operator is an inverse-positive
-  M-matrix, so discrete monotonicity (max principle, comparison) survives.
+* ``zero`` grids — forward Euler diffusion on a bounded box with
+  zero-extension (Dirichlet) boundary data, enforced on a three-cell buffer
+  frame;
+* ``periodic`` grids — backward Euler diffusion, with the finite-difference
+  Laplacian inverted exactly by FFT.  The implicit operator is an
+  inverse-positive M-matrix, so discrete monotonicity (max principle,
+  comparison) survives.
 
 Advection velocities live on cell faces.  Face data produced from a stream
 function (2D) or edge-sampled vector potential (3D) has exactly zero discrete
@@ -28,25 +29,15 @@ from .fields import (PERIODIC, ZERO, SpaceTimeField, _component_sum, _curl_compo
                      _interpolate, _slab, _sq_distance, cell_to_face, divergence, face_diff,
                      face_to_cell, grid_laplacian)
 
-EXPLICIT_FV = "explicit_fv"
-SEMI_IMPLICIT = "semi_implicit_spectral"
-UPWIND = "upwind"
-
 BUFFER_CELLS = 3
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    scheme: str = SEMI_IMPLICIT
     dt: float | None = None
-    advection: str = UPWIND
     safety: float = 0.4
 
     def __post_init__(self):
-        if self.scheme not in (EXPLICIT_FV, SEMI_IMPLICIT):
-            raise ValueError("unknown scheme")
-        if self.advection != UPWIND:
-            raise ValueError("unknown advection discretization")
         if not 0.0 < self.safety < 1.0:
             raise ValueError("CFL safety factor must lie in (0, 1)")
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
@@ -175,16 +166,20 @@ class FieldDrift:
         self._cache[j] = faces
         return faces
 
-    def face_velocities(self, grid, t):
+    def _bracket(self, grid, t):
+        """Stored slices j0 ≤ j1 around time t, clamped to the stored span,
+        and the weight w of j1 in the linear interpolation between them."""
         g = self.b.grid
         if tuple(grid.shape) != tuple(g.shape) or grid.bc != g.bc:
             raise ValueError("drift grid does not match the run grid")
         if g.nt == 1:
-            return self._faces_at_slice(0)
+            return 0, 0, 0.0
         s = min(max((t - g.t0) / (g.t1 - g.t0) * (g.nt - 1), 0.0), g.nt - 1.0)
         j0 = math.floor(s)
-        j1 = min(j0 + 1, g.nt - 1)
-        w = s - j0
+        return j0, min(j0 + 1, g.nt - 1), s - j0
+
+    def face_velocities(self, grid, t):
+        j0, j1, w = self._bracket(grid, t)
         f0 = self._faces_at_slice(j0)
         if w == 0.0 or self._run_start[j0] == self._run_start[j1]:
             return f0
@@ -197,7 +192,16 @@ class FieldDrift:
         return out
 
     def sample(self, grid):
-        return self.b
+        """Cell samples at grid's stored times: the stored field when the times
+        match, else linear in time between the slices face_velocities uses."""
+        if np.array_equal(grid.times, self.b.grid.times):
+            return self.b
+        s = self.b.samples
+        out = np.empty((grid.nt,) + s.shape[1:])
+        for j, t in enumerate(grid.times):
+            j0, j1, w = self._bracket(grid, t)
+            out[j] = s[j0] * (1 - w) + s[j1] * w
+        return SpaceTimeField(grid, out, grid.n)
 
 
 def _face_div(grid, faces):
@@ -208,16 +212,22 @@ def _face_div(grid, faces):
 
 
 def _fd_symbol(grid):
-    """Eigenvalues of the finite-difference Laplacian on the periodic FFT
-    basis, on the half spectrum that ``_rfftn`` keeps (last axis 0..N//2)."""
+    """Eigenvalues of the finite-difference Laplacian in the basis of the
+    grid's boundary mode: the periodic FFT basis on the half spectrum that
+    ``_rfftn`` keeps (last axis 0..N//2), or the DST-I basis on zero grids."""
     sym = np.zeros(grid.shape)
-    for a in range(grid.n):
-        m = np.fft.fftfreq(grid.shape[a]) * grid.shape[a]
-        lam = -(2.0 - 2.0 * np.cos(2.0 * np.pi * m / grid.shape[a])) / grid.h[a] ** 2
+    for a, (N, h) in enumerate(zip(grid.shape, grid.h)):
+        if grid.bc == PERIODIC:
+            m = np.fft.fftfreq(N) * N
+            lam = -(2.0 - 2.0 * np.cos(2.0 * np.pi * m / N)) / h**2
+        else:
+            lam = -(4.0 / h**2) * np.sin(np.pi * np.arange(1, N + 1) / (2 * (N + 1))) ** 2
         shape = [1] * grid.n
-        shape[a] = grid.shape[a]
+        shape[a] = N
         sym = sym + lam.reshape(shape)
-    return np.ascontiguousarray(sym[..., : grid.shape[-1] // 2 + 1])
+    if grid.bc == PERIODIC:
+        sym = np.ascontiguousarray(sym[..., : grid.shape[-1] // 2 + 1])
+    return sym
 
 
 def _half_spectrum(shape):
@@ -248,32 +258,19 @@ def _irfftn(spec, out):
     return out
 
 
-def _dst_symbol(grid):
-    sym = np.zeros(grid.shape)
-    for a in range(grid.n):
-        k = np.arange(1, grid.shape[a] + 1)
-        lam = -(4.0 / grid.h[a] ** 2) * np.sin(np.pi * k / (2 * (grid.shape[a] + 1))) ** 2
-        shape = [1] * grid.n
-        shape[a] = grid.shape[a]
-        sym = sym + lam.reshape(shape)
-    return sym
-
-
 def _project_faces(grid, faces):
     """Remove the face-divergence by a discrete Poisson correction."""
     div = _face_div(grid, faces)
+    sym = _fd_symbol(grid)
     if grid.bc == PERIODIC:
         # the symbol vanishes only at the zero mode, whose correction is 0
-        sym = _fd_symbol(grid)
         sym[(0,) * grid.n] = 1.0
         dh = _rfftn(div, _half_spectrum(div.shape))
         dh[(0,) * grid.n] = 0.0
         dh /= sym
         phi = _irfftn(dh, div)
     else:
-        sym = _dst_symbol(grid)
-        dh = sfft.dstn(div, type=1)
-        phi = sfft.idstn(dh / sym, type=1)
+        phi = sfft.idstn(sfft.dstn(div, type=1) / sym, type=1)
     out = []
     for a in range(grid.n):
         lo, hi = cell_to_face(phi, a, grid.bc)
@@ -415,16 +412,16 @@ def _timestep(grid, config, upwind, speed):
     """The step before it is cut to the next stored time.
 
     The automatic step keeps below the diffusion bound safety·h²/(2n) (for
-    ``explicit_fv``) and a 1/n share of the advective bound safety·h/speed.
-    Every step with a drift must also meet the per-cell positivity bound
-    dt·(D + max_i A_i) ≤ safety, where A_i is the outflow rate of cell i and
-    D = 2Σ1/h_a² for ``explicit_fv`` (0 otherwise): then every cell's update
-    is a convex combination and the max principle holds.  The automatic step
-    of ``explicit_fv`` is cut to it; a configured dt that breaks any of the
-    bounds is refused.
+    the explicit diffusion of zero grids) and a 1/n share of the advective
+    bound safety·h/speed.  Every step with a drift must also meet the per-cell
+    positivity bound dt·(D + max_i A_i) ≤ safety, where A_i is the outflow
+    rate of cell i and D = 2Σ1/h_a² on zero grids (0 on periodic ones): then
+    every cell's update is a convex combination and the max principle holds.
+    The automatic step on zero grids is cut to it; a configured dt that
+    breaks any of the bounds is refused.
     """
     h = min(grid.h)
-    explicit = config.scheme == EXPLICIT_FV
+    explicit = grid.bc == ZERO
     diff_bound = config.safety * h**2 / (2.0 * grid.n) if explicit else np.inf
     adv_bound = np.inf if speed == 0 else config.safety * h / speed
     diffusion = 2.0 * sum(1.0 / ha**2 for ha in grid.h) if explicit else 0.0
@@ -439,9 +436,9 @@ def _timestep(grid, config, upwind, speed):
 
     if config.dt is None:
         # the extra 1/n on the advective bound keeps the upwind update a
-        # convex combination in every dimension; explicit_fv meets its two
-        # bounds one at a time, not summed, so with a drift it is cut to the
-        # cell bound
+        # convex combination in every dimension; the explicit step meets its
+        # two bounds one at a time, not summed, so with a drift it is cut to
+        # the cell bound
         dt = min(diff_bound, adv_bound / grid.n, (grid.t1 - grid.t0) / 50.0)
         if explicit and speed != 0 and not admits(dt):
             dt = min(dt, cell_bound())
@@ -462,13 +459,11 @@ def solve(theta0, b, grid, config=None):
     b is None, a vector SpaceTimeField, or a face-velocity provider.  The
     stepper substeps between stored times with a CFL-admissible dt; an
     explicitly configured dt that violates the CFL or per-cell positivity
-    bounds is refused.
+    bounds is refused.  Diffusion is forward Euler on zero grids and backward
+    Euler by FFT on periodic ones.
     """
     config = config or SolverConfig()
-    if config.scheme == SEMI_IMPLICIT and grid.bc != PERIODIC:
-        raise ValueError("semi-implicit spectral scheme needs a periodic grid")
-    if config.scheme == EXPLICIT_FV and grid.bc != ZERO:
-        raise ValueError("explicit finite-volume scheme needs a zero-extension grid")
+    explicit = grid.bc == ZERO
     if grid.nt < 2:
         raise ValueError("run grid needs at least two stored times")
     if isinstance(theta0, SpaceTimeField):
@@ -478,7 +473,7 @@ def solve(theta0, b, grid, config=None):
         raise ValueError("initial data shape does not match the grid")
     drift = as_drift(b, grid)
 
-    if config.scheme == SEMI_IMPLICIT:
+    if not explicit:
         sym = _fd_symbol(grid)
         den = np.empty_like(sym)
         spec = _half_spectrum(grid.shape)
@@ -486,7 +481,7 @@ def solve(theta0, b, grid, config=None):
     adv = np.empty(grid.shape)
     vol = grid.cell_volume
 
-    if grid.bc == ZERO:
+    if explicit:
         _apply_buffer(theta, grid)
 
     traj = np.empty((grid.nt,) + tuple(grid.shape))
@@ -505,8 +500,9 @@ def solve(theta0, b, grid, config=None):
             speed = upwind.split(drift.face_velocities(grid, t))
             dt = min(_timestep(grid, config, upwind, speed), t_end - t)
             upwind.div(theta, adv)
-            if config.scheme == EXPLICIT_FV:
+            if explicit:
                 theta = theta + dt * (grid_laplacian(theta, grid) - adv)
+                _apply_buffer(theta, grid)
             else:
                 adv *= dt
                 _rfftn(np.subtract(theta, adv, out=adv), spec)
@@ -515,8 +511,6 @@ def solve(theta0, b, grid, config=None):
                 # times the real reciprocal: the values of spec / den, no complex division
                 spec *= np.divide(1.0, den, out=den)
                 _irfftn(spec, theta)
-            if grid.bc == ZERO:
-                _apply_buffer(theta, grid)
             t += dt
             step += 1
             # a NaN anywhere makes the sum non-finite, so the scan runs only then

@@ -106,14 +106,13 @@ def test_cfl_precondition_exit_code(tmp_path, monkeypatch):
         "grid.shape = 64,64", "grid.t1 = 0.01", "grid.nt = 2",
         "grid.bc = zero",
         "init.kind = blob", "init.width = 0.2",
-        "solver.scheme = explicit_fv", "solver.dt = 0.01",
+        "solver.dt = 0.01",
         "output.dir = out/cfl"]) + "\n")
     assert run_cli("run", str(cfg)) == 3
     assert not (tmp_path / "out" / "cfl").exists()
 
 
-@pytest.mark.parametrize("setting", ["solver.dt = nan", "solver.dt = inf",
-                                     "solver.advection = centered_limited"])
+@pytest.mark.parametrize("setting", ["solver.dt = nan", "solver.dt = inf"])
 def test_bad_solver_setting_exit_code(tmp_path, monkeypatch, setting):
     monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
     cfg = tmp_path / "bad-solver.cfg"
@@ -408,3 +407,22 @@ def test_report_malformed_summary_exit_code(tmp_path, capsys, content):
     assert run_cli("report", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "summary.csv" in err
+
+
+@pytest.mark.parametrize("name", ["heat-2d.cfg", "nash-ensemble.cfg", "borderline-blowup.cfg"])
+def test_unusable_output_root_exit_code(tmp_path, monkeypatch, capsys, name):
+    import driftlab.cli as cli
+    import driftlab.solver as solver
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an unusable output root must be refused before any solve")
+
+    monkeypatch.setattr(cli, "solve", no_work)
+    monkeypatch.setattr(solver, "solve", no_work)
+    root = tmp_path / "root"
+    root.write_text("a regular file\n")
+    monkeypatch.setenv("DRIFTLAB_OUT", str(root))
+    assert run_cli("run", str(CONFIGS / name)) == 2
+    assert "not a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["root"]
+    assert root.read_text() == "a regular file\n"

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from driftlab.fields import (
@@ -321,3 +323,24 @@ def test_dump_with_nonfinite_bounds_raises_value_error(tmp_path, offset):
     bad.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="finite"):
         read_field(bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_dump_raises_only_value_error(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("dump")
+    raw = _dump_bytes(tmp)
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = raw[:data.draw(st.integers(0, len(raw) - 1), label="size")]
+    else:
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+        damaged = bytearray(raw)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+    path = tmp / "damaged.dlf1"
+    path.write_bytes(bytes(damaged))
+    try:
+        f = read_field(path)
+    except ValueError:
+        return
+    # a flip in a sample, a float bound or the boundary mode can leave a readable dump
+    assert f.samples.size == 96

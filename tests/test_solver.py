@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import fft as sfft
 
+from driftlab.analysis import subsolution_residual
+from driftlab.cli import trig_stream_field
 from driftlab.fields import Grid, SpaceTimeField
 from driftlab.solver import (
     FieldDrift,
@@ -50,27 +52,12 @@ def trig_stream(seed=0, amp=0.5):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(scheme="crank_nicolson")
-    with pytest.raises(ValueError):
-        SolverConfig(advection="weno")
-    with pytest.raises(ValueError):
         SolverConfig(safety=1.5)
     with pytest.raises(ValueError):
         SolverConfig(dt=-0.1)
-    with pytest.raises(ValueError):
-        SolverConfig(advection="centered_limited")
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             SolverConfig(dt=bad)
-
-
-def test_scheme_grid_pairing():
-    cfgP = SolverConfig(scheme="semi_implicit_spectral")
-    cfgZ = SolverConfig(scheme="explicit_fv")
-    with pytest.raises(ValueError):
-        solve(np.zeros((32, 32)), None, zgrid(32), cfgP)
-    with pytest.raises(ValueError):
-        solve(np.zeros((32, 32)), None, pgrid(32), cfgZ)
 
 
 def test_potential_drift_face_divergence():
@@ -111,7 +98,7 @@ def test_heat_kernel_oracle():
     # drift-free fundamental solution vs the analytic Gaussian at t = 0.1
     # box wide enough that periodic images are negligible at t = 0.1
     g = Grid(2, (-2.0, -2.0), (2.0, 2.0), (256, 256), 0.0, 0.1, 2, "periodic")
-    cfg = SolverConfig(scheme="semi_implicit_spectral", dt=1e-4)
+    cfg = SolverConfig(dt=1e-4)
     run = fundamental_solution((0.0, 0.0), 0.0, None, g, cfg)
     width = 2.0 * min(g.h)
     truth = gaussian_comparison(g, (0.0, 0.0), width, 0.1, 2)
@@ -143,7 +130,7 @@ def test_explicit_fv_ledgers():
     g = zgrid(64, t1=0.002)
     theta0 = gaussian_blob(g, (0.1, -0.2), 0.2, normalize=False)
     run = solve(theta0, PotentialDrift(2, stream_fn=trig_stream(4)), g,
-                SolverConfig(scheme="explicit_fv"))
+                SolverConfig())
     assert np.all(np.diff(run.maximum) <= 1e-12)
     assert np.all(run.minimum >= -1e-14)
 
@@ -183,7 +170,7 @@ def test_diffusion_second_order():
     for N in (48, 96):
         g = zgrid(N, t1=0.01)
         theta0 = gaussian_blob(g, (0.0, 0.0), 0.15, normalize=False)
-        run = solve(theta0, None, g, SolverConfig(scheme="explicit_fv"))
+        run = solve(theta0, None, g, SolverConfig())
         s2 = 0.15**2 + 2.0 * 0.01
         X, Y = g.meshgrid()
         truth = (0.15**2 / s2) * np.exp(-(X**2 + Y**2) / (2 * s2))
@@ -194,7 +181,7 @@ def test_diffusion_second_order():
 def test_cfl_refusal():
     g = zgrid(64, t1=0.01)
     theta0 = gaussian_blob(g, (0.0, 0.0), 0.2)
-    big_dt = SolverConfig(scheme="explicit_fv", dt=1e-2)
+    big_dt = SolverConfig(dt=1e-2)
     with pytest.raises(ValueError):
         solve(theta0, None, g, big_dt)
 
@@ -213,7 +200,7 @@ def test_source_near_boundary_rejected():
     g = zgrid(64, t1=0.01)
     with pytest.raises(ValueError):
         fundamental_solution((0.95, 0.0), 0.0, None, g,
-                             SolverConfig(scheme="explicit_fv"))
+                             SolverConfig())
 
 
 def test_nash_quotient_drift_free():
@@ -272,7 +259,7 @@ def test_dynamic_rescale_matches_map_coordinates(bc):
         config, center = SolverConfig(), (2.0, 0.0)
     else:
         g = Grid(2, (0.3, -1.0), (2.7, 1.0), (48, 40), 0.0, 0.05, 6, bc)
-        config, center = SolverConfig(scheme="explicit_fv"), (1.5, 0.0)
+        config, center = SolverConfig(), (1.5, 0.0)
 
     def stream(t, x, y):
         return np.sin(2.0 * x + 0.3) * np.cos(y + t)
@@ -381,7 +368,7 @@ def test_step_matches_reference_formula(shape, bc):
     scheme = "semi_implicit_spectral" if bc == "periodic" else "explicit_fv"
     if bc == "zero":
         theta0[buffer_frame(shape)] = 0.0
-    run = solve(theta0, FixedFaces(faces), g, SolverConfig(scheme=scheme, dt=dt))
+    run = solve(theta0, FixedFaces(faces), g, SolverConfig(dt=dt))
     assert len(run.step_times) == 2
     np.testing.assert_allclose(run.trajectory.samples[-1],
                                reference_step(theta0, faces, g, dt, scheme),
@@ -517,7 +504,7 @@ def test_nan_initial_data_detected(scheme, grid):
     theta0 = np.zeros((32, 32))
     theta0[16, 16] = np.nan
     with pytest.raises(RuntimeError, match=r"NaN detected at step 1 "):
-        solve(theta0, None, grid, SolverConfig(scheme=scheme))
+        solve(theta0, None, grid, SolverConfig())
 
 
 def ghost_pad_div(theta, faces, grid):
@@ -611,8 +598,8 @@ def test_checkerboard_drift_refuses_largest_cfl_dt(data):
     # 1.5625e-3 meets safety·h²/(2n) and safety·h/speed, but every interior
     # cell has outflow 8/h on two faces: max and min left [0, 1] with it
     with pytest.raises(ValueError, match="per-cell"):
-        solve(theta0, drift, g, SolverConfig(scheme="explicit_fv", dt=1.5625e-3))
-    run = solve(theta0, drift, g, SolverConfig(scheme="explicit_fv"))
+        solve(theta0, drift, g, SolverConfig(dt=1.5625e-3))
+    run = solve(theta0, drift, g, SolverConfig())
     assert run.minimum.min() >= 0.0
     assert run.maximum.max() <= 1.0
 
@@ -650,7 +637,7 @@ def test_admitted_dt_keeps_data_in_unit_interval(seed, scheme, amp, safety):
     if bc == "zero":
         theta0[buffer_frame(g.shape)] = 0.0
     run_grid = g.with_times(0.0, 5 * dt, 2)
-    run = solve(theta0, drift, run_grid, SolverConfig(scheme=scheme, dt=dt, safety=safety))
+    run = solve(theta0, drift, run_grid, SolverConfig(dt=dt, safety=safety))
     assert len(run.step_times) == 6
     assert run.minimum.min() >= -1e-12
     assert run.maximum.max() <= 1.0 + 1e-12
@@ -741,7 +728,7 @@ def test_explicit_fv_auto_dt_keeps_checkerboard_in_unit_interval(data, safety):
     else:
         theta0 = np.indices(g.shape).sum(axis=0) % 2.0
     theta0[buffer_frame(g.shape)] = 0.0
-    config = SolverConfig(scheme="explicit_fv", safety=safety)
+    config = SolverConfig(safety=safety)
     run = solve(theta0, PotentialDrift(2, stream_fn=stream), g, config)
     assert run.minimum.min() >= 0.0
     assert run.maximum.max() <= 1.0
@@ -752,7 +739,26 @@ def test_drift_free_explicit_fv_auto_dt_unchanged(safety):
     # without a drift the automatic step stays safety·h²/(2n)
     g = zgrid(64, t1=0.05)
     run = solve(gaussian_blob(g, (0.0, 0.0), 0.2), None, g,
-                SolverConfig(scheme="explicit_fv", safety=safety))
+                SolverConfig(safety=safety))
     dt = safety * g.h[0] ** 2 / 4.0
     assert run.step_times[1] == dt
     assert np.allclose(np.diff(run.step_times)[:-1], dt, rtol=1e-9, atol=0.0)
+
+
+def test_field_drift_sample_at_run_times():
+    # a CLI-built run stores fewer times than its drift; the drift speeds up in time
+    dgrid = pgrid(32, t1=0.02, nt=9)
+    steady = trig_stream_field(dgrid, 3, 0.2).samples
+    b = SpaceTimeField(dgrid, steady * (1.0 + 50.0 * dgrid.times)[:, None, None, None], 2)
+    drift = FieldDrift(b)
+    assert drift.sample(dgrid) is b
+    # run times on drift slices 0, 2, 4, 6, 8, then between them
+    assert np.array_equal(drift.sample(dgrid.with_times(0.0, 0.02, 5)).samples, b.samples[::2])
+    g = dgrid.with_times(0.0, 0.02, 4)
+    want = steady[:4] * (1.0 + 50.0 * g.times)[:, None, None, None]
+    np.testing.assert_allclose(drift.sample(g).samples, want, rtol=1e-12, atol=1e-14)
+
+    run = solve(gaussian_blob(g, (0.0, 0.0), 0.5), drift, g, SolverConfig())
+    state = dynamic_rescale(run)
+    assert state.drift_t.grid == g
+    assert subsolution_residual(run).residual.grid == g

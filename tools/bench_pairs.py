@@ -15,7 +15,8 @@ side, with the side's checkout as its working directory; its metrics are the
 wall time, the peak RSS of the largest process in its tree, and ``pass_ratio``
 (1 when it exits 0).  The side that runs first alternates from one pair to the
 next.  The result goes to ``BENCH_<label>.json`` (or ``--out``): both
-revisions, nproc, the versions, the seeds, every pair's end-to-end metrics, and
+revisions, nproc, the versions, the seeds, every pair's end-to-end metrics
+(with each side's failed perfbench operations as ``<side>_failed_ops``), and
 per metric each side's median and quartiles, the wins of the change, and
 whether the change stays within the bound that ``BENCHMARK.json`` sets.  A
 metric counts as a claimable gain when the change wins at least nine pairs in
@@ -56,7 +57,8 @@ def _seeds(text):
 
 
 def run_bench(root, workload, seed, seconds):
-    """One perfbench run in the checkout at root: (result line, env record)."""
+    """One perfbench run in the checkout at root: (result line, env record,
+    failed operations)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -64,7 +66,9 @@ def run_bench(root, workload, seed, seconds):
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
-    return json.loads(lines[-1]), json.loads(lines[-2])["env"]
+    failed = [json.loads(line)["failed_op"] for line in lines
+              if line.startswith('{"failed_op"')]
+    return json.loads(lines[-1]), json.loads(lines[-2])["env"], failed
 
 
 def run_command(root, command):
@@ -187,9 +191,11 @@ def main():
                         metrics, code = run_command(roots[side], workload)
                         correct = code == 0
                     else:
-                        res, env = run_bench(roots[side], workload, seed, args.seconds)
+                        res, env, failed = run_bench(roots[side], workload, seed,
+                                                     args.seconds)
                         metrics = {k: v["value"] for k, v in res["metrics"].items()}
                         correct = res["correct"]
+                        pair[side + "_failed_ops"] = failed
                         for key in ("nproc", "affinity", "python", "numpy", "scipy",
                                     "machine"):
                             record.setdefault(key, env[key])
