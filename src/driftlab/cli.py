@@ -322,7 +322,7 @@ def scenario_nash_ensemble(cfg, config_path, jobs):
 
 
 def blowup_probe_series(assembly, resolution, extent, tau0=0.2, tau1=0.5,
-                        probe_radius=0.5, drift_nt=17, dt=None):
+                        probe_radius=0.5, drift_nt=17, config=None):
     """Per-block solver runs; probe sup over a fixed ball at activation peaks.
 
     Each block is run in physical coordinates on its own window
@@ -341,7 +341,7 @@ def blowup_probe_series(assembly, resolution, extent, tau0=0.2, tau1=0.5,
         drift = FieldDrift(assembly.sample_drift(dgrid))
         X = grid.meshgrid()
         theta0 = assembly.subsolution_at(t_start, np.stack(X, axis=-1))
-        run = solve(theta0, drift, grid, SolverConfig(dt=dt))
+        run = solve(theta0, drift, grid, config)
         r = np.sqrt(_sq_distance(X, (0.0,) * n))
         sups.append(float(run.trajectory.samples[-1][r <= probe_radius].max()))
         regs.append(blk.A * blk.width ** (-n / 2.0))
@@ -360,6 +360,7 @@ def scenario_borderline_blowup(cfg, config_path, jobs):
     tau0 = _get_float(cfg, "run.tau0", 0.2)
     tau1 = _get_float(cfg, "run.tau1", 0.5)
     probe_radius = _get_float(cfg, "probe.radius", 0.5)
+    sol = build_solver_config(cfg)
     if not np.isfinite([extent, tau0, tau1, probe_radius]).all():
         raise ConfigError("run.extent, run.tau0, run.tau1 and probe.radius must be finite")
     if tau0 >= tau1:
@@ -381,7 +382,7 @@ def scenario_borderline_blowup(cfg, config_path, jobs):
     out = output_dir(cfg)
     sups, regs = blowup_probe_series(
         asm, resolution, extent, tau0, tau1, probe_radius,
-        drift_nt=_get_int(cfg, "drift.nt", 17), dt=_get_float(cfg, "solver.dt"))
+        drift_nt=_get_int(cfg, "drift.nt", 17), config=sol)
 
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.txt").write_text(asm.manifest())

@@ -24,12 +24,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .fields import Grid, SpaceTimeField, ZERO, _component_sum, curl, divergence
 
 E_CONST = float(np.e)
 C0_DEFAULT = float(np.exp(-np.e))  # largest time with logloglog(1/t) >= 0
+
+
+def _quad(f, a, b, limit):
+    """int_a^b f by scipy's adaptive quad, imported on the first call so that
+    importing driftlab does not load scipy."""
+    from scipy.integrate import quad
+    return quad(f, a, b, limit=limit)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +230,7 @@ class BorderlineBlock:
 
     def integral(self):
         """int S_k dt = int phi du, by adaptive quadrature in u."""
-        val, _ = quad(self.phi, self.u_lo, self.u_hi, limit=200)
-        return val
+        return _quad(self.phi, self.u_lo, self.u_hi, limit=200)
 
     @property
     def t_interval(self):
@@ -246,8 +251,7 @@ class RescaledBlock:
         return (self.M / w) * bump_unit((np.asarray(t, dtype=float) - self.t0) / w)
 
     def integral(self):
-        val, _ = quad(self.speed, self.t0, self.t1, limit=200)
-        return val
+        return _quad(self.speed, self.t0, self.t1, limit=200)
 
     @property
     def t_interval(self):
@@ -321,8 +325,7 @@ def rescaled_schedule(intervals, M):
 
 def envelope_integral(a, b):
     """int_a^b S(t) dt by adaptive quadrature (both endpoints representable)."""
-    val, _ = quad(lambda t: float(speed_envelope(t)), a, b, limit=400)
-    return val
+    return _quad(lambda t: float(speed_envelope(t)), a, b, limit=400)
 
 
 def borderline_block_lqlp(block, q, n, cap_lp):
@@ -345,8 +348,7 @@ def borderline_block_lqlp(block, q, n, cap_lp):
         base = (2.0 * n / w) * (1.0 + np.log(2.0) * ew)
         return base ** (q - 1.0) * block.phi(u) ** q
 
-    val, _ = quad(integrand, block.u_lo, block.u_hi, limit=200)
-    return cap_lp * val ** (1.0 / q)
+    return cap_lp * _quad(integrand, block.u_lo, block.u_hi, limit=200) ** (1.0 / q)
 
 
 def borderline_partial_sums(schedule, q, n, cap_lp, cap_sup):
@@ -454,8 +456,7 @@ class DriftAssembly:
     # -- scalar summaries
 
     def total_displacement(self, block):
-        val, _ = quad(block.speed, block.t0, block.t1, limit=200)
-        return val
+        return _quad(block.speed, block.t0, block.t1, limit=200)
 
     # -- field materialization
 

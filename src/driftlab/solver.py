@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .fields import (PERIODIC, ZERO, SpaceTimeField, _component_sum, _curl_components,
                      _interpolate, _slab, _sq_distance, cell_to_face, divergence, face_diff,
@@ -258,6 +257,22 @@ def _irfftn(spec, out):
     return out
 
 
+def _dstn(x, inverse=False):
+    """DST-I along each axis in turn, bit-equal to ``scipy.fft.dstn(x, type=1)``
+    (``idstn`` with ``inverse``): −Im of terms 1..N of the real FFT of the odd
+    extension [0, x, 0, −x reversed].  The inverse scales by 1/prod 2(N+1),
+    rounded from long double, after the first axis, as pocketfft does."""
+    scale = float(1 / np.longdouble(math.prod(2 * (N + 1) for N in x.shape)))
+    for a, N in enumerate(x.shape):
+        ext = np.zeros(x.shape[:a] + (2 * (N + 1),) + x.shape[a + 1:])
+        _slab(ext, a, 1, N + 1)[...] = x
+        np.negative(np.flip(x, a), out=_slab(ext, a, N + 2, 2 * N + 2))
+        x = -_slab(np.fft.rfft(ext, axis=a).imag, a, 1, N + 1)
+        if inverse and a == 0:
+            x *= scale
+    return x
+
+
 def _project_faces(grid, faces):
     """Remove the face-divergence by a discrete Poisson correction."""
     div = _face_div(grid, faces)
@@ -270,7 +285,7 @@ def _project_faces(grid, faces):
         dh /= sym
         phi = _irfftn(dh, div)
     else:
-        phi = sfft.idstn(sfft.dstn(div, type=1) / sym, type=1)
+        phi = _dstn(_dstn(div) / sym, inverse=True)
     out = []
     for a in range(grid.n):
         lo, hi = cell_to_face(phi, a, grid.bc)
@@ -312,7 +327,9 @@ class _Upwind:
 
     On every axis F = max(u, 0)·θ_L + min(u, 0)·θ_R, then (F_hi − F_lo)/h is
     accumulated into the output.  ``split`` keeps a reference to the faces and
-    stores no copy of their split, so they must stay unchanged until ``div``.
+    stores no copy of their split, so they must stay unchanged until ``div``;
+    faces passed again as the same object must hold the same values, since
+    ``max_outflow`` is kept for them.
     """
 
     def __init__(self, grid):
@@ -323,6 +340,7 @@ class _Upwind:
         self.work = [work[s] for s in face_shapes]
         self.part = np.empty(shape)
         self.strides = [math.prod(shape[a + 1:]) for a in range(grid.n)]
+        self.faces = self.outflow = None
 
     def split(self, faces):
         """Keep the face velocities for div(); return max |u|.
@@ -330,7 +348,8 @@ class _Upwind:
         Also sets ``outflow_bound``, Σ_a (max u⁺ − min u⁻)/h_a over the faces
         of each axis: no cell's outflow rate exceeds it.
         """
-        self.faces = faces
+        if faces is not self.faces:
+            self.faces, self.outflow = faces, None
         peaks = [(max(u.max(), 0.0), -min(u.min(), 0.0)) for u in faces]
         self.outflow_bound = sum((p + m) / h for (p, m), h in zip(peaks, self.h))
         return max(max(p) for p in peaks)
@@ -338,11 +357,13 @@ class _Upwind:
     def max_outflow(self):
         """Largest outflow rate of a cell for the faces of the last split():
         max_i Σ_a (max(u, 0) on its high face − min(u, 0) on its low face) / h_a."""
-        total = 0.0
-        for a, u in enumerate(self.faces):
-            total = total + (face_to_cell(np.maximum(u, 0.0), a, self.bc)[1]
-                             - face_to_cell(np.minimum(u, 0.0), a, self.bc)[0]) / self.h[a]
-        return total.max()
+        if self.outflow is None:
+            total = 0.0
+            for a, u in enumerate(self.faces):
+                total = total + (face_to_cell(np.maximum(u, 0.0), a, self.bc)[1]
+                                 - face_to_cell(np.minimum(u, 0.0), a, self.bc)[0]) / self.h[a]
+            self.outflow = total.max()
+        return self.outflow
 
     def div(self, theta, out):
         """Write div(u theta) for the faces of the last split() into out."""

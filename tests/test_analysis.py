@@ -315,3 +315,18 @@ def test_fbc_tilde_random_ensemble():
             g, np.abs(rng.standard_normal((5, 96, 96))) * np.exp(-(X**2 + Y**2)))
         rep = fbc_tilde_test(bf, u, par, (0.0, 0.0), 1.0, 0.0, 0.5)
         assert rep.satisfied
+
+
+@pytest.mark.parametrize("ndim", [2, 3, 4])
+def test_dilate_matches_ndimage(ndim):
+    from scipy import ndimage
+
+    from driftlab.analysis import _dilate
+    rng = np.random.default_rng(ndim)
+    for _ in range(20):
+        shape = tuple(rng.integers(1, 9, size=ndim))
+        mask = rng.random(shape) < rng.choice([0.02, 0.1, 0.4])
+        assert np.array_equal(_dilate(mask), ndimage.binary_dilation(mask, iterations=2))
+    # a read-only broadcast mask, as a steady kink set over all stored times
+    mask = np.broadcast_to(rng.random((1, 9, 7)) < 0.1, (4, 9, 7))
+    assert np.array_equal(_dilate(mask), ndimage.binary_dilation(mask, iterations=2))

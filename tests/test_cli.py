@@ -426,3 +426,33 @@ def test_unusable_output_root_exit_code(tmp_path, monkeypatch, capsys, name):
     assert "not a directory" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["root"]
     assert root.read_text() == "a regular file\n"
+
+
+def test_import_loads_no_scipy():
+    import os
+    import subprocess
+    import sys
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys, driftlab, driftlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("setting", [
+    "solver.dt = nan", "solver.dt = -1", "solver.dt = 0",
+    "solver.safety = 2", "solver.safety = nan",
+])
+def test_bad_blowup_solver_setting_exit_code(tmp_path, monkeypatch, capsys, setting):
+    # the blowup config sets no solver keys, so the bad line is appended
+    monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
+    text = (CONFIGS / "borderline-blowup.cfg").read_text()
+    assert "run.resolution = 256\n" in text
+    text = text.replace("run.resolution = 256\n", "run.resolution = 16\n")
+    cfg = tmp_path / "bad-blowup.cfg"
+    cfg.write_text(text + setting + "\n")
+    assert run_cli("run", str(cfg)) == 2
+    assert "bad solver config" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "borderline-blowup" / "blocks.csv").exists()

@@ -762,3 +762,31 @@ def test_field_drift_sample_at_run_times():
     state = dynamic_rescale(run)
     assert state.drift_t.grid == g
     assert subsolution_residual(run).residual.grid == g
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 7), (15, 17), (31, 64), (67, 69), (128, 96),
+                                   (1, 5, 2), (8, 8, 9), (10, 13, 8), (17, 6, 11)])
+def test_dstn_matches_scipy(shape):
+    from driftlab.solver import _dstn
+    x = np.random.default_rng(sum(shape)).standard_normal(shape)
+    assert np.array_equal(_dstn(x), sfft.dstn(x, type=1))
+    assert np.array_equal(_dstn(x, inverse=True), sfft.idstn(x, type=1))
+
+
+def test_max_outflow_one_pass_per_faces_object(monkeypatch):
+    # a steady FieldDrift hands the solver one cached faces list, so the
+    # per-cell bound needs one pass over it, not one per step
+    import driftlab.solver as solver
+    from driftlab.fields import face_to_cell
+    g = zgrid(32, t1=0.02)
+    b = trig_stream_field(g.with_times(0.0, 0.02, 2), 5, 20.0)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return face_to_cell(*args)
+
+    monkeypatch.setattr(solver, "face_to_cell", counting)
+    run = solve(gaussian_blob(g, (0.0, 0.0), 0.3), FieldDrift(b), g)
+    assert len(run.step_times) > 10
+    assert sorted(calls) == [0, 0, 1, 1]
