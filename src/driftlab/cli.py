@@ -78,24 +78,29 @@ def _get(cfg, key, default=None, required=False):
     return default
 
 
-def _get_float(cfg, key, default=None, required=False):
+def _get_float(cfg, key, default=None, required=False, finite=False):
     v = _get(cfg, key, default, required)
-    if v is None or isinstance(v, float):
-        return v
-    try:
-        return float(v)
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: not a number: {v!r}")
+    if v is not None and not isinstance(v, float):
+        try:
+            v = float(v)
+        except ValueError:
+            raise ConfigError(f"config key {key!r}: not a number: {v!r}")
+    if finite and not np.isfinite(v):
+        raise ConfigError(f"config key {key!r}: must be finite, got {v!r}")
+    return v
 
 
-def _get_int(cfg, key, default=None, required=False):
+def _get_int(cfg, key, default=None, required=False, least=None):
     v = _get(cfg, key, default, required)
-    if v is None or isinstance(v, int):
-        return v
-    try:
-        return int(v)
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: not an integer: {v!r}")
+    if v is not None and not isinstance(v, int):
+        try:
+            v = int(v)
+        except ValueError:
+            raise ConfigError(f"config key {key!r}: not an integer: {v!r}")
+    if least is not None and v < least:
+        raise ConfigError(f"config key {key!r}: must be a whole number of at least {least}, "
+                          f"got {v}")
+    return v
 
 
 def _get_tuple(cfg, key, default=None, required=False):
@@ -106,6 +111,11 @@ def _get_tuple(cfg, key, default=None, required=False):
         return tuple(float(x) for x in v.split(","))
     except ValueError:
         raise ConfigError(f"config key {key!r}: not a comma list: {v!r}")
+
+
+def _drift_nt(cfg):
+    """drift.nt, the stored drift slices of every scenario."""
+    return _get_int(cfg, "drift.nt", 17, least=1)
 
 
 def build_grid(cfg):
@@ -187,8 +197,7 @@ def build_drift(cfg, grid, config_path):
     kind = _get(cfg, "drift.kind", "none")
     if kind == "none":
         return None
-    nt = _get_int(cfg, "drift.nt", 17)
-    dgrid = grid.with_times(grid.t0, grid.t1, nt)
+    dgrid = grid.with_times(grid.t0, grid.t1, _drift_nt(cfg))
     if kind == "manifest":
         rel = _get(cfg, "drift.manifest", required=True)
         p = Path(config_path).parent / rel
@@ -200,8 +209,8 @@ def build_drift(cfg, grid, config_path):
             raise ConfigError(f"{p}: {e}")
         return FieldDrift(asm.sample_drift(dgrid))
     if kind == "random_stream":
-        seed = _get_int(cfg, "drift.seed", 0)
-        amp = _get_float(cfg, "drift.amplitude", 1.0)
+        seed = _get_int(cfg, "drift.seed", 0, least=0)
+        amp = _get_float(cfg, "drift.amplitude", 1.0, finite=True)
         return FieldDrift(trig_stream_field(dgrid, seed, amp))
     raise ConfigError(f"unknown drift.kind {kind!r}")
 
@@ -251,14 +260,18 @@ def scenario_diffusion(cfg, config_path, jobs):
 # scenario: Nash drift-independence ensemble
 
 
+def _nash_settings(cfg):
+    """The ensemble's member count, seed, amplitude and drift slice count."""
+    return (_get_int(cfg, "ensemble.count", 10, least=3),
+            _get_int(cfg, "scenario.seed", 0, least=0),
+            _get_float(cfg, "ensemble.amplitude", 1.0, finite=True), _drift_nt(cfg))
+
+
 def _nash_member(payload):
     cfg, config_path, idx = payload
     grid = build_grid(cfg)
     sol = build_solver_config(cfg)
-    count = _get_int(cfg, "ensemble.count", 10)
-    seed = _get_int(cfg, "scenario.seed", 0)
-    amp = _get_float(cfg, "ensemble.amplitude", 1.0)
-    nt = _get_int(cfg, "drift.nt", 17)
+    count, seed, amp, nt = _nash_settings(cfg)
     dgrid = grid.with_times(grid.t0, grid.t1, nt)
     span = grid.t1 - grid.t0
 
@@ -288,9 +301,7 @@ def _nash_member(payload):
 
 
 def scenario_nash_ensemble(cfg, config_path, jobs):
-    count = _get_int(cfg, "ensemble.count", 10)
-    if count < 3:
-        raise ConfigError("ensemble.count must be >= 3")
+    count = _nash_settings(cfg)[0]
     build_grid(cfg)  # validate before any work
     out = output_dir(cfg)
     payloads = [(cfg, str(config_path), i) for i in range(count)]
@@ -355,11 +366,12 @@ def scenario_borderline_blowup(cfg, config_path, jobs):
     amp_ratio = _get_float(cfg, "assembly.amp_ratio", 0.9)
     travel = _get_float(cfg, "assembly.travel", 1.2)
     end_time = _get_float(cfg, "assembly.end_time", 0.98)
-    resolution = _get_int(cfg, "run.resolution", 256)
+    resolution = _get_int(cfg, "run.resolution", 256, least=2)
     extent = _get_float(cfg, "run.extent", 2.0)
     tau0 = _get_float(cfg, "run.tau0", 0.2)
     tau1 = _get_float(cfg, "run.tau1", 0.5)
     probe_radius = _get_float(cfg, "probe.radius", 0.5)
+    drift_nt = _drift_nt(cfg)
     sol = build_solver_config(cfg)
     if not np.isfinite([extent, tau0, tau1, probe_radius]).all():
         raise ConfigError("run.extent, run.tau0, run.tau1 and probe.radius must be finite")
@@ -367,8 +379,6 @@ def scenario_borderline_blowup(cfg, config_path, jobs):
         raise ConfigError("run.tau0 must be less than run.tau1")
     if probe_radius <= 0:
         raise ConfigError("probe.radius must be positive")
-    if resolution < 2:
-        raise ConfigError("run.resolution must be at least 2")
     # written so that a NaN travel or scale0 fails it too
     if not (travel / 2.0 + 4.2 * scale0 <= extent):
         raise ConfigError("run.extent too small for the cap support")
@@ -381,8 +391,7 @@ def scenario_borderline_blowup(cfg, config_path, jobs):
         raise ConfigError(str(e))
     out = output_dir(cfg)
     sups, regs = blowup_probe_series(
-        asm, resolution, extent, tau0, tau1, probe_radius,
-        drift_nt=_get_int(cfg, "drift.nt", 17), config=sol)
+        asm, resolution, extent, tau0, tau1, probe_radius, drift_nt=drift_nt, config=sol)
 
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.txt").write_text(asm.manifest())

@@ -470,18 +470,12 @@ class DriftAssembly:
 
     def sample_drift(self, grid):
         """Cell-centered drift samples via the discrete curl (div-free exactly)."""
-        X = grid.meshgrid()
-        out = np.empty((grid.nt,) + tuple(grid.shape) + (grid.n,))
-        for j, t in enumerate(grid.times):
-            out[j] = curl(self.potential(t, X), grid)
-        return SpaceTimeField(grid, out, grid.n)
+        return SpaceTimeField.from_function(
+            grid, lambda t, *X: curl(self.potential(t, X), grid), grid.n)
 
     def sample_subsolution(self, grid):
         pts = np.stack(grid.meshgrid(), axis=-1)
-        out = np.empty((grid.nt,) + tuple(grid.shape))
-        for j, t in enumerate(grid.times):
-            out[j] = self.subsolution_at(t, pts)
-        return SpaceTimeField(grid, out)
+        return SpaceTimeField.from_function(grid, lambda t, *X: self.subsolution_at(t, pts))
 
     def subsolution_at(self, t, pts):
         out = np.zeros(np.shape(pts)[:-1])

@@ -126,20 +126,17 @@ def _slab(arr, axis, i, j):
     return arr[tuple(idx)]
 
 
-def _shift(a, axis, off, bc):
-    """Shifted copy of a spatial-axis slab with the grid's boundary handling."""
-    if bc == PERIODIC:
-        return np.roll(a, -off, axis=axis)
-    out = np.zeros_like(a)
-    if off > 0:
-        _slab(out, axis, None, -off)[...] = _slab(a, axis, off, None)
-    else:
-        _slab(out, axis, -off, None)[...] = _slab(a, axis, None, off)
-    return out
+def _extend(a, axis, bc, width=(1, 1)):
+    """a extended along axis by (before, after) cells from beyond the box: the
+    wrapped cells on periodic grids, zeros on zero grids."""
+    pad = [(0, 0)] * a.ndim
+    pad[axis] = width
+    return np.pad(a, pad, mode="wrap" if bc == PERIODIC else "constant")
 
 
 def _ddx(a, axis, h, bc):
-    return (_shift(a, axis, 1, bc) - _shift(a, axis, -1, bc)) / (2.0 * h)
+    p = _extend(a, axis, bc)
+    return (_slab(p, axis, 2, None) - _slab(p, axis, None, -2)) / (2.0 * h)
 
 
 # Faces: face k along an axis is the low face of cell k.  A periodic grid has
@@ -151,17 +148,13 @@ def _ddx(a, axis, h, bc):
 def face_to_cell(f, axis, bc):
     """(low, high) faces of each cell along axis, from face data."""
     if bc == PERIODIC:
-        return f, np.roll(f, -1, axis)
+        f = _extend(f, axis, bc, (0, 1))
     return _slab(f, axis, None, -1), _slab(f, axis, 1, None)
 
 
 def cell_to_face(c, axis, bc):
     """(low, high) cells of each face along axis, from cell data."""
-    if bc == PERIODIC:
-        return np.roll(c, 1, axis), c
-    width = [(0, 0)] * c.ndim
-    width[axis] = (1, 1)
-    c = np.pad(c, width)
+    c = _extend(c, axis, bc, (1, 0) if bc == PERIODIC else (1, 1))
     return _slab(c, axis, None, -1), _slab(c, axis, 1, None)
 
 
@@ -220,8 +213,8 @@ def grid_laplacian(a, grid, first_axis=0):
     out = np.zeros(a.shape)
     for i in range(grid.n):
         axis = first_axis + i
-        out += (_shift(a, axis, 1, grid.bc) - 2.0 * a
-                + _shift(a, axis, -1, grid.bc)) / grid.h[i] ** 2
+        p = _extend(a, axis, grid.bc)
+        out += (_slab(p, axis, 2, None) - 2.0 * a + _slab(p, axis, None, -2)) / grid.h[i] ** 2
     return out
 
 

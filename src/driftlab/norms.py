@@ -58,6 +58,8 @@ class MixedNormSpec:
     def __post_init__(self):
         if self.order not in (TIME_OUTER, SPACE_OUTER, SLICED_TR, SLICED_RT):
             raise ValueError(f"unknown order {self.order!r}")
+        if not self.n >= 2:
+            raise ValueError(f"dimension n must be at least 2, got {self.n}")
         for name in ("p", "q", "beta", "gamma"):
             v = getattr(self, name)
             if not v >= 1:

@@ -120,13 +120,12 @@ class PotentialDrift:
 
     def sample(self, grid):
         """Cell-centered samples by averaging the two faces of each cell."""
-        out = np.zeros((grid.nt,) + tuple(grid.shape) + (grid.n,))
-        for j, t in enumerate(grid.times):
+        def cells(t, *X):
             faces = self.face_velocities(grid, t)
-            for a in range(grid.n):
-                lo, hi = face_to_cell(faces[a], a, grid.bc)
-                out[j, ..., a] = 0.5 * (lo + hi)
-        return SpaceTimeField(grid, out, grid.n)
+            pairs = [face_to_cell(f, a, grid.bc) for a, f in enumerate(faces)]
+            return np.stack([0.5 * (lo + hi) for lo, hi in pairs], axis=-1)
+
+        return SpaceTimeField.from_function(grid, cells, grid.n)
 
 
 class FieldDrift:
@@ -196,11 +195,12 @@ class FieldDrift:
         if np.array_equal(grid.times, self.b.grid.times):
             return self.b
         s = self.b.samples
-        out = np.empty((grid.nt,) + s.shape[1:])
-        for j, t in enumerate(grid.times):
+
+        def interpolated(t, *X):
             j0, j1, w = self._bracket(grid, t)
-            out[j] = s[j0] * (1 - w) + s[j1] * w
-        return SpaceTimeField(grid, out, grid.n)
+            return s[j0] * (1 - w) + s[j1] * w
+
+        return SpaceTimeField.from_function(grid, interpolated, grid.n)
 
 
 def _face_div(grid, faces):
@@ -398,11 +398,8 @@ class _Upwind:
 
 def _apply_buffer(theta, grid):
     for a in range(grid.n):
-        sl = [slice(None)] * grid.n
-        sl[a] = slice(0, BUFFER_CELLS)
-        theta[tuple(sl)] = 0.0
-        sl[a] = slice(-BUFFER_CELLS, None)
-        theta[tuple(sl)] = 0.0
+        _slab(theta, a, 0, BUFFER_CELLS)[...] = 0.0
+        _slab(theta, a, -BUFFER_CELLS, None)[...] = 0.0
 
 
 @dataclass

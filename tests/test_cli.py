@@ -29,6 +29,12 @@ def test_classify_examples(capsys):
         "ζ₀ = 2.000, dimension_reduced_fail ((n−1)/2 endpoint)"
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_classify_dimension_below_two_exit_code(capsys, n):
+    assert run_cli("classify", "--order", "tq", "--p", "3", "--q", "inf", "--n", n) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_classify_invalid_exponent(capsys):
     assert run_cli("classify", "--order", "tq", "--q", "0.5", "--p", "2", "--n", "3") == 2
 
@@ -163,7 +169,7 @@ def test_blowup_scenario_small(tmp_path, monkeypatch):
     "run.extent = nan", "run.extent = inf", "run.extent = 1.0",
     "run.tau0 = nan", "run.tau1 = nan", "run.tau1 = 0.1", "run.tau1 = 0.2",
     "probe.radius = nan", "probe.radius = 0", "run.resolution = 1",
-    "assembly.travel = nan", "assembly.scale0 = nan",
+    "assembly.travel = nan", "assembly.scale0 = nan", "drift.nt = 0",
 ])
 def test_bad_blowup_setting_exit_code(tmp_path, monkeypatch, capsys, setting):
     import driftlab.cli as cli
@@ -191,6 +197,10 @@ def test_bad_blowup_setting_exit_code(tmp_path, monkeypatch, capsys, setting):
     ("init.kind = blob", "init.width = nan"), ("init.kind = blob", "init.width = -0.0"),
     ("init.kind = blob", "init.width = inf"), ("init.kind = blob", "init.center = nan,0"),
     ("grid.shape = 64.7,64",), ("grid.shape = nan,64",),
+    ("drift.kind = random_stream", "drift.nt = 0"),
+    ("drift.kind = random_stream", "drift.nt = -3"),
+    ("drift.kind = random_stream", "drift.seed = -1"),
+    ("drift.kind = random_stream", "drift.amplitude = nan"),
 ])
 def test_bad_diffusion_setting_exit_code(tmp_path, monkeypatch, capsys, settings):
     import driftlab.cli as cli
@@ -207,6 +217,27 @@ def test_bad_diffusion_setting_exit_code(tmp_path, monkeypatch, capsys, settings
              if line.split("=")[0].strip() not in new]
     cfg = tmp_path / "bad-heat.cfg"
     cfg.write_text("\n".join(lines + list(new.values())) + "\n")
+    assert run_cli("run", str(cfg)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("setting", [
+    "drift.nt = 0", "drift.nt = -3", "scenario.seed = -1", "ensemble.amplitude = nan",
+])
+def test_bad_nash_setting_exit_code(tmp_path, monkeypatch, capsys, setting):
+    import driftlab.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a bad setting must be refused before any member runs")
+
+    monkeypatch.setattr(cli, "_nash_member", no_work)
+    monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
+    key = setting.split("=")[0].strip()
+    lines = [line for line in (CONFIGS / "nash-ensemble.cfg").read_text().splitlines()
+             if line.split("=")[0].strip() not in (key, "grid.shape")]
+    cfg = tmp_path / "bad-nash.cfg"
+    cfg.write_text("\n".join(lines + ["grid.shape = 16,16", setting]) + "\n")
     assert run_cli("run", str(cfg)) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()

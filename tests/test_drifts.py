@@ -30,8 +30,8 @@ from driftlab.drifts import (
     _radial_mollify,
 )
 from driftlab.cli import trig_stream_field
-from driftlab.fields import Grid, SpaceTimeField, divergence
-from driftlab.solver import FieldDrift, as_drift
+from driftlab.fields import Grid, SpaceTimeField, curl, divergence, face_to_cell
+from driftlab.solver import FieldDrift, PotentialDrift, as_drift
 
 
 # ---------------------------------------------------------------------------
@@ -440,3 +440,47 @@ def test_hminus1_proxy_unit_mode():
     # |k| = 1 modes: the proxy coincides with the L2 norm
     l2 = np.sqrt((b**2).sum() * g.cell_volume)
     assert hminus1_proxy(f) == pytest.approx(l2, rel=1e-10)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_samplers_bit_equal_to_per_slice_loop(n, bc):
+    """The four samplers fill their slices exactly as a hand-written loop over
+    the stored times does."""
+    asm = assemble_borderline(2, n=n, scale0=0.3, travel=1.0, end_time=0.95,
+                              x_start=(-0.5,) + (0.0,) * (n - 1))
+    g = Grid(n, (-2.0,) * n, (2.0,) * n, (12,) * n, asm.blocks[0].t0, asm.blocks[-1].t1, 5, bc)
+    X = g.meshgrid()
+    pts = np.stack(X, axis=-1)
+    b = asm.sample_drift(g)
+    assert b.samples.tobytes() == np.stack(
+        [curl(asm.potential(t, X), g) for t in g.times]).tobytes()
+    assert asm.sample_subsolution(g).samples.tobytes() == np.stack(
+        [asm.subsolution_at(t, pts) for t in g.times]).tobytes()
+
+    # compact support, so the face velocities hold signed zeros outside it
+    def bump(t, *X):
+        return np.maximum(1.0 - sum(x * x for x in X), 0.0) ** 2 * np.sin(X[0] + t)
+
+    if n == 2:
+        pd = PotentialDrift(2, stream_fn=bump)
+    else:
+        pd = PotentialDrift(3, potential_fn=lambda t, *X: (
+            bump(t, *X) * X[2], -bump(t, *X), bump(t, *X) * X[1]))
+    want = np.zeros((g.nt,) + tuple(g.shape) + (n,))
+    for j, t in enumerate(g.times):
+        for a, f in enumerate(pd.face_velocities(g, t)):
+            lo, hi = face_to_cell(f, a, bc)
+            want[j, ..., a] = 0.5 * (lo + hi)
+    assert pd.sample(g).samples.tobytes() == want.tobytes()
+
+    fd = FieldDrift(b)
+    assert fd.sample(g) is b
+    g2 = g.with_times(g.t0, g.t1, 9)
+    want = np.empty((g2.nt,) + b.samples.shape[1:])
+    for j, t in enumerate(g2.times):
+        pos = min(max((t - g.t0) / (g.t1 - g.t0) * (g.nt - 1), 0.0), g.nt - 1.0)
+        j0 = int(np.floor(pos))
+        w = pos - j0
+        want[j] = b.samples[j0] * (1 - w) + b.samples[min(j0 + 1, g.nt - 1)] * w
+    assert fd.sample(g2).samples.tobytes() == want.tobytes()

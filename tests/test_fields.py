@@ -9,8 +9,12 @@ from scipy import ndimage
 from driftlab.fields import (
     Grid,
     SpaceTimeField,
+    _ddx,
+    cell_to_face,
     divergence,
+    face_to_cell,
     gradient,
+    grid_laplacian,
     laplacian,
     read_field,
     shell_restrict,
@@ -163,6 +167,50 @@ def test_operator_linearity():
     lhs = gradient(SpaceTimeField(g, a.samples + b.samples)).samples
     rhs = gradient(a).samples + gradient(b).samples
     assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+def _shifted_reference(a, axis, off, bc):
+    """a[i + off] along axis: np.roll on periodic grids, zero fill on zero grids."""
+    if bc == "periodic":
+        return np.roll(a, -off, axis=axis)
+    out = np.zeros_like(a)
+    dst, src = [slice(None)] * a.ndim, [slice(None)] * a.ndim
+    if off > 0:
+        dst[axis], src[axis] = slice(None, -off), slice(off, None)
+    else:
+        dst[axis], src[axis] = slice(-off, None), slice(None, off)
+    out[tuple(dst)] = a[tuple(src)]
+    return out
+
+
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+@pytest.mark.parametrize("shape", [(5, 7), (4, 5, 6)])
+def test_stencils_bit_equal_to_shifted_copy_reference(shape, bc):
+    """The boundary extension reads the same neighbours, in the same order of
+    operations, as shifted copies and np.roll face pairs: bit for bit, with
+    signed zeros and NaN in the data."""
+    n = len(shape)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(shape)
+    flat = a.reshape(-1)
+    flat[::5], flat[1::7], flat[2::11] = -0.0, 0.0, np.nan
+    g = Grid(n, (-1.0,) * n, tuple(1.0 + 0.5 * i for i in range(n)), shape, bc=bc)
+    lap = np.zeros(shape)
+    for axis in range(n):
+        up, down = (_shifted_reference(a, axis, off, bc) for off in (1, -1))
+        want = (up - down) / (2.0 * g.h[axis])
+        assert _ddx(a, axis, g.h[axis], bc).tobytes() == want.tobytes()
+        lap += (up - 2.0 * a + down) / g.h[axis] ** 2
+        if bc == "periodic":
+            faces = (a, np.roll(a, -1, axis)), (np.roll(a, 1, axis), a)
+        else:
+            pre = (slice(None),) * axis
+            zero = np.zeros_like(a[pre + (slice(0, 1),)])
+            faces = ((a[pre + (slice(None, -1),)], a[pre + (slice(1, None),)]),
+                     (np.concatenate([zero, a], axis), np.concatenate([a, zero], axis)))
+        for got, ref in zip((face_to_cell(a, axis, bc), cell_to_face(a, axis, bc)), faces):
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
+    assert grid_laplacian(a, g).tobytes() == lap.tobytes()
 
 
 def test_shell_weights_and_constant_field():

@@ -192,6 +192,9 @@ def test_spec_validation():
     MixedNormSpec("sliced_rt", 2, kappa=0.25)  # kappa < 1 is legal
     with pytest.raises(ValueError):
         MixedNormSpec("sliced_rt", 2, kappa=-1.0)
+    for n in (1, 0):
+        with pytest.raises(ValueError):
+            MixedNormSpec("time_outer", n, p=3.0)
 
 
 # -------------------------------------------------------------- good slices
