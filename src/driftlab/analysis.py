@@ -14,9 +14,11 @@ import numpy as np
 from .fields import SpaceTimeField, _component_sum, _slab, _sq_distance, gradient, laplacian
 from .norms import (
     FBC_PREFACTOR,
+    SLICE_RADII,
     GoodSlices,
     _energy_terms,
     _flux_average,
+    _theta2_M,
     _time_selection,
     _time_window,
     good_slices,
@@ -41,23 +43,20 @@ class FundSolBoundParams:
             raise ValueError("need alpha0 >= 0 and positive M0, C0")
 
 
-def fundsol_params(spec, b_norm, prefactor=FBC_PREFACTOR):
+def fundsol_params(spec, b_norm):
     """Derive (α₀, M₀, C₀) from a mixed-norm spec and the measured drift norm.
 
     θ₂ = 1 − ζ₀/2 and α₀ = (ζ₀ − 1)/θ₂ for 1 ≤ ζ₀ < 2 (clamped to 0 in the
-    subcritical range); M₀ = C ∥b∥^{1/θ₂} + 1/4.
+    subcritical range); M₀ = C ∥b∥^{1/θ₂} + 1/4 with C₀ = C = FBC_PREFACTOR.
     """
-    z = spec.zeta0
-    if not z < 2:
-        raise ValueError("spec must be strictly below the zeta0 = 2 line")
-    th2 = 1.0 - z / 2.0
-    alpha0 = max(0.0, (z - 1.0) / th2)
-    M0 = prefactor * b_norm ** (1.0 / th2) + 0.25
-    return FundSolBoundParams(alpha0, M0, prefactor, th2)
+    th2, M0 = _theta2_M(spec, b_norm, 1.0)
+    alpha0 = max(0.0, (spec.zeta0 - 1.0) / th2)
+    return FundSolBoundParams(alpha0, M0, FBC_PREFACTOR, th2)
 
 
-def drift_free_params(prefactor=FBC_PREFACTOR):
-    return FundSolBoundParams(0.0, 0.25, prefactor, 0.5)
+def drift_free_params():
+    """The b = 0 constants: α₀ = 0, M₀ = 1/4, C₀ = FBC_PREFACTOR, θ₂ = 1/2."""
+    return FundSolBoundParams(0.0, 0.25, FBC_PREFACTOR, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +96,12 @@ def _dilate(mask):
     return grown
 
 
-def subsolution_residual(theta, b=None, exclude=None, tol=0.0):
+def subsolution_residual(theta, b=None, exclude=None):
     """Discrete residual ∂_t θ − Δθ + b·∇θ away from declared kink sets.
 
     ``exclude`` is a boolean space-time mask of kink points; it is dilated by
     two cells (≈ 2h) before exclusion.  Boundary frames and the first/last
-    stored times are always excluded.  Positive residual above ``tol`` is a
-    violation.
+    stored times are always excluded.  Any positive residual is a violation.
     """
     field, b = _as_field_and_drift(theta, b)
     g = field.grid
@@ -127,7 +125,7 @@ def subsolution_residual(theta, b=None, exclude=None, tol=0.0):
         checked &= ~_dilate(exclude)
     vals = res[checked]
     mx = float(vals.max()) if vals.size else -np.inf
-    viol = checked & (res > tol)
+    viol = checked & (res > 0.0)
     return ResidualReport(mx, SpaceTimeField(g, res, allow_nonfinite=True),
                           checked, viol)
 
@@ -182,8 +180,9 @@ class HarnackReport:
     value_at_kappa_tenth: float
 
 
-def harnack_quotient(run, center, radius, I1, I2, kappa_rel=1e-12):
-    """sup over B×I₁ divided by inf over B×I₂ (with the θ + κ device)."""
+def harnack_quotient(run, center, radius, I1, I2):
+    """sup over B×I₁ divided by inf over B×I₂ (with the θ + κ device,
+    κ = 10⁻¹² max θ)."""
     if not I1[1] <= I2[0]:
         raise ValueError("I1 must end before I2 begins")
     field = _trajectory(run)
@@ -195,7 +194,7 @@ def harnack_quotient(run, center, radius, I1, I2, kappa_rel=1e-12):
     # adding κ commutes with sup and inf, rounding included
     sup = field.samples[m1][:, space].max()
     inf = field.samples[m2][:, space].min()
-    kappa = kappa_rel * float(field.samples.max())
+    kappa = 1e-12 * float(field.samples.max())
     return HarnackReport(float((sup + kappa) / (inf + kappa)), kappa,
                          float((sup + kappa / 10.0) / (inf + kappa / 10.0)))
 
@@ -215,16 +214,16 @@ class MoserTrace:
     sup_inner: float
 
 
-def moser_constant(fbc, rho, R, T, tau, R0=None):
-    """The aggregate 𝐂 = 1/(δ²(R−r)²) + M R₀^α/(δ^α R₀² (R−r)^α) + 1/(τ−T)."""
-    R0 = R0 if R0 is not None else R
+def moser_constant(fbc, rho, R, T, tau):
+    """The aggregate 𝐂 = 1/(δ²(R−r)²) + M R₀^α/(δ^α R₀² (R−r)^α) + 1/(τ−T)
+    with R₀ = R."""
     d, a = fbc.delta, fbc.alpha
     return (1.0 / (d**2 * (R - rho) ** 2)
-            + fbc.M * R0**a / (d**a * R0**2 * (R - rho) ** a)
+            + fbc.M * R**a / (d**a * R**2 * (R - rho) ** a)
             + 1.0 / (tau - T))
 
 
-def moser_trace(run, center, rho, R, T, tau, t_end, fbc, R0=None, kmax=8):
+def moser_trace(run, center, rho, R, T, tau, t_end, fbc, kmax=8):
     """Norm ladder M_k = ∥θ²∥_{L^{β_k}} on shrinking cylinders, β_k = χ^k.
 
     Cylinder k is B_{ϱ_k} × (τ_k, t_end] with ϱ_k = ϱ + 2^{−k}(R − ϱ) and
@@ -255,7 +254,7 @@ def moser_trace(run, center, rho, R, T, tau, t_end, fbc, R0=None, kmax=8):
                         ** (1.0 / betas[k])))
     tid, _ = _time_selection(g, tau, t_end)
     sup_inner = float(field.samples[tid][:, r <= rho].max())
-    Cbig = moser_constant(fbc, rho, R, T, tau, R0)
+    Cbig = moser_constant(fbc, rho, R, T, tau)
     predicted = Cbig ** ((g.n + 2) / 4.0) * np.sqrt(Ms[0])
     return MoserTrace(chi, betas, np.asarray(Ms), ladder, float(Cbig),
                       float(predicted), sup_inner)
@@ -288,19 +287,17 @@ class DaviesProbe:
         return float(self.psi_knots[-1])
 
 
-def davies_probe(b, x0, gamma, t0=None, t1=None, nr=33):
-    """Build the weight from good slices of b on the annulus (|x₀|/2, |x₀|)."""
+def davies_probe(b, x0, gamma):
+    """Build the weight from good slices of b on the annulus (|x₀|/2, |x₀|)
+    over b's whole time span; with b = None every slice is good."""
     x0 = np.asarray(x0, dtype=float)
     R = float(np.linalg.norm(x0))
     if b is None:
-        dr = (R / 2.0) / nr
-        radii = R / 2.0 + dr * (np.arange(nr) + 0.5)
-        slices = GoodSlices(radii, np.zeros(nr), np.ones(nr, dtype=bool), 0.0, dr)
+        dr = (R / 2.0) / SLICE_RADII
+        radii = R / 2.0 + dr * (np.arange(SLICE_RADII) + 0.5)
+        slices = GoodSlices(radii, np.zeros_like(radii), np.ones(radii.shape, bool), 0.0, dr)
     else:
-        g = b.grid
-        slices = good_slices(b, (0.0,) * b.grid.n, R / 2.0, R,
-                             t0 if t0 is not None else g.t0,
-                             t1 if t1 is not None else g.t1, nr=nr)
+        slices = good_slices(b, (0.0,) * b.grid.n, R / 2.0, R, b.grid.t0, b.grid.t1)
     edges = np.concatenate([[R / 2.0], slices.radii + slices.dr / 2.0])
     psi = gamma * slices.dr * np.concatenate([[0.0], np.cumsum(slices.mask)])
     return DaviesProbe(x0, float(gamma), edges, psi, slices)
@@ -315,11 +312,11 @@ class DaviesReport:
     bound_ok: bool
 
 
-def davies_energy(run, probe, params=None, c_max=1e6):
+def davies_energy(run, probe, params=None):
     """J(t) = ½∫ e^{2ψ} θ² and the smallest C making the Gronwall bound hold.
 
     Checks J(t) ≤ C J(0) exp((Cγ² + C M₀ γ^{2+α₀} + |x₀|⁻²) t − t₀) and
-    reports the bisected minimal C.
+    reports the minimal C bisected on [0, 10⁶] (C = ∞ if 10⁶ fails).
     """
     field = _trajectory(run)
     g = field.grid
@@ -339,9 +336,9 @@ def davies_energy(run, probe, params=None, c_max=1e6):
         rhs = np.log(C * J[0] + 1e-300) + rate * ts
         return bool(np.all(lhs <= rhs + 1e-12))
 
-    if not ok(c_max):
+    lo, hi = 0.0, 1e6
+    if not ok(hi):
         return DaviesReport(g.times, J, np.inf, np.nan, False)
-    lo, hi = 0.0, c_max
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if ok(mid):
@@ -376,40 +373,39 @@ def _tail_shape(r, tau, c, params, n):
     return tau ** (-n / 2.0) * (gauss + stretched), gauss >= stretched
 
 
-def tail_check(run, params, source, s, tau_min=None, rmax=None, floor_rel=1e-10,
-               c_sweep=None, slack=4.0):
+def tail_check(run, params, source, s):
     """Constrained two-exponential majorization fit over all sampled Γ values.
 
-    For each candidate decay rate c, C(c) is the smallest prefactor that
+    The samples are those with τ = t − s ≥ 40h², r ≤ 0.4 L (L the shortest
+    box side) and value above 10⁻¹⁰ of the largest.  For each decay rate c
+    of 60 geometric steps in [10⁻³, 1], C(c) is the smallest prefactor that
     majorizes every sample; the reported c is the largest one whose C(c) stays
-    within ``slack`` of the best achievable C.  Also classifies each sample by
+    within 4 times the best achievable C.  Also classifies each sample by
     active branch (Gaussian vs stretched-exponential) and by inner/outer
     regime (outer: M₀^{1/α₀} r/τ ≥ 16, or r ≥ 16√τ when α₀ = 0).
     """
     field = _trajectory(run)
     g = field.grid
-    h = min(g.h)
-    tau_min = tau_min if tau_min is not None else 40.0 * h**2
-    L = min(g.hi[i] - g.lo[i] for i in range(g.n))
-    rmax = rmax if rmax is not None else 0.4 * L
+    tau_min = 40.0 * min(g.h) ** 2
+    rmax = 0.4 * min(g.hi[i] - g.lo[i] for i in range(g.n))
     r = np.sqrt(_sq_distance(g.meshgrid(), np.asarray(source, dtype=float)))
     taus = g.times - s
     sel_t = taus >= tau_min
     if not sel_t.any():
         raise ValueError("no stored times above the resolution floor")
     sel = field.samples[sel_t]
-    m = (r <= rmax) & (sel > floor_rel * sel.max())
+    m = (r <= rmax) & (sel > 1e-10 * sel.max())
     rs = np.broadcast_to(r, sel.shape)[m]
     ts = np.broadcast_to(taus[sel_t].reshape((-1,) + (1,) * g.n), sel.shape)[m]
     vals = sel[m]
 
-    c_sweep = c_sweep if c_sweep is not None else np.geomspace(1e-3, 1.0, 60)
+    c_sweep = np.geomspace(1e-3, 1.0, 60)
     Cs = np.empty(len(c_sweep))
     for i, c in enumerate(c_sweep):
         shape, _ = _tail_shape(rs, ts, c, params, g.n)
         Cs[i] = (vals / shape).max()
     best = Cs.min()
-    admissible = np.where(Cs <= slack * best)[0]
+    admissible = np.where(Cs <= 4.0 * best)[0]
     i_star = admissible.max()
     c_star = float(c_sweep[i_star])
     C_star = float(Cs[i_star])
@@ -434,21 +430,20 @@ class FbcTildeReport:
     slices: GoodSlices
 
 
-def fbc_tilde_test(b, u, params, center, R, t0, t1,
-                   eps_sweep=(1e-2, 1e-1, 1.0, 10.0), nr=33):
-    """Evaluate the outward-flux inequality at a sweep of ε values.
+def fbc_tilde_test(b, u, params, center, R, t0, t1):
+    """Evaluate the outward-flux inequality at ε = 10⁻², 10⁻¹, 1 and 10.
 
     lhs = +(1/|A|) ∬_{∂B_A×I} (u²/2)(b·n) with A good slices in (R/2, R);
     rhs(ε) = M₀/(ε^{α₀+1} R^{α₀+2}) ∬_{B_R×I} u²
              + ε (R⁻² ∬_{B_R×I} u² + ∬ |∇u|² + sup_t ∫_{B_R} u²).
     Satisfied iff the inequality holds for every ε in the sweep.
     """
-    slices = good_slices(b, center, R / 2.0, R, t0, t1, nr=nr)
+    slices = good_slices(b, center, R / 2.0, R, t0, t1)
     lhs = _flux_average(b, u, center, slices, t0, t1)
     e = _energy_terms(u, center, R / 2.0, R, t0, t1)
     rhs = {}
     ok = True
-    for eps in eps_sweep:
+    for eps in (1e-2, 1e-1, 1.0, 10.0):
         val = (params.M0 / (eps ** (params.alpha0 + 1.0) * R ** (params.alpha0 + 2.0))
                * e["bulk_ball"]
                + eps * (e["bulk_ball"] / R**2 + e["grad_ball"] + e["sup_ball"]))

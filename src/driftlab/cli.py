@@ -90,8 +90,8 @@ def _get_float(cfg, key, default=None, required=False, finite=False):
     return v
 
 
-def _get_int(cfg, key, default=None, required=False, least=None):
-    v = _get(cfg, key, default, required)
+def _get_int(cfg, key, default=None, least=None):
+    v = _get(cfg, key, default)
     if v is not None and not isinstance(v, int):
         try:
             v = int(v)
@@ -173,12 +173,13 @@ def write_summary(path, rows):
 # drift construction from config
 
 
-def trig_stream_field(grid, seed, amplitude, nmodes=4):
-    """Sampled random trigonometric stream drift (discretely div-free)."""
+def trig_stream_field(grid, seed, amplitude):
+    """Sampled random trigonometric stream drift of four modes (discretely
+    div-free)."""
     rng = np.random.default_rng(seed)
     X = grid.meshgrid()
     psi = np.zeros(grid.shape)
-    for _ in range(nmodes):
+    for _ in range(4):
         k = rng.integers(1, 4, size=grid.n)
         phase = rng.uniform(0, 2 * np.pi, size=grid.n)
         term = amplitude * rng.standard_normal()
@@ -235,9 +236,7 @@ def scenario_diffusion(cfg, config_path, jobs):
     if init == "fundamental":
         run = fundamental_solution(center, grid.t0, drift, grid, sol, width)
     elif init == "blob":
-        theta0 = gaussian_blob(grid, center, width,
-                               normalize=_get(cfg, "init.normalize", "true") == "true")
-        run = solve(theta0, drift, grid, sol)
+        run = solve(gaussian_blob(grid, center, width), drift, grid, sol)
     else:
         raise ConfigError(f"unknown init.kind {init!r}")
 

@@ -127,8 +127,9 @@ class BogovskiiCap:
         return float(((mag**p).sum() * self.field.grid.cell_volume) ** (1.0 / p))
 
 
-def build_bogovskii_cap(resolution=128, n=2, ramp=(3.0, 3.8), extent=4.2):
-    """Build the cap by applying the discrete curl to the cut-off potential.
+def build_bogovskii_cap(resolution=128, n=2, ramp=(3.0, 3.8)):
+    """Build the cap by applying the discrete curl to the cut-off potential,
+    on the zero-boundary box [-4.2, 4.2]^n.
 
     Centered differences commute, so the discrete divergence of a discrete
     curl vanishes identically; the potential is linear where the cutoff is 1,
@@ -138,7 +139,7 @@ def build_bogovskii_cap(resolution=128, n=2, ramp=(3.0, 3.8), extent=4.2):
         raise ValueError("resolution must be at least 64 per axis")
     if not (2.0 < ramp[0] < ramp[1] < 4.0):
         raise ValueError("cutoff ramp must sit strictly between B2 and B4")
-    g = Grid(n, (-extent,) * n, (extent,) * n, (resolution,) * n, bc=ZERO)
+    g = Grid(n, (-4.2,) * n, (4.2,) * n, (resolution,) * n, bc=ZERO)
     h = g.h[0]
     if ramp[1] + 2 * h > 4.0 or ramp[0] - 2 * h < 2.0:
         raise ValueError("grid too coarse for the cutoff ramp")
@@ -590,17 +591,17 @@ def _mollifier_profile(s):
     return out
 
 
-def _radial_mollify(profile_fn, r, eps, d, ns=48, nphi=96):
+def _radial_mollify(profile_fn, r, eps, d):
     """d-dimensional mollification of a radial function, on radial samples.
 
-    u_eps(r) = int_{R^d} phi_eps(y) u(|x - y|) dy evaluated with polar
-    quadrature; commutes with the d-dimensional Laplacian, which keeps sign
+    u_eps(r) = int_{R^d} phi_eps(y) u(|x - y|) dy evaluated with a 48 x 96
+    midpoint polar quadrature; commutes with the d-dimensional Laplacian, which keeps sign
     structure (V_eps <= 0) exact.  Implemented for d = 2 (i.e. n = 3).
     """
     if d != 2:
         raise NotImplementedError("slab construction implemented for n = 3 (d = 2)")
-    s_nodes = (np.arange(ns) + 0.5) / ns  # radius fraction in (0,1)
-    phi_nodes = 2.0 * np.pi * (np.arange(nphi) + 0.5) / nphi
+    s_nodes = (np.arange(48) + 0.5) / 48  # radius fraction in (0,1)
+    phi_nodes = 2.0 * np.pi * (np.arange(96) + 0.5) / 96
     w = _mollifier_profile(s_nodes) * s_nodes
     w = w / w.sum()  # radial mass weights (angular part uniform)
     r = np.asarray(r, dtype=float)
@@ -652,9 +653,9 @@ class EllipticCounterexample:
     def interp_V(self, rq):
         return np.interp(np.abs(rq), self.r, self.V_eps)
 
-    def v_norm(self, radius=None):
-        """||V_eps||_{L^{(n-1)/2}} over the disc of given radius (default R0/2)."""
-        radius = self.R0 / 2.0 if radius is None else radius
+    def v_norm(self):
+        """||V_eps||_{L^{(n-1)/2}} over the disc of radius R0/2."""
+        radius = self.R0 / 2.0
         p = (self.n - 1) / 2.0
         m = self.r <= radius
         rm = self.r[m]
@@ -664,10 +665,9 @@ class EllipticCounterexample:
         integrand = 2.0 * np.pi * rm * np.abs(self.V_eps[m]) ** p
         return float((integrand * w).sum() ** (1.0 / p))
 
-    def sup_lower(self, radius=None, z_sup=1.0):
-        """sup over B_radius x (0, z_sup) of theta_lower = z u_eps."""
-        radius = self.R0 / 4.0 if radius is None else radius
-        return float(self.u_eps[self.r <= radius].max() * z_sup)
+    def sup_lower(self):
+        """sup over B_{R0/4} x (0, 1) of theta_lower = z u_eps."""
+        return float(self.u_eps[self.r <= self.R0 / 4.0].max())
 
     def slab_fields(self, grid):
         """Materialize b, theta_lower, theta_upper on a 3D grid (z = last axis)."""
@@ -685,12 +685,12 @@ class EllipticCounterexample:
                 SpaceTimeField(grid, upper))
 
 
-def build_elliptic(n=3, R0=C0_DEFAULT, eps=None, nr=2048, r_min=None):
+def build_elliptic(n=3, R0=C0_DEFAULT, eps=None):
     """Mollified log-log profile family on a logarithmic radial grid.
 
-    The log grid reaches far below eps, so profiles stay accurate for
-    mollification scales down to ~1e-15 (where the loglog growth of
-    sup theta_lower is actually observable).
+    The 2048-point log grid reaches from min(eps 1e-3, R0 1e-6), far below
+    eps, so profiles stay accurate for mollification scales down to ~1e-15
+    (where the loglog growth of sup theta_lower is actually observable).
     """
     if n < 3:
         raise ValueError("the slab construction needs n >= 3")
@@ -700,8 +700,7 @@ def build_elliptic(n=3, R0=C0_DEFAULT, eps=None, nr=2048, r_min=None):
     if not 0 < eps < R0 / 2.0:
         raise ValueError("eps must lie in (0, R0/2)")
     d = n - 1
-    r_min = min(eps * 1e-3, R0 * 1e-6) if r_min is None else r_min
-    r = np.geomspace(r_min, R0 * 1.0000001, nr)
+    r = np.geomspace(min(eps * 1e-3, R0 * 1e-6), R0 * 1.0000001, 2048)
     u_eps = _radial_mollify(loglog_profile, r, eps, d)
     lap = _radial_mollify(lambda s: loglog_laplacian(s, d), r, eps, d)
     if np.any(u_eps < 0) or np.any(lap > 1e-12):

@@ -324,10 +324,10 @@ class ShellSamples:
     weights: list
 
 
-def shell_restrict(f, center, radii, npts=None):
+def shell_restrict(f, center, radii):
     """Linear-interpolate f onto spheres around center, with quadrature weights.
 
-    The points of all radii share one `_interpolate` call over every time
+    Each sphere takes `default_shell_points` points.  The points of all radii share one `_interpolate` call over every time
     slice and component.
     """
     g = f.grid
@@ -337,7 +337,7 @@ def shell_restrict(f, center, radii, npts=None):
     for r in radii:
         if g.bc != PERIODIC and (np.any(center - r < g.lo) or np.any(center + r > g.hi)):
             raise ValueError(f"shell r={r} exits the domain")
-        p, normals, w = sphere_points(g.n, r, npts or default_shell_points(g.n, r, hmin))
+        p, normals, w = sphere_points(g.n, r, default_shell_points(g.n, r, hmin))
         pts.append(p + center)
         all_normals.append(normals)
         all_weights.append(w)

@@ -29,6 +29,7 @@ import numpy as np
 from .fields import _component_sum, _sq_distance, gradient, shell_restrict
 
 INF = np.inf
+SLICE_RADII = 33  # radii that good_slices tests on an annulus
 
 TIME_OUTER = "time_outer"
 SPACE_OUTER = "space_outer"
@@ -133,10 +134,10 @@ def _magnitude(samples, scalar):
     return np.abs(samples) if scalar else np.sqrt(_component_sum(samples**2))
 
 
-def _sphere_norms(f, center, radii, tidx, p, npts=None):
+def _sphere_norms(f, center, radii, tidx, p):
     """Table of ||f(., t)||_{L^p_sigma(dB_r)}: one row per radius, one column per
     selected time."""
-    sh = shell_restrict(f, center, radii, npts=npts)
+    sh = shell_restrict(f, center, radii)
     out = np.empty((len(radii), len(tidx)))
     for j, (s, w) in enumerate(zip(sh.samples, sh.weights)):
         out[j] = _pnorm(_magnitude(s[tidx], f.is_scalar), w, p, axis=-1)
@@ -154,12 +155,12 @@ def _spatial_mask(grid, region):
     return (r >= region.r_inner) & (r <= region.r_outer)
 
 
-def mixed_norm(f, spec, region, nshells=None, npts=None):
+def mixed_norm(f, spec, region):
     """Nested discrete Lebesgue norm of |f| over the region, in spec order.
 
     For sliced specs the region must be an Annulus (its center seeds the
-    shells). Trapezoidal weights in t and r, cell volumes in x, sphere
-    quadrature in sigma.
+    shells, at least 17 and about three per cell width). Trapezoidal weights
+    in t and r, cell volumes in x, sphere quadrature in sigma.
     """
     g = f.grid
     if spec.order in (SLICED_TR, SLICED_RT) and not isinstance(region, Annulus):
@@ -182,11 +183,11 @@ def mixed_norm(f, spec, region, nshells=None, npts=None):
     r0, r1 = region.r_inner, region.r_outer
     if r0 <= 0:
         raise ValueError("sliced norms need r_inner > 0")
-    nr = nshells or max(17, int(np.ceil(3.0 * (r1 - r0) / min(g.h))) | 1)
+    nr = max(17, int(np.ceil(3.0 * (r1 - r0) / min(g.h))) | 1)
     radii = np.linspace(r0, r1, nr)
     rw = _trapz_weights(nr, (r1 - r0) / (nr - 1))
     inner_p = spec.gamma if spec.order == SLICED_TR else spec.p
-    per_rt = _sphere_norms(f, region.center, radii, tidx, inner_p, npts)
+    per_rt = _sphere_norms(f, region.center, radii, tidx, inner_p)
     if spec.order == SLICED_TR:
         per_t = _pnorm(per_rt.T, rw, spec.beta, axis=-1)  # L^beta_r
         return float(_pnorm(per_t, tw, spec.q, axis=-1))  # L^q_t
@@ -277,16 +278,17 @@ class GoodSlices:
         return float(len(self.radii) * self.dr)
 
 
-def good_slices(b, center, rho, R, t0, t1, q=INF, p=INF, kappa=1.0, nr=33, npts=None):
+def good_slices(b, center, rho, R, t0, t1, q=INF, p=INF, kappa=1.0):
     """Chebyshev slice selection on r -> ||b||_{L^q_t L^p_sigma(dB_r x I)}^kappa.
 
-    Keeps the radii whose slice norm^kappa is at most twice the kappa-average,
-    which guarantees measure(A) >= (R - rho)/2.
+    Tests the SLICE_RADII cell midpoints of (rho, R) and keeps the radii whose
+    slice norm^kappa is at most twice the kappa-average, which guarantees
+    measure(A) >= (R - rho)/2.
     """
-    radii = rho + (R - rho) * (np.arange(nr) + 0.5) / nr
-    dr = (R - rho) / nr
+    radii = rho + (R - rho) * (np.arange(SLICE_RADII) + 0.5) / SLICE_RADII
+    dr = (R - rho) / SLICE_RADII
     tidx, tw = _time_selection(b.grid, t0, t1)
-    per_rt = _sphere_norms(b, center, radii, tidx, p, npts)
+    per_rt = _sphere_norms(b, center, radii, tidx, p)
     norms = np.array([_pnorm(per_t, tw, q) for per_t in per_rt])
     powered = norms**kappa
     threshold = 2.0 * powered.mean()
@@ -316,33 +318,36 @@ class FbcParams:
 FBC_PREFACTOR = 4.0
 
 
-def fbc_params_sliced(spec, b_norm, R0, prefactor=FBC_PREFACTOR):
+def _theta2_M(spec, b_norm, R0):
+    """theta2 = 1 - zeta0/2 < 1 and M = C (R0^(1-zeta0) ||b||)^(1/theta2) + 1/4
+    with C = FBC_PREFACTOR."""
+    z = spec.zeta0
+    if not z < 2:
+        raise ValueError("spec must be strictly below the zeta0 = 2 line")
+    th2 = 1.0 - z / 2.0
+    return th2, FBC_PREFACTOR * (R0 ** (1.0 - z) * b_norm) ** (1.0 / th2) + 0.25
+
+
+def fbc_params_sliced(spec, b_norm, R0):
     """FBC constants for b in L^q_t L^beta_r L^gamma_sigma, beta >= n/2,
     zeta0 = 2/q + 1/beta + (n-1)/gamma < 2: alpha = 1/theta2, delta = 1,
     N = eps = 1/4, M = C (R0^(1-zeta0) ||b||)^(1/theta2) + 1/4."""
     if spec.order != SLICED_TR:
         raise ValueError("expected a sliced_tr spec")
-    z = spec.zeta0
-    if not z < 2:
-        raise ValueError("spec must be strictly below the zeta0 = 2 line")
-    th2 = 1.0 - z / 2.0
-    M = prefactor * (R0 ** (1.0 - z) * b_norm) ** (1.0 / th2) + 0.25
+    th2, M = _theta2_M(spec, b_norm, R0)
     return FbcParams(M=M, N=0.25, alpha=1.0 / th2, delta=1.0, epsilon=0.25, theta2=th2)
 
 
-def fbc_params_radial(spec, b_norm, R0, prefactor=FBC_PREFACTOR):
+def fbc_params_radial(spec, b_norm, R0):
     """FBC constants for b in L^kappa_r L^q_t L^p_sigma, p <= q,
     zeta0 = 3/q + (n-1)/p < 2: alpha = (1/kappa + (q-1)/q)/theta2,
-    delta = 1/2, N = eps = 1/4.  With kappa = p this covers L^p_x L^q_t."""
+    delta = 1/2, N = eps = 1/4, M as in `fbc_params_sliced`.  With kappa = p
+    this covers L^p_x L^q_t."""
     if spec.order != SLICED_RT:
         raise ValueError("expected a sliced_rt spec")
-    z = spec.zeta0
-    if not z < 2:
-        raise ValueError("spec must be strictly below the zeta0 = 2 line")
-    th2 = 1.0 - z / 2.0
+    th2, M = _theta2_M(spec, b_norm, R0)
     alpha = (1.0 / spec.kappa + (spec.q - 1.0) / spec.q) / th2 if not np.isinf(spec.q) \
         else (1.0 / spec.kappa + 1.0) / th2
-    M = prefactor * (R0 ** (1.0 - z) * b_norm) ** (1.0 / th2) + 0.25
     return FbcParams(M=M, N=0.25, alpha=alpha, delta=0.5, epsilon=0.25, theta2=th2)
 
 
@@ -392,21 +397,18 @@ def _energy_terms(u, center, rho, R, t0, t1):
                 sup_ball=float((u2[:, ballm].sum(axis=1) * vol).max()))
 
 
-def fbc_test(b, u, params, center, rho, R, t0, t1, R0=None,
-             slice_q=INF, slice_p=INF, kappa=1.0, nr=33):
+def fbc_test(b, u, params, center, rho, R, t0, t1, slice_q=INF, slice_p=INF, kappa=1.0):
     """Evaluate both sides of the form boundedness condition.
 
     lhs = -(1/|A|) iint_{B_A x I} (u^2/2)(b.n), with A from good_slices;
     rhs = M R0^a/(d^a R0^2 (R-rho)^a) * iint_{(B_R\\B_rho) x I} u^2
-          + N iint |grad u|^2 + eps sup_t int_{B_R} u^2.
+          + N iint |grad u|^2 + eps sup_t int_{B_R} u^2, with R0 = R.
     """
-    R0 = R0 if R0 is not None else R
-    slices = good_slices(b, center, rho, R, t0, t1, q=slice_q, p=slice_p,
-                         kappa=kappa, nr=nr)
+    slices = good_slices(b, center, rho, R, t0, t1, q=slice_q, p=slice_p, kappa=kappa)
     lhs = -_flux_average(b, u, center, slices, t0, t1)
     e = _energy_terms(u, center, rho, R, t0, t1)
     a, d = params.alpha, params.delta
-    rhs = (params.M * R0**a / (d**a * R0**2 * (R - rho) ** a) * e["bulk_annulus"]
+    rhs = (params.M * R**a / (d**a * R**2 * (R - rho) ** a) * e["bulk_annulus"]
            + params.N * e["grad_annulus"] + params.epsilon * e["sup_ball"])
     ok = lhs <= rhs * (1.0 + 1e-6) + 1e-12
     return FbcReport(float(lhs), float(rhs), bool(ok), slices, e)

@@ -598,12 +598,12 @@ class RescaleState:
     outward_min: float
 
 
-def dynamic_rescale(run, annulus=(0.5, 1.0)):
+def dynamic_rescale(run):
     """Transform θ(x,t) -> θ(λ(t) y, t) with λ(start) = 1, λ' = −2‖b(·,t)‖_∞.
 
     Requires total speed ‖b‖_{L¹_t L^∞_x} ≤ 1/8 over the window, which keeps
     3/4 ≤ λ ≤ 1; the transformed drift b̃(y,t) = b(λy, t) − λ' y points
-    outward on the annulus (the minimum radial component is reported).
+    outward on 1/2 ≤ |y| ≤ 1 (the minimum radial component is reported).
     """
     g = run.grid
     bfield = run.drift.sample(g)
@@ -627,7 +627,7 @@ def dynamic_rescale(run, annulus=(0.5, 1.0)):
         drift_t[j] -= lam_dot[j] * y
 
     r = np.sqrt(_sq_distance(Y, (0.0,) * g.n))
-    ann = (r >= annulus[0]) & (r <= annulus[1])
+    ann = (r >= 0.5) & (r <= 1.0)
     rad = _component_sum(drift_t * y) / np.maximum(r, 1e-300)
     outward = float(rad[:, ann].min()) if ann.any() else np.inf
     return RescaleState(lam, lam_dot, SpaceTimeField(g, theta_t),
