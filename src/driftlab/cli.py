@@ -208,6 +208,8 @@ def build_drift(cfg, grid, config_path):
             asm = DriftAssembly.from_manifest(p.read_text())
         except ValueError as e:
             raise ConfigError(f"{p}: {e}")
+        if asm.n != grid.n:
+            raise ConfigError(f"{p}: a {asm.n}D drift manifest for a {grid.n}D grid")
         return FieldDrift(asm.sample_drift(dgrid))
     if kind == "random_stream":
         seed = _get_int(cfg, "drift.seed", 0, least=0)
@@ -227,8 +229,9 @@ def scenario_diffusion(cfg, config_path, jobs):
     init = _get(cfg, "init.kind", "blob")
     center = _get_tuple(cfg, "init.center", (0.0,) * grid.n)
     width = _get_float(cfg, "init.width", 4.0 * min(grid.h))
-    if len(center) != grid.n or not np.isfinite(center).all():
-        raise ConfigError(f"init.center must have {grid.n} finite entries")
+    inside = all(lo <= c <= hi for lo, c, hi in zip(grid.lo, center, grid.hi))
+    if len(center) != grid.n or not inside:
+        raise ConfigError(f"init.center must have {grid.n} entries inside the grid box")
     if not 0.0 < width < np.inf:
         raise ConfigError("init.width must be finite and positive")
     out = output_dir(cfg)
@@ -359,27 +362,26 @@ def blowup_probe_series(assembly, resolution, extent, tau0=0.2, tau1=0.5,
 
 
 def scenario_borderline_blowup(cfg, config_path, jobs):
-    K = _get_int(cfg, "assembly.K", 6)
-    scale0 = _get_float(cfg, "assembly.scale0", 0.3)
-    ratio = _get_float(cfg, "assembly.ratio", 0.8)
-    amp_ratio = _get_float(cfg, "assembly.amp_ratio", 0.9)
-    travel = _get_float(cfg, "assembly.travel", 1.2)
-    end_time = _get_float(cfg, "assembly.end_time", 0.98)
+    K = _get_int(cfg, "assembly.K", 6, least=2)  # the trend needs two blocks
+    scale0 = _get_float(cfg, "assembly.scale0", 0.3, finite=True)
+    ratio = _get_float(cfg, "assembly.ratio", 0.8, finite=True)
+    amp_ratio = _get_float(cfg, "assembly.amp_ratio", 0.9, finite=True)
+    travel = _get_float(cfg, "assembly.travel", 1.2, finite=True)
+    end_time = _get_float(cfg, "assembly.end_time", 0.98, finite=True)
     resolution = _get_int(cfg, "run.resolution", 256, least=2)
-    extent = _get_float(cfg, "run.extent", 2.0)
-    tau0 = _get_float(cfg, "run.tau0", 0.2)
-    tau1 = _get_float(cfg, "run.tau1", 0.5)
-    probe_radius = _get_float(cfg, "probe.radius", 0.5)
+    extent = _get_float(cfg, "run.extent", 2.0, finite=True)
+    tau0 = _get_float(cfg, "run.tau0", 0.2, finite=True)
+    tau1 = _get_float(cfg, "run.tau1", 0.5, finite=True)
+    probe_radius = _get_float(cfg, "probe.radius", 0.5, finite=True)
     drift_nt = _drift_nt(cfg)
     sol = build_solver_config(cfg)
-    if not np.isfinite([extent, tau0, tau1, probe_radius]).all():
-        raise ConfigError("run.extent, run.tau0, run.tau1 and probe.radius must be finite")
+    for key, v in (("assembly.scale0", scale0), ("assembly.ratio", ratio),
+                   ("run.tau0", tau0), ("probe.radius", probe_radius)):
+        if v <= 0:
+            raise ConfigError(f"{key} must be positive")
     if tau0 >= tau1:
         raise ConfigError("run.tau0 must be less than run.tau1")
-    if probe_radius <= 0:
-        raise ConfigError("probe.radius must be positive")
-    # written so that a NaN travel or scale0 fails it too
-    if not (travel / 2.0 + 4.2 * scale0 <= extent):
+    if travel / 2.0 + 4.2 * scale0 > extent:
         raise ConfigError("run.extent too small for the cap support")
     amplitudes = amp_ratio ** np.arange(K)
     try:

@@ -393,6 +393,20 @@ class AssemblyBlock:
     n: int
     ramp: tuple = (2.2, 3.8)
 
+    def __post_init__(self):
+        for ok, what in (
+                (self.n in (2, 3), "dimension n must be 2 or 3"),
+                (np.shape(self.x_start) == (self.n,) and np.isfinite(self.x_start).all(),
+                 "x_start must have n finite entries"),
+                (len(self.ramp) == 2 and 0 <= self.ramp[0] < self.ramp[1] < np.inf,
+                 "ramp must be two increasing radii"),
+                (-np.inf < self.t0 < self.t1 < np.inf, "window needs finite t0 < t1"),
+                (0 < self.R < np.inf, "scale R must be finite and positive"),
+                (0 <= self.A < np.inf, "amplitudes must be finite and nonnegative"),
+                (np.isfinite(self.travel), "travel must be finite")):
+            if not ok:
+                raise ValueError(f"assembly block: {what}")
+
     @property
     def width(self):
         return self.t1 - self.t0
@@ -448,8 +462,12 @@ class DriftAssembly:
     kind: str
 
     def __post_init__(self):
+        if self.kind not in (BORDERLINE, BLOCK_RESCALED):
+            raise ValueError(f"unknown assembly kind {self.kind!r}")
         prev = -np.inf
         for b in self.blocks:
+            if b.n != self.n:
+                raise ValueError(f"a {b.n}D block in a {self.n}D assembly")
             if b.t0 < prev - 1e-12:
                 raise ValueError("assembly blocks overlap in time")
             prev = b.t1
@@ -566,8 +584,8 @@ def _assembly(kind, windows, scales, amplitudes, n, travel, x_start):
     if amplitudes is None:
         amplitudes = [1.0 / k**2 for k in range(1, K + 1)]
     amplitudes = np.asarray(amplitudes, dtype=float)
-    if amplitudes.shape != (K,) or not np.all(amplitudes >= 0):
-        raise ValueError("need K nonnegative amplitudes")
+    if amplitudes.shape != (K,):
+        raise ValueError("need K amplitudes, one per block")
     travel = 20.0 * n if travel is None else float(travel)
     if x_start is None:
         x_start = np.zeros(n)
@@ -595,8 +613,9 @@ def _radial_mollify(profile_fn, r, eps, d):
     """d-dimensional mollification of a radial function, on radial samples.
 
     u_eps(r) = int_{R^d} phi_eps(y) u(|x - y|) dy evaluated with a 48 x 96
-    midpoint polar quadrature; commutes with the d-dimensional Laplacian, which keeps sign
-    structure (V_eps <= 0) exact.  Implemented for d = 2 (i.e. n = 3).
+    midpoint polar quadrature; commutes with the d-dimensional Laplacian,
+    which keeps sign structure (V_eps <= 0) exact.  Implemented for d = 2
+    (i.e. n = 3).
     """
     if d != 2:
         raise NotImplementedError("slab construction implemented for n = 3 (d = 2)")

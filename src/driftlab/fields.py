@@ -327,8 +327,8 @@ class ShellSamples:
 def shell_restrict(f, center, radii):
     """Linear-interpolate f onto spheres around center, with quadrature weights.
 
-    Each sphere takes `default_shell_points` points.  The points of all radii share one `_interpolate` call over every time
-    slice and component.
+    Each sphere takes `default_shell_points` points.  The points of all radii
+    share one `_interpolate` call over every time slice and component.
     """
     g = f.grid
     center = np.asarray(center, dtype=float)

@@ -1,3 +1,4 @@
+import re
 import struct
 import tempfile
 
@@ -170,6 +171,8 @@ def test_blowup_scenario_small(tmp_path, monkeypatch):
     "run.tau0 = nan", "run.tau1 = nan", "run.tau1 = 0.1", "run.tau1 = 0.2",
     "probe.radius = nan", "probe.radius = 0", "run.resolution = 1",
     "assembly.travel = nan", "assembly.scale0 = nan", "drift.nt = 0",
+    "assembly.ratio = nan", "assembly.end_time = nan", "run.tau0 = -1",
+    "assembly.scale0 = -0.3", "assembly.K = 1",
 ])
 def test_bad_blowup_setting_exit_code(tmp_path, monkeypatch, capsys, setting):
     import driftlab.cli as cli
@@ -201,6 +204,7 @@ def test_bad_blowup_setting_exit_code(tmp_path, monkeypatch, capsys, setting):
     ("drift.kind = random_stream", "drift.nt = -3"),
     ("drift.kind = random_stream", "drift.seed = -1"),
     ("drift.kind = random_stream", "drift.amplitude = nan"),
+    ("init.center = 100,100",), ("init.center = 2.5,0",),
 ])
 def test_bad_diffusion_setting_exit_code(tmp_path, monkeypatch, capsys, settings):
     import driftlab.cli as cli
@@ -299,12 +303,27 @@ def test_decompose_3d_assembly(tmp_path, capsys):
     assert err < 1e-12
 
 
-def test_manifest_missing_key_exit_code(tmp_path, monkeypatch, capsys):
+def _drop_blocks_line(text):
+    return "".join(line for line in text.splitlines(True) if not line.startswith("blocks"))
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(_drop_blocks_line, "'blocks'", id="missing-blocks"),
+    pytest.param(lambda text: text.replace("n = 2", "n = 3"), "x_start", id="n-3"),
+    pytest.param(lambda text: text.replace("n = 2", "n = 7"), "n must be 2 or 3", id="n-7"),
+    pytest.param(lambda text: text.replace("ramp:2.2,3.8", "ramp:2.2"), "ramp", id="one-ramp"),
+    pytest.param(lambda text: re.sub(r"R:\S+", "R:0.0", text), "R must be", id="R-0"),
+    pytest.param(lambda text: re.sub(r"t0:\S+", "t0:nan", text), "t0 < t1", id="t0-nan"),
+    pytest.param(lambda text: re.sub(r"x_start:\S+", "x_start:-0.3", text), "x_start",
+                 id="one-x_start"),
+    pytest.param(lambda text: text.replace("kind = block_rescaled", "kind = bogus"),
+                 "'bogus'", id="kind-bogus"),
+])
+def test_manifest_missing_key_exit_code(tmp_path, monkeypatch, capsys, edit, message):
     monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
     text = assemble_selfsimilar([0.0, 0.05, 0.1], travel=0.6).manifest()
-    (tmp_path / "m.txt").write_text(
-        "".join(line for line in text.splitlines(True) if not line.startswith("blocks")))
-    with pytest.raises(ValueError, match="'blocks'"):
+    (tmp_path / "m.txt").write_text(edit(text))
+    with pytest.raises(ValueError, match=message):
         DriftAssembly.from_manifest((tmp_path / "m.txt").read_text())
     cfg = tmp_path / "manifest.cfg"
     cfg.write_text("\n".join([
@@ -314,8 +333,24 @@ def test_manifest_missing_key_exit_code(tmp_path, monkeypatch, capsys):
         "drift.kind = manifest", "drift.manifest = m.txt",
         "output.dir = out/manifest"]) + "\n")
     assert run_cli("run", str(cfg)) == 2
-    assert "'blocks'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out" / "manifest").exists()
+
+
+def test_manifest_dimension_must_match_grid(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
+    asm = assemble_selfsimilar([0.0, 0.05, 0.1], n=3, travel=0.6)
+    (tmp_path / "m.txt").write_text(asm.manifest())
+    cfg = tmp_path / "manifest.cfg"
+    cfg.write_text("\n".join([
+        "scenario.kind = diffusion",
+        "grid.n = 2", "grid.lo = -1,-1", "grid.hi = 1,1",
+        "grid.shape = 32,32", "grid.t1 = 0.1", "grid.nt = 2",
+        "drift.kind = manifest", "drift.manifest = m.txt",
+        "output.dir = out/manifest"]) + "\n")
+    assert run_cli("run", str(cfg)) == 2
+    assert "3D drift manifest" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_empty_dir(tmp_path):

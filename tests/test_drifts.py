@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from driftlab.drifts import (
@@ -277,6 +281,38 @@ def test_assembly_manifest_roundtrip():
     g = Grid(2, (-2.0, -2.0), (2.0, 2.0), (64, 64), t, t + 1e-9, 1, "zero")
     assert np.array_equal(asm.sample_drift(g).samples, back.sample_drift(g).samples)
     assert back.kind == asm.kind
+
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def _assemblies(draw):
+    """Small valid assemblies from either builder, in 2D or 3D."""
+    n = draw(st.sampled_from([2, 3]))
+    K = draw(st.integers(1, 3))
+    kw = dict(n=n, travel=draw(st.none() | _FINITE),
+              amplitudes=draw(st.none() | st.lists(st.floats(0.0, 1e6), min_size=K,
+                                                   max_size=K)),
+              x_start=draw(st.none() | st.lists(_FINITE, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        return assemble_borderline(K, scale0=draw(st.floats(0.01, 0.5)),
+                                   ratio=draw(st.floats(0.3, 1.0)),
+                                   end_time=draw(st.floats(0.8, 10.0)),
+                                   gap_frac=draw(st.floats(0.0, 0.1)), **kw)
+    steps = draw(st.lists(st.floats(1e-3, 1.0), min_size=K, max_size=K))
+    return assemble_selfsimilar(draw(_FINITE) + np.cumsum([0.0] + steps), **kw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_assemblies())
+def test_manifest_roundtrip_is_bit_exact(asm):
+    back = DriftAssembly.from_manifest(asm.manifest())
+    assert (back.kind, back.n, len(back.blocks)) == (asm.kind, asm.n, len(asm.blocks))
+    for a, b in zip(asm.blocks, back.blocks):
+        for f in dataclasses.fields(AssemblyBlock):
+            x, y = np.asarray(getattr(a, f.name)), np.asarray(getattr(b, f.name))
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
 
 
 @pytest.mark.parametrize("shape,lo,hi", [((128, 64), (-2.0, -2.0), (2.0, 2.0)),
