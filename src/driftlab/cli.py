@@ -7,6 +7,7 @@ precondition (CFL, total-speed bound) violated.
 """
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -70,103 +71,119 @@ def parse_config(path):
     return cfg
 
 
-def _get(cfg, key, default=None, required=False):
-    if key in cfg:
-        return cfg[key]
-    if required:
-        raise ConfigError(f"missing required config key {key!r}")
-    return default
+# ---------------------------------------------------------------------------
+# settings: a scenario's table maps each key it reads to (parser, check, default)
 
 
-def _get_float(cfg, key, default=None, required=False, finite=False):
-    v = _get(cfg, key, default, required)
-    if v is not None and not isinstance(v, float):
+def _floats(text):
+    return tuple(float(x) for x in text.split(","))
+
+
+_NOUNS = {str: "text", float: "a number", int: "an integer", _floats: "a comma list of numbers"}
+FINITE = (math.isfinite, "finite")  # a check is (predicate, what it asks for)
+POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and positive")
+WHOLE = (lambda v: all(x.is_integer() for x in v), "whole numbers")
+REQUIRED = object()  # the default of a key the config must set
+
+
+def at_least(k):
+    return (lambda v: v >= k, f"a whole number of at least {k}")
+
+
+def one_of(*names):
+    return (lambda v: v in names, "one of " + ", ".join(names))
+
+
+COMMON = {
+    "scenario.kind": (str, None, REQUIRED),
+    "scenario.name": (str, None, None),
+    "solver.dt": (float, None, None),  # SolverConfig checks the solver keys
+    "solver.safety": (float, None, 0.4),
+    "drift.nt": (int, at_least(1), 17),  # stored drift slices
+    "output.dir": (str, None, REQUIRED),
+}
+GRID = {  # Grid checks grid.n, the bounds and grid.bc
+    "grid.n": (int, None, 2),
+    "grid.lo": (_floats, None, REQUIRED),
+    "grid.hi": (_floats, None, REQUIRED),
+    "grid.shape": (_floats, WHOLE, REQUIRED),
+    "grid.t0": (float, None, 0.0),
+    "grid.t1": (float, None, REQUIRED),
+    "grid.nt": (int, at_least(2), 2),  # a run stores its start and end
+    "grid.bc": (str, None, "periodic"),
+    **COMMON,
+}
+DIFFUSION = {
+    "drift.kind": (str, one_of("none", "manifest", "random_stream"), "none"),
+    "drift.manifest": (str, None, None),  # relative to the config file
+    "drift.seed": (int, at_least(0), 0),
+    "drift.amplitude": (float, FINITE, 1.0),
+    "init.kind": (str, one_of("blob", "fundamental"), "blob"),
+    "init.center": (_floats, None, None),  # default: the origin
+    "init.width": (float, POSITIVE, None),  # default: four cells
+    **GRID,
+}
+NASH = {
+    "scenario.seed": (int, at_least(0), 0),
+    "ensemble.count": (int, at_least(3), 10),
+    "ensemble.amplitude": (float, FINITE, 1.0),
+    **GRID,
+}
+BLOWUP = {
+    "assembly.K": (int, at_least(2), 6),  # the trend needs two blocks
+    "assembly.scale0": (float, POSITIVE, 0.3),
+    "assembly.ratio": (float, POSITIVE, 0.8),
+    "assembly.amp_ratio": (float, FINITE, 0.9),
+    "assembly.travel": (float, FINITE, 1.2),
+    "assembly.end_time": (float, FINITE, 0.98),
+    "run.resolution": (int, at_least(2), 256),
+    "run.extent": (float, FINITE, 2.0),
+    "run.tau0": (float, POSITIVE, 0.2),
+    "run.tau1": (float, FINITE, 0.5),
+    "probe.radius": (float, POSITIVE, 0.5),
+    **COMMON,
+}
+
+
+def read_settings(cfg, table):
+    """Every key of table, parsed and checked, or its default. Refuses a
+    missing required key and a key not in table, naming the nearest one."""
+    unknown = [key for key in cfg if key not in table]  # in file order
+    if unknown:
+        import difflib  # only a refused config pays for the import
+        near = difflib.get_close_matches(unknown[0], table, n=1)
+        hint = f"; did you mean {near[0]!r}?" if near else ""
+        raise ConfigError(f"unknown config key {unknown[0]!r}{hint}")
+    settings = {}
+    for key, (parse, check, default) in table.items():
+        text = cfg.get(key)
+        if text is None and default is REQUIRED:
+            raise ConfigError(f"missing required config key {key!r}")
         try:
-            v = float(v)
+            settings[key] = default if text is None else parse(text)
         except ValueError:
-            raise ConfigError(f"config key {key!r}: not a number: {v!r}")
-    if finite and not np.isfinite(v):
-        raise ConfigError(f"config key {key!r}: must be finite, got {v!r}")
-    return v
+            raise ConfigError(f"config key {key!r}: not {_NOUNS[parse]}: {text!r}")
+        if text is not None and check is not None and not check[0](settings[key]):
+            raise ConfigError(f"config key {key!r}: must be {check[1]}, got {text!r}")
+    return settings
 
 
-def _get_int(cfg, key, default=None, least=None):
-    v = _get(cfg, key, default)
-    if v is not None and not isinstance(v, int):
-        try:
-            v = int(v)
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: not an integer: {v!r}")
-    if least is not None and v < least:
-        raise ConfigError(f"config key {key!r}: must be a whole number of at least {least}, "
-                          f"got {v}")
-    return v
-
-
-def _get_tuple(cfg, key, default=None, required=False):
-    v = _get(cfg, key, default, required)
-    if v is None or isinstance(v, tuple):
-        return v
-    try:
-        return tuple(float(x) for x in v.split(","))
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: not a comma list: {v!r}")
-
-
-def _drift_nt(cfg):
-    """drift.nt, the stored drift slices of every scenario."""
-    return _get_int(cfg, "drift.nt", 17, least=1)
-
-
-def build_grid(cfg):
-    n = _get_int(cfg, "grid.n", 2)
-    lo = _get_tuple(cfg, "grid.lo", required=True)
-    hi = _get_tuple(cfg, "grid.hi", required=True)
-    shape = _get_tuple(cfg, "grid.shape", required=True)
-    if not all(float(x).is_integer() for x in shape):
-        raise ConfigError(f"grid.shape entries must be integers: {shape}")
-    shape = tuple(int(x) for x in shape)
-    bc = _get(cfg, "grid.bc", "periodic")
+def build_grid(s):
+    n, lo, hi, shape = s["grid.n"], s["grid.lo"], s["grid.hi"], s["grid.shape"]
     if len(lo) != n or len(hi) != n or len(shape) != n:
         raise ConfigError("grid.lo/hi/shape must all have grid.n entries")
-    nt = _get_int(cfg, "grid.nt", 2)
-    if nt < 2:
-        raise ConfigError("grid.nt must be at least 2: a run stores its start and end")
     try:
-        return Grid(n, lo, hi, shape,
-                    _get_float(cfg, "grid.t0", 0.0),
-                    _get_float(cfg, "grid.t1", required=True), nt, bc)
+        return Grid(n, lo, hi, tuple(int(x) for x in shape),
+                    s["grid.t0"], s["grid.t1"], s["grid.nt"], s["grid.bc"])
     except ValueError as e:
         raise ConfigError(f"bad grid: {e}")
 
 
-def build_solver_config(cfg):
+def build_solver_config(s):
     try:
-        return SolverConfig(dt=_get_float(cfg, "solver.dt"),
-                            safety=_get_float(cfg, "solver.safety", 0.4))
+        return SolverConfig(dt=s["solver.dt"], safety=s["solver.safety"])
     except ValueError as e:
         raise ConfigError(f"bad solver config: {e}")
-
-
-def output_dir(cfg):
-    """The scenario's output directory, refused before any work if it could
-    not be created: its nearest existing ancestor must be a directory."""
-    out = Path(os.environ.get("DRIFTLAB_OUT", ".")) / _get(cfg, "output.dir", required=True)
-    base = next((p for p in (out, *out.parents) if p.exists()), out)
-    if not base.is_dir():
-        raise ConfigError(f"cannot create output directory {out}: {base} is not a directory")
-    return out
-
-
-def write_summary(path, rows):
-    """rows: (check, value, threshold, passed). Returns overall pass."""
-    ok = True
-    with open(path, "w") as f:
-        f.write("check,value,threshold,pass\n")
-        for check, value, threshold, passed in rows:
-            ok &= bool(passed)
-            f.write(f"{check},{FMT % value},{FMT % threshold},{int(bool(passed))}\n")
-    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +211,15 @@ def trig_stream_field(grid, seed, amplitude):
     return SpaceTimeField(grid, np.broadcast_to(b, (grid.nt,) + b.shape).copy(), grid.n)
 
 
-def build_drift(cfg, grid, config_path):
-    kind = _get(cfg, "drift.kind", "none")
+def build_drift(s, grid, config_path):
+    kind = s["drift.kind"]
     if kind == "none":
         return None
-    dgrid = grid.with_times(grid.t0, grid.t1, _drift_nt(cfg))
+    dgrid = grid.with_times(grid.t0, grid.t1, s["drift.nt"])
     if kind == "manifest":
-        rel = _get(cfg, "drift.manifest", required=True)
-        p = Path(config_path).parent / rel
+        if s["drift.manifest"] is None:
+            raise ConfigError("drift.kind = manifest needs drift.manifest")
+        p = Path(config_path).parent / s["drift.manifest"]
         if not p.is_file():
             raise ConfigError(f"drift manifest not found: {p}")
         try:
@@ -211,37 +229,27 @@ def build_drift(cfg, grid, config_path):
         if asm.n != grid.n:
             raise ConfigError(f"{p}: a {asm.n}D drift manifest for a {grid.n}D grid")
         return FieldDrift(asm.sample_drift(dgrid))
-    if kind == "random_stream":
-        seed = _get_int(cfg, "drift.seed", 0, least=0)
-        amp = _get_float(cfg, "drift.amplitude", 1.0, finite=True)
-        return FieldDrift(trig_stream_field(dgrid, seed, amp))
-    raise ConfigError(f"unknown drift.kind {kind!r}")
+    return FieldDrift(trig_stream_field(dgrid, s["drift.seed"], s["drift.amplitude"]))
 
 
 # ---------------------------------------------------------------------------
 # scenario: plain diffusion run with ledger checks
 
 
-def scenario_diffusion(cfg, config_path, jobs):
-    grid = build_grid(cfg)
-    sol = build_solver_config(cfg)
-    drift = build_drift(cfg, grid, config_path)
-    init = _get(cfg, "init.kind", "blob")
-    center = _get_tuple(cfg, "init.center", (0.0,) * grid.n)
-    width = _get_float(cfg, "init.width", 4.0 * min(grid.h))
+def scenario_diffusion(s, out, config_path, jobs):
+    grid = build_grid(s)
+    sol = build_solver_config(s)
+    center = s["init.center"] or (0.0,) * grid.n
+    width = 4.0 * min(grid.h) if s["init.width"] is None else s["init.width"]
     inside = all(lo <= c <= hi for lo, c, hi in zip(grid.lo, center, grid.hi))
     if len(center) != grid.n or not inside:
         raise ConfigError(f"init.center must have {grid.n} entries inside the grid box")
-    if not 0.0 < width < np.inf:
-        raise ConfigError("init.width must be finite and positive")
-    out = output_dir(cfg)
+    drift = build_drift(s, grid, config_path)
 
-    if init == "fundamental":
+    if s["init.kind"] == "fundamental":
         run = fundamental_solution(center, grid.t0, drift, grid, sol, width)
-    elif init == "blob":
-        run = solve(gaussian_blob(grid, center, width), drift, grid, sol)
     else:
-        raise ConfigError(f"unknown init.kind {init!r}")
+        run = solve(gaussian_blob(grid, center, width), drift, grid, sol)
 
     out.mkdir(parents=True, exist_ok=True)
     run.write_csv(out / "ledger.csv")
@@ -254,27 +262,21 @@ def scenario_diffusion(cfg, config_path, jobs):
         rows.append(("mass_conservation", drift_rel, 1e-8, drift_rel < 1e-8))
     growth = np.diff(run.maximum).max(initial=0.0) / max(abs(run.maximum[0]), 1e-300)
     rows.append(("max_principle", growth, 1e-10, growth <= 1e-10))
-    ok = write_summary(out / "summary.csv", rows)
-    return 0 if ok else 1
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # scenario: Nash drift-independence ensemble
 
 
-def _nash_settings(cfg):
-    """The ensemble's member count, seed, amplitude and drift slice count."""
-    return (_get_int(cfg, "ensemble.count", 10, least=3),
-            _get_int(cfg, "scenario.seed", 0, least=0),
-            _get_float(cfg, "ensemble.amplitude", 1.0, finite=True), _drift_nt(cfg))
-
-
 def _nash_member(payload):
-    cfg, config_path, idx = payload
-    grid = build_grid(cfg)
-    sol = build_solver_config(cfg)
-    count, seed, amp, nt = _nash_settings(cfg)
-    dgrid = grid.with_times(grid.t0, grid.t1, nt)
+    s, idx = payload[0], payload[-1]
+    if len(payload) == 3:  # perfbench/record_reference.py passes (raw config, path, idx)
+        s = read_settings(s, NASH)
+    grid = build_grid(s)
+    sol = build_solver_config(s)
+    count, seed, amp = s["ensemble.count"], s["scenario.seed"], s["ensemble.amplitude"]
+    dgrid = grid.with_times(grid.t0, grid.t1, s["drift.nt"])
     span = grid.t1 - grid.t0
 
     if idx == 0:
@@ -302,11 +304,11 @@ def _nash_member(payload):
     return label, q
 
 
-def scenario_nash_ensemble(cfg, config_path, jobs):
-    count = _nash_settings(cfg)[0]
-    build_grid(cfg)  # validate before any work
-    out = output_dir(cfg)
-    payloads = [(cfg, str(config_path), i) for i in range(count)]
+def scenario_nash_ensemble(s, out, config_path, jobs):
+    count = s["ensemble.count"]
+    grid = build_grid(s)  # grid and solver settings: checked before any member runs
+    build_solver_config(s)
+    payloads = [(s, i) for i in range(count)]
     if jobs > 1:
         # the pool forks all its workers at once, so never more than members
         with ProcessPoolExecutor(max_workers=min(jobs, count)) as ex:
@@ -321,13 +323,10 @@ def scenario_nash_ensemble(cfg, config_path, jobs):
             f.write(f"{i},{label},{FMT % q}\n")
     qs = np.array([q for _, q in results])
     spread = float(qs.max() / qs.min())
-    n = _get_int(cfg, "grid.n", 2)
-    ref = (4.0 * np.pi) ** (-n / 2.0)
+    ref = (4.0 * np.pi) ** (-grid.n / 2.0)
     free_err = abs(results[0][1] - ref) / ref
-    rows = [("nash_spread", spread, 2.0, spread < 2.0),
+    return [("nash_spread", spread, 2.0, spread < 2.0),
             ("drift_free_vs_gaussian", free_err, 0.1, free_err < 0.1)]
-    ok = write_summary(out / "summary.csv", rows)
-    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -361,38 +360,24 @@ def blowup_probe_series(assembly, resolution, extent, tau0=0.2, tau1=0.5,
     return np.array(sups), np.array(regs)
 
 
-def scenario_borderline_blowup(cfg, config_path, jobs):
-    K = _get_int(cfg, "assembly.K", 6, least=2)  # the trend needs two blocks
-    scale0 = _get_float(cfg, "assembly.scale0", 0.3, finite=True)
-    ratio = _get_float(cfg, "assembly.ratio", 0.8, finite=True)
-    amp_ratio = _get_float(cfg, "assembly.amp_ratio", 0.9, finite=True)
-    travel = _get_float(cfg, "assembly.travel", 1.2, finite=True)
-    end_time = _get_float(cfg, "assembly.end_time", 0.98, finite=True)
-    resolution = _get_int(cfg, "run.resolution", 256, least=2)
-    extent = _get_float(cfg, "run.extent", 2.0, finite=True)
-    tau0 = _get_float(cfg, "run.tau0", 0.2, finite=True)
-    tau1 = _get_float(cfg, "run.tau1", 0.5, finite=True)
-    probe_radius = _get_float(cfg, "probe.radius", 0.5, finite=True)
-    drift_nt = _drift_nt(cfg)
-    sol = build_solver_config(cfg)
-    for key, v in (("assembly.scale0", scale0), ("assembly.ratio", ratio),
-                   ("run.tau0", tau0), ("probe.radius", probe_radius)):
-        if v <= 0:
-            raise ConfigError(f"{key} must be positive")
+def scenario_borderline_blowup(s, out, config_path, jobs):
+    K, scale0, travel = s["assembly.K"], s["assembly.scale0"], s["assembly.travel"]
+    extent, tau0, tau1 = s["run.extent"], s["run.tau0"], s["run.tau1"]
+    sol = build_solver_config(s)
     if tau0 >= tau1:
         raise ConfigError("run.tau0 must be less than run.tau1")
     if travel / 2.0 + 4.2 * scale0 > extent:
         raise ConfigError("run.extent too small for the cap support")
-    amplitudes = amp_ratio ** np.arange(K)
+    amplitudes = s["assembly.amp_ratio"] ** np.arange(K)
     try:
         asm = assemble_borderline(K, amplitudes=amplitudes, scale0=scale0,
-                                  ratio=ratio, travel=travel, end_time=end_time,
+                                  ratio=s["assembly.ratio"], travel=travel,
+                                  end_time=s["assembly.end_time"],
                                   x_start=(-travel / 2.0, 0.0))
     except ValueError as e:
         raise ConfigError(str(e))
-    out = output_dir(cfg)
-    sups, regs = blowup_probe_series(
-        asm, resolution, extent, tau0, tau1, probe_radius, drift_nt=drift_nt, config=sol)
+    sups, regs = blowup_probe_series(asm, s["run.resolution"], extent, tau0, tau1,
+                                     s["probe.radius"], drift_nt=s["drift.nt"], config=sol)
 
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.txt").write_text(asm.manifest())
@@ -404,16 +389,16 @@ def scenario_borderline_blowup(cfg, config_path, jobs):
     running = np.maximum.accumulate(sups)
     tail = running[-min(5, K):]
     increasing = bool(np.all(np.diff(tail) > 0))
-    rows = [("loglog_slope_vs_regressor", slope, 0.0, slope > 0.0),
+    return [("loglog_slope_vs_regressor", slope, 0.0, slope > 0.0),
             ("running_sup_increasing_tail", float(increasing), 1.0, increasing)]
-    ok = write_summary(out / "summary.csv", rows)
-    return 0 if ok else 1
 
 
+# kind: (scenario, settings table); a scenario returns its summary rows
+# (check, value, threshold, passed)
 SCENARIOS = {
-    "diffusion": scenario_diffusion,
-    "nash_ensemble": scenario_nash_ensemble,
-    "borderline_blowup": scenario_borderline_blowup,
+    "diffusion": (scenario_diffusion, DIFFUSION),
+    "nash_ensemble": (scenario_nash_ensemble, NASH),
+    "borderline_blowup": (scenario_borderline_blowup, BLOWUP),
 }
 
 
@@ -423,15 +408,27 @@ SCENARIOS = {
 
 def cmd_run(args):
     cfg = parse_config(args.config)
-    kind = _get(cfg, "scenario.kind", required=True)
+    kind = cfg.get("scenario.kind")
     if kind not in SCENARIOS:
-        raise ConfigError(f"unknown scenario.kind {kind!r}")
+        raise ConfigError(f"scenario.kind must be one of {', '.join(SCENARIOS)}, got {kind!r}")
+    scenario, table = SCENARIOS[kind]
+    settings = read_settings(cfg, table)
+    # refused before any work: an output directory that could not be created
+    out = Path(os.environ.get("DRIFTLAB_OUT", ".")) / settings["output.dir"]
+    base = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not base.is_dir():
+        raise ConfigError(f"cannot create output directory {out}: {base} is not a directory")
     try:
-        return SCENARIOS[kind](cfg, args.config, args.jobs)
+        rows = scenario(settings, out, args.config, args.jobs)
     except BrokenExecutor:
         raise  # a lost worker is no precondition
     except SOLVE_ERRORS as e:
         raise PreconditionError(str(e))
+    with open(out / "summary.csv", "w") as f:
+        f.write("check,value,threshold,pass\n")
+        for check, value, threshold, passed in rows:
+            f.write(f"{check},{FMT % value},{FMT % threshold},{int(bool(passed))}\n")
+    return 0 if all(passed for *_, passed in rows) else 1
 
 
 _ORDERS = {"tq": TIME_OUTER, "xt": SPACE_OUTER,

@@ -181,8 +181,8 @@ def mixed_norm(f, spec, region):
 
     # sliced orders: build (r, t, sigma) samples
     r0, r1 = region.r_inner, region.r_outer
-    if r0 <= 0:
-        raise ValueError("sliced norms need r_inner > 0")
+    if not 0 < r0 < r1:
+        raise ValueError("sliced norms need 0 < r_inner < r_outer")
     nr = max(17, int(np.ceil(3.0 * (r1 - r0) / min(g.h))) | 1)
     radii = np.linspace(r0, r1, nr)
     rw = _trapz_weights(nr, (r1 - r0) / (nr - 1))

@@ -84,8 +84,7 @@ class PotentialDrift:
 
     ``stream_fn(t, X, Y)`` or ``potential_fn(t, X, Y, Z) -> (A1, A2, A3)``
     are sampled at cell corners / edge midpoints; face-normal velocities are
-    exact discrete curls, hence divergence-free to round-off.  In 2D a stream
-    function ψ drives u = (∂_y ψ, −∂_x ψ), the opposite sign of `fields.curl`.
+    exact discrete curls, hence divergence-free to round-off.
     """
 
     def __init__(self, n, stream_fn=None, potential_fn=None):
@@ -106,7 +105,7 @@ class PotentialDrift:
 
         if grid.n == 2:
             X, Y = np.meshgrid(ax[0], ax[1], indexing="ij")
-            return [-c for c in _curl_components(self.stream_fn(t, X, Y), 2, diff)]
+            return _curl_components(self.stream_fn(t, X, Y), 2, diff)
         # 3D: sample the potential components at edge midpoints
         def mid(i):
             return ax[i][: len(ax[i]) - (0 if grid.bc == PERIODIC else 1)] + h[i] / 2
@@ -551,7 +550,8 @@ def solve(theta0, b, grid, config=None):
 def gaussian_blob(grid, center, width, normalize=True):
     """Discretely unit-mass Gaussian of the given width at center."""
     r2 = _sq_distance(grid.meshgrid(), center)
-    g = np.exp(-r2 / (2.0 * width**2))
+    with np.errstate(over="ignore"):  # a huge width squares to inf: a flat blob
+        g = np.exp(-r2 / (2.0 * np.float64(width) ** 2))
     if normalize:
         g = g / (g.sum() * grid.cell_volume)
     return g

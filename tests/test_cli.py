@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlab.cli import ConfigError, main, parse_config, trig_stream_field
+from driftlab.cli import (BLOWUP, DIFFUSION, NASH, ConfigError, main, parse_config,
+                          trig_stream_field)
 from driftlab.drifts import DriftAssembly, assemble_selfsimilar
 from driftlab.fields import Grid, SpaceTimeField, write_field
 
@@ -522,3 +523,137 @@ def test_bad_blowup_solver_setting_exit_code(tmp_path, monkeypatch, capsys, sett
     assert run_cli("run", str(cfg)) == 2
     assert "bad solver config" in capsys.readouterr().err
     assert not (tmp_path / "out" / "borderline-blowup" / "blocks.csv").exists()
+
+
+@pytest.mark.parametrize("order", ["sliced-tr", "sliced-rt"])
+@pytest.mark.parametrize("rinner,radius", [("0.8", "0.5"), ("0.5", "0.5")])
+def test_norm_sliced_needs_inner_below_outer_radius(tmp_path, capsys, order, rinner, radius):
+    g = Grid(2, (-1.0,) * 2, (1.0,) * 2, (16,) * 2, 0.0, 1.0, 2, "periodic")
+    dump = tmp_path / "ones.dlf1"
+    write_field(dump, SpaceTimeField(g, np.ones((2, 16, 16))))
+    assert run_cli("norm", str(dump), "--order", order, "--p", "2", "--q", "2",
+                   "--rinner", rinner, "--radius", radius) == 2
+    assert "0 < r_inner < r_outer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["blob", "fundamental"])
+def test_huge_init_width_gives_flat_blob(tmp_path, monkeypatch, kind):
+    monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
+    edits = {"grid.shape": "16,16", "init.kind": kind, "init.width": "1e300"}
+    lines = [line for line in (CONFIGS / "heat-2d.cfg").read_text().splitlines()
+             if line.split("=")[0].strip() not in edits]
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("\n".join(lines + [f"{k} = {v}" for k, v in edits.items()]) + "\n")
+    assert run_cli("run", str(cfg)) == 0
+    ledger = (tmp_path / "out" / "heat-2d" / "ledger.csv").read_text().splitlines()
+    assert ledger[1].split(",")[2:] == ["1", "0.0625", "0.0625"]  # unit mass, flat on 4 x 4
+
+
+@pytest.mark.parametrize("name,extra,message", [
+    ("heat-2d.cfg", ["init.widht = -1", "solver.safty = 5"], "did you mean 'init.width'?"),
+    ("heat-2d.cfg", ["solver.scheme = explicit_fv"], "'solver.scheme'"),
+    ("heat-2d.cfg", ["solver.advection = upwind"], "'solver.advection'"),
+    ("heat-2d.cfg", ["init.normalize = false"], "'init.normalize'"),
+    ("heat-2d.cfg", ["ensemble.count = 3"], "'ensemble.count'"),
+    ("nash-ensemble.cfg", ["init.kind = bogus"], "'init.kind'"),
+    ("nash-ensemble.cfg", ["drift.kind = manifest"], "'drift.kind'"),
+    ("borderline-blowup.cfg", ["grid.n = 2"], "'grid.n'"),
+    ("borderline-blowup.cfg", ["assembly.k = 8"], "did you mean 'assembly.K'?"),
+])
+def test_unknown_config_key_exit_code(tmp_path, monkeypatch, capsys, name, extra, message):
+    import driftlab.cli as cli
+    import driftlab.solver as solver
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an unknown key must be refused before any work")
+
+    for module, attr in ((cli, "solve"), (solver, "solve"), (cli, "_nash_member"),
+                         (cli, "assemble_borderline")):
+        monkeypatch.setattr(module, attr, no_work)
+    monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
+    cfg = tmp_path / name
+    cfg.write_text((CONFIGS / name).read_text() + "\n".join(extra) + "\n")
+    assert run_cli("run", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown config key '{extra[0].split()[0]}'")
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+def _misspell(key, i):
+    i %= len(key)
+    return key[:i] + key[i + 1:] if i % 2 else key[:i] + key[i] + key[i:]
+
+
+def _comma_list(element, size):
+    return st.lists(element, min_size=1, max_size=size).map(",".join)
+
+
+_EDGE = st.sampled_from(["nan", "inf", "-inf", "x", "-1"])
+
+
+def _or_edge(valid):
+    return st.one_of(valid, valid, valid, _EDGE)  # mostly valid values, so runs happen
+
+
+_FUZZ_VALUES = {  # small grids, short runs and slow drifts keep each example cheap
+    "grid.n": _or_edge(st.sampled_from(["2", "3", "1", "2.5"])),
+    "grid.lo": st.sampled_from(["-2,-2", "-1,-1", "0,-2", "-2", "-2,-2,-2", "nan,-2"]),
+    "grid.hi": st.sampled_from(["2,2", "1,1", "2", "2,inf", "-3,2"]),
+    "grid.shape": _comma_list(_or_edge(st.integers(-1, 16).map(str) | st.just("8.5")), 3),
+    "grid.t0": _or_edge(st.sampled_from(["0", "-0.01", "0.05"])),
+    "grid.t1": _or_edge(st.floats(0.0, 0.05).map(repr)),
+    "grid.nt": _or_edge(st.integers(-1, 4).map(str) | st.just("2.5")),
+    "grid.bc": st.sampled_from(["periodic", "zero", "neumann"]),
+    "solver.dt": _or_edge(st.sampled_from(["1e-3", "0.01", "0"])),
+    "solver.safety": _or_edge(st.sampled_from(["0.4", "0.9", "0", "1"])),
+    "drift.kind": st.sampled_from(["none", "random_stream", "manifest", "bogus"]),
+    "drift.manifest": st.sampled_from(["m.txt", "missing.txt"]),
+    "drift.nt": _or_edge(st.integers(-1, 3).map(str) | st.just("2.5")),
+    "drift.seed": _or_edge(st.integers(-2, 9).map(str)),
+    "drift.amplitude": _or_edge(st.floats(-10.0, 10.0).map(repr)),
+    "init.kind": st.sampled_from(["blob", "fundamental", "bogus"]),
+    "init.center": _comma_list(_or_edge(st.floats(-3.0, 3.0).map(repr)), 3),
+    "init.width": _or_edge(st.floats(1e-3, 1e300).map(repr) | st.sampled_from(["0", "-0.0"])),
+    "scenario.name": st.sampled_from(["fuzz", "heat-2d"]),
+}
+
+
+@st.composite
+def _fuzz_configs(draw):
+    cfg = {line.split("=")[0].strip(): line.split("=")[1].strip()
+           for line in (CONFIGS / "heat-2d.cfg").read_text().splitlines()
+           if line and not line.startswith("#")}
+    cfg["grid.shape"] = "16,16"
+    for key in draw(st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), max_size=4, unique=True)):
+        value = draw(st.one_of(_FUZZ_VALUES[key], _FUZZ_VALUES[key], st.none()))
+        if value is None:
+            cfg.pop(key, None)
+        else:
+            cfg[key] = value
+    others = sorted((set(NASH) | set(BLOWUP)) - set(DIFFUSION))
+    misspelt = st.builds(_misspell, st.sampled_from(sorted(DIFFUSION)), st.integers(0, 30))
+    stray = draw(st.one_of(*[st.none()] * 4, st.sampled_from(others), misspelt))
+    if stray is not None:
+        cfg.setdefault(stray, "1")
+    return cfg, stray is not None and stray not in DIFFUSION
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fuzz_configs())
+def test_run_fuzzed_diffusion_config_exit_code(drawn):
+    assert set(_FUZZ_VALUES) == set(DIFFUSION) - {"scenario.kind", "output.dir"}
+    cfg, unknown = drawn
+    manifest = assemble_selfsimilar([0.0, 0.05, 0.1], travel=0.6).manifest()
+    with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+        root = Path(d)
+        mp.setenv("DRIFTLAB_OUT", str(root / "out-root"))
+        (root / "m.txt").write_text(manifest)
+        path = root / "fuzz.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+        rc = run_cli("run", str(path), "--jobs", "1")
+        assert rc in (0, 1, 2, 3)
+        if unknown:
+            assert rc == 2
+        if rc == 2:
+            assert not (root / "out-root").exists()
