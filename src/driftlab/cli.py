@@ -172,6 +172,10 @@ def build_grid(s):
     n, lo, hi, shape = s["grid.n"], s["grid.lo"], s["grid.hi"], s["grid.shape"]
     if len(lo) != n or len(hi) != n or len(shape) != n:
         raise ConfigError("grid.lo/hi/shape must all have grid.n entries")
+    room = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 8  # float64s that fit
+    for key, per_cell in (("grid.nt", s["grid.nt"]), ("drift.nt", s["drift.nt"] * n)):
+        if per_cell * math.prod(int(x) for x in shape) > room:  # refused before any sampling
+            raise ConfigError(f"{key} = {s[key]} times grid.shape cells exceeds physical memory")
     try:
         return Grid(n, lo, hi, tuple(int(x) for x in shape),
                     s["grid.t0"], s["grid.t1"], s["grid.nt"], s["grid.bc"])
@@ -244,12 +248,16 @@ def scenario_diffusion(s, out, config_path, jobs):
     inside = all(lo <= c <= hi for lo, c, hi in zip(grid.lo, center, grid.hi))
     if len(center) != grid.n or not inside:
         raise ConfigError(f"init.center must have {grid.n} entries inside the grid box")
+    try:  # the blob before the drift, so a blob the grid cannot hold costs no sampling
+        theta0 = None if s["init.kind"] == "fundamental" else gaussian_blob(grid, center, width)
+    except ValueError as e:
+        raise ConfigError(f"init.width: {e}")
     drift = build_drift(s, grid, config_path)
 
-    if s["init.kind"] == "fundamental":
+    if theta0 is None:
         run = fundamental_solution(center, grid.t0, drift, grid, sol, width)
     else:
-        run = solve(gaussian_blob(grid, center, width), drift, grid, sol)
+        run = solve(theta0, drift, grid, sol)
 
     out.mkdir(parents=True, exist_ok=True)
     run.write_csv(out / "ledger.csv")
@@ -267,6 +275,15 @@ def scenario_diffusion(s, out, config_path, jobs):
 
 # ---------------------------------------------------------------------------
 # scenario: Nash drift-independence ensemble
+
+
+def _map_members(fn, payloads, jobs):
+    """[fn(p) for p in payloads] on min(jobs, len(payloads)) processes, or in-process."""
+    workers = min(jobs, len(payloads))  # the pool forks all its workers at once
+    if workers <= 1:
+        return [fn(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(fn, payloads))
 
 
 def _nash_member(payload):
@@ -308,13 +325,7 @@ def scenario_nash_ensemble(s, out, config_path, jobs):
     count = s["ensemble.count"]
     grid = build_grid(s)  # grid and solver settings: checked before any member runs
     build_solver_config(s)
-    payloads = [(s, i) for i in range(count)]
-    if jobs > 1:
-        # the pool forks all its workers at once, so never more than members
-        with ProcessPoolExecutor(max_workers=min(jobs, count)) as ex:
-            results = list(ex.map(_nash_member, payloads))
-    else:
-        results = [_nash_member(p) for p in payloads]
+    results = _map_members(_nash_member, [(s, i) for i in range(count)], jobs)
 
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "members.csv", "w") as f:
@@ -333,30 +344,34 @@ def scenario_nash_ensemble(s, out, config_path, jobs):
 # scenario: borderline blow-up trend
 
 
+def _blowup_block(payload):
+    """Probe sup of one block: everything it allocates dies when it returns."""
+    manifest, k, (resolution, extent, tau0, tau1, probe_radius, drift_nt), config = payload
+    assembly = DriftAssembly.from_manifest(manifest)  # a bit-exact round trip
+    blk, n = assembly.blocks[k], assembly.n
+    t_start, t_end = blk.t0 + tau0 * blk.width, blk.t0 + tau1 * blk.width
+    grid = Grid(n, (-extent,) * n, (extent,) * n, (resolution,) * n, t_start, t_end, 2, "periodic")
+    drift = FieldDrift(assembly.sample_drift(grid.with_times(t_start, t_end, drift_nt)))
+    X = grid.meshgrid()
+    theta0 = assembly.subsolution_at(t_start, np.stack(X, axis=-1))
+    run = solve(theta0, drift, grid, config)
+    r = np.sqrt(_sq_distance(X, (0.0,) * n))
+    return float(run.trajectory.samples[-1][r <= probe_radius].max())
+
+
 def blowup_probe_series(assembly, resolution, extent, tau0=0.2, tau1=0.5,
-                        probe_radius=0.5, drift_nt=17, config=None):
+                        probe_radius=0.5, drift_nt=17, config=None, jobs=1):
     """Per-block solver runs; probe sup over a fixed ball at activation peaks.
 
     Each block is run in physical coordinates on its own window
     (t0 + tau0 R^2, t0 + tau1 R^2) starting from the assembly subsolution,
-    advected by the sampled assembly drift.  Returns (sups, regressors)
-    with regressor A_k (t'_k)^{-n/2}.
+    advected by the sampled assembly drift, on up to `jobs` processes.
+    Returns (sups, regressors) with regressor A_k (t'_k)^{-n/2}.
     """
-    n = assembly.n
-    sups, regs = [], []
-    for blk in assembly.blocks:
-        t_start = blk.t0 + tau0 * blk.width
-        t_end = blk.t0 + tau1 * blk.width
-        grid = Grid(n, (-extent,) * n, (extent,) * n, (resolution,) * n,
-                    t_start, t_end, 2, "periodic")
-        dgrid = grid.with_times(t_start, t_end, drift_nt)
-        drift = FieldDrift(assembly.sample_drift(dgrid))
-        X = grid.meshgrid()
-        theta0 = assembly.subsolution_at(t_start, np.stack(X, axis=-1))
-        run = solve(theta0, drift, grid, config)
-        r = np.sqrt(_sq_distance(X, (0.0,) * n))
-        sups.append(float(run.trajectory.samples[-1][r <= probe_radius].max()))
-        regs.append(blk.A * blk.width ** (-n / 2.0))
+    settings = (resolution, extent, tau0, tau1, probe_radius, drift_nt)
+    payloads = [(assembly.manifest(), k, settings, config) for k in range(len(assembly.blocks))]
+    sups = _map_members(_blowup_block, payloads, jobs)
+    regs = [blk.A * blk.width ** (-assembly.n / 2.0) for blk in assembly.blocks]
     return np.array(sups), np.array(regs)
 
 
@@ -377,7 +392,7 @@ def scenario_borderline_blowup(s, out, config_path, jobs):
     except ValueError as e:
         raise ConfigError(str(e))
     sups, regs = blowup_probe_series(asm, s["run.resolution"], extent, tau0, tau1,
-                                     s["probe.radius"], drift_nt=s["drift.nt"], config=sol)
+                                     s["probe.radius"], s["drift.nt"], sol, jobs)
 
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.txt").write_text(asm.manifest())
@@ -540,7 +555,7 @@ def build_parser():
     p = sub.add_parser("run", help="run a scenario config")
     p.add_argument("config")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="parallel workers for ensemble members (at most one per member)")
+                   help="workers for nash members or blowup blocks, at most one per unit")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("classify", help="classify a mixed-norm drift space")

@@ -624,12 +624,16 @@ def _radial_mollify(profile_fn, r, eps, d):
     w = _mollifier_profile(s_nodes) * s_nodes
     w = w / w.sum()  # radial mass weights (angular part uniform)
     r = np.asarray(r, dtype=float)
-    # |x - y| for x = (r, 0), y = eps*s*(cos, sin)
-    rr = r[:, None, None]
     ss = eps * s_nodes[None, :, None]
-    dist = np.sqrt(rr**2 + ss**2 - 2.0 * rr * ss * np.cos(phi_nodes[None, None, :]))
-    vals = profile_fn(np.maximum(dist, 1e-300))
-    return (vals.mean(axis=2) * w[None, :]).sum(axis=1)
+    cos = np.cos(phi_nodes[None, None, :])
+    out = np.empty(len(r))
+    for i in range(0, len(r), 128):  # radii are independent: chunks keep temporaries small
+        # |x - y| for x = (r, 0), y = eps*s*(cos, sin)
+        rr = r[i:i + 128, None, None]
+        dist = np.sqrt(rr**2 + ss**2 - 2.0 * rr * ss * cos)
+        vals = profile_fn(np.maximum(dist, 1e-300))
+        out[i:i + 128] = (vals.mean(axis=2) * w[None, :]).sum(axis=1)
+    return out
 
 
 def loglog_profile(r):

@@ -550,10 +550,14 @@ def solve(theta0, b, grid, config=None):
 def gaussian_blob(grid, center, width, normalize=True):
     """Discretely unit-mass Gaussian of the given width at center."""
     r2 = _sq_distance(grid.meshgrid(), center)
-    with np.errstate(over="ignore"):  # a huge width squares to inf: a flat blob
+    # a huge width squares to inf (a flat blob), a tiny one to 0 (no mass, or 0/0)
+    with np.errstate(all="ignore"):
         g = np.exp(-r2 / (2.0 * np.float64(width) ** 2))
     if normalize:
-        g = g / (g.sum() * grid.cell_volume)
+        mass = g.sum() * grid.cell_volume
+        if not 0.0 < mass < math.inf:
+            raise ValueError(f"a blob of width {width!r} has no finite mass on the grid")
+        g = g / mass
     return g
 
 

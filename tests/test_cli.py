@@ -657,3 +657,111 @@ def test_run_fuzzed_diffusion_config_exit_code(drawn):
             assert rc == 2
         if rc == 2:
             assert not (root / "out-root").exists()
+
+
+_SMALL_BLOWUP = [
+    "scenario.kind = borderline_blowup",
+    "assembly.K = 2", "assembly.scale0 = 0.3", "assembly.ratio = 0.8",
+    "assembly.amp_ratio = 0.9", "assembly.travel = 1.0",
+    "run.resolution = 96", "run.extent = 1.9",
+    "output.dir = out/blowup"]
+
+
+def test_blowup_outputs_same_at_one_and_two_jobs(tmp_path, monkeypatch):
+    cfg = tmp_path / "blowup.cfg"
+    cfg.write_text("\n".join(_SMALL_BLOWUP) + "\n")
+    outputs = []
+    for jobs in ("1", "2"):
+        monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path / f"jobs-{jobs}"))
+        assert run_cli("run", str(cfg), "--jobs", jobs) == 0
+        out = tmp_path / f"jobs-{jobs}" / "out" / "blowup"
+        outputs.append({name: (out / name).read_bytes()
+                        for name in ("blocks.csv", "summary.csv", "manifest.txt")})
+    assert outputs[0] == outputs[1]
+
+
+def test_blowup_block_drift_dies_before_next_block(tmp_path, monkeypatch):
+    import weakref
+
+    import driftlab.cli as cli
+    import driftlab.solver as solver
+
+    alive, seen = weakref.WeakSet(), []
+    sample = DriftAssembly.sample_drift
+
+    def field_drift(field):
+        drift = solver.FieldDrift(field)
+        alive.add(drift)
+        return drift
+
+    def counting_sample(self, grid):
+        seen.append(len(alive))  # drifts of earlier blocks still alive
+        return sample(self, grid)
+
+    monkeypatch.setattr(cli, "FieldDrift", field_drift)
+    monkeypatch.setattr(DriftAssembly, "sample_drift", counting_sample)
+    monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
+    cfg = tmp_path / "blowup.cfg"
+    cfg.write_text("\n".join(_SMALL_BLOWUP) + "\n")
+    assert run_cli("run", str(cfg), "--jobs", "1") == 0
+    assert seen == [0, 0]
+
+
+def test_blowup_cfl_violation_in_worker_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
+    cfg = tmp_path / "blowup.cfg"
+    cfg.write_text("\n".join(_SMALL_BLOWUP + ["solver.dt = 0.01"]) + "\n")
+    assert run_cli("run", str(cfg), "--jobs", "2") == 3
+    assert capsys.readouterr().err.startswith("precondition violated: ")
+    assert not (tmp_path / "out").exists()
+
+
+def _refused_before_sampling(monkeypatch):
+    import driftlab.cli as cli
+    import driftlab.solver as solver
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the setting must be refused before any sampling or solve")
+
+    for module, attr in ((cli, "solve"), (solver, "solve"), (cli, "trig_stream_field"),
+                         (DriftAssembly, "sample_drift")):
+        monkeypatch.setattr(module, attr, no_work)
+
+
+@pytest.mark.parametrize("width,center", [("0.001", "0,0"), ("1e-200", "0.125,0.125")])
+def test_blob_without_mass_on_grid_exit_code(tmp_path, monkeypatch, capsys, width, center):
+    # 16^2 cells over [-2, 2]^2: h = 0.25, so the blob falls between the cell centres
+    _refused_before_sampling(monkeypatch)
+    monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
+    edits = {"grid.shape": "16,16", "init.kind": "blob", "init.width": width,
+             "init.center": center, "drift.kind": "random_stream"}
+    lines = [line for line in (CONFIGS / "heat-2d.cfg").read_text().splitlines()
+             if line.split("=")[0].strip() not in edits]
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text("\n".join(lines + [f"{k} = {v}" for k, v in edits.items()]) + "\n")
+    assert run_cli("run", str(cfg)) == 2
+    assert capsys.readouterr().err.startswith("error: init.width")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name,edits", [
+    ("heat-2d.cfg", {"grid.nt": "1000000000000"}),
+    ("heat-2d.cfg", {"grid.nt": "100000000000000000000"}),
+    ("heat-2d.cfg", {"drift.kind": "random_stream", "drift.nt": "1000000000000"}),
+    ("nash-ensemble.cfg", {"grid.nt": "100000000000000000000"}),
+])
+def test_stored_values_beyond_memory_exit_code(tmp_path, monkeypatch, capsys, name, edits):
+    import driftlab.cli as cli
+
+    _refused_before_sampling(monkeypatch)
+    monkeypatch.setattr(cli, "_nash_member", lambda *a: pytest.fail("a member ran"))
+    monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
+    lines = [line for line in (CONFIGS / name).read_text().splitlines()
+             if line.split("=")[0].strip() not in edits]
+    cfg = tmp_path / name
+    cfg.write_text("\n".join(lines + [f"{k} = {v}" for k, v in edits.items()]) + "\n")
+    assert run_cli("run", str(cfg), "--jobs", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {list(edits)[-1]} = ")
+    assert "physical memory" in err
+    assert not (tmp_path / "out").exists()
