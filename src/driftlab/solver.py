@@ -1,7 +1,9 @@
 """Conservative advection-diffusion stepper and the dynamic-rescaling transform.
 
 Solves ∂_t θ − Δθ + b·∇θ = 0 with unit diffusivity by first-order upwind
-flux-form advection.  The grid's boundary mode picks the diffusion step:
+flux-form advection, one kernel for both boundary modes (the mode sets only
+the fluxes through the box's two end faces per axis), and one timestep rule.
+The grid's boundary mode picks the diffusion step:
 
 * ``zero`` grids — forward Euler diffusion on a bounded box with
   zero-extension (Dirichlet) boundary data, enforced on a three-cell buffer
@@ -29,6 +31,8 @@ from .fields import (PERIODIC, ZERO, SpaceTimeField, _component_sum, _curl_compo
                      face_to_cell, grid_laplacian)
 
 BUFFER_CELLS = 3
+# solve refuses a step that would need more steps than this to reach t1
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -56,18 +60,14 @@ class ZeroDrift:
             grid, np.zeros((grid.nt,) + tuple(grid.shape) + (grid.n,)), grid.n)
 
 
-def _face_shapes(grid):
-    shapes = []
+def _zero_faces(grid):
+    faces = []
     for a in range(grid.n):
         s = list(grid.shape)
         if grid.bc == ZERO:
-            s[a] += 1
-        shapes.append(tuple(s))
-    return shapes
-
-
-def _zero_faces(grid):
-    return [np.zeros(s) for s in _face_shapes(grid)]
+            s[a] += 1  # the high face of the last cell
+        faces.append(np.zeros(s))
+    return faces
 
 
 def _nodes(grid):
@@ -311,46 +311,36 @@ def as_drift(b, grid):
 
 
 class _Upwind:
-    """First-order upwind flux divergence on buffers allocated once per solve.
+    """First-order upwind flux divergence, one kernel for both boundary modes.
 
     Face k along an axis is the low face of cell k, so its left state is cell
-    k − 1 and its right state cell k.  Both are read as views of θ, with no
-    ghost-padded copy:
+    k − 1 and its right state cell k.  Faces 0..N − 1 take
+    F = max(u, 0)·θ_L + min(u, 0)·θ_R in a flux buffer of θ's shape, which
+    every axis shares: θ_R is θ and θ_L is θ's flat buffer shifted by the
+    axis stride ``prod(shape[a+1:])``, with no ghost-padded copy.  Each cell's
+    (F_hi − F_lo)/h reads F shifted the same way and is accumulated into the
+    output.  The boundary mode decides only the two hyperplanes the shift
+    gets wrong: face 0's left state is the wrapped cell N − 1 or 0, and the
+    last cell's high flux is face 0 again, or face N with a right state of 0
+    (zero states enter as products with 0.0).
 
-    * periodic grids: the faces have θ's shape, the right states are θ itself
-      and the left states are θ's flat buffer shifted by the axis stride
-      ``prod(shape[a+1:])``.  Only the hyperplanes that wrap are set through
-      slab views: the flux at i = 0 and the difference at i = N − 1;
-    * zero-extension grids: the interior faces read slab views of θ, and the
-      two end faces take the zero cell outside the box as a product with 0.0.
-
-    On every axis F = max(u, 0)·θ_L + min(u, 0)·θ_R, then (F_hi − F_lo)/h is
-    accumulated into the output.  ``split`` keeps a reference to the faces and
-    stores no copy of their split, so they must stay unchanged until ``div``;
-    faces passed again as the same object must hold the same values, since
-    ``max_outflow`` is kept for them.
+    ``split`` keeps a reference to the faces and stores no copy of their
+    split, so they must stay unchanged until ``div``; faces passed again as
+    the same object must hold the same values, since ``max_outflow`` is kept
+    for them.
     """
 
     def __init__(self, grid):
         shape, self.h, self.bc = tuple(grid.shape), grid.h, grid.bc
-        face_shapes = _face_shapes(grid)
-        # flux and product buffers, shared by the axes whose faces have one shape
-        work = {s: (np.empty(s), np.empty(s)) for s in face_shapes}
-        self.work = [work[s] for s in face_shapes]
-        self.part = np.empty(shape)
+        self.flux, self.prod, self.part = (np.empty(shape) for _ in range(3))
         self.strides = [math.prod(shape[a + 1:]) for a in range(grid.n)]
         self.faces = self.outflow = None
 
     def split(self, faces):
-        """Keep the face velocities for div(); return max |u|.
-
-        Also sets ``outflow_bound``, Σ_a (max u⁺ − min u⁻)/h_a over the faces
-        of each axis: no cell's outflow rate exceeds it.
-        """
+        """Keep the face velocities for div(); return max |u|."""
         if faces is not self.faces:
             self.faces, self.outflow = faces, None
         peaks = [(max(u.max(), 0.0), -min(u.min(), 0.0)) for u in faces]
-        self.outflow_bound = sum((p + m) / h for (p, m), h in zip(peaks, self.h))
         return max(max(p) for p in peaks)
 
     def max_outflow(self):
@@ -366,29 +356,31 @@ class _Upwind:
 
     def div(self, theta, out):
         """Write div(u theta) for the faces of the last split() into out."""
-        for a, (u, (F, tmp)) in enumerate(zip(self.faces, self.work)):
-            N = theta.shape[a]
+        F, tmp, periodic = self.flux, self.prod, self.bc == PERIODIC
+        flat, Ff = theta.reshape(-1), F.reshape(-1)
+        for a, u in enumerate(self.faces):
+            N, s = theta.shape[a], self.strides[a]
             dst = out if a == 0 else self.part
-            np.maximum(u, 0.0, out=F)
-            np.minimum(u, 0.0, out=tmp)
-            if self.bc == PERIODIC:
-                s = self.strides[a]
-                flat, Ff = theta.reshape(-1), F.reshape(-1)
-                Ff[s:] *= flat[:-s]
-                # the flat shift has written the wrapped hyperplane: rebuild it
-                F0 = np.maximum(_slab(u, a, 0, 1), 0.0, out=_slab(F, a, 0, 1))
-                F0 *= _slab(theta, a, N - 1, N)
-                tmp *= theta
-                F += tmp
-                np.subtract(Ff[s:], Ff[:-s], out=dst.reshape(-1)[:-s])
-                np.subtract(F0, _slab(F, a, N - 1, N), out=_slab(dst, a, N - 1, N))
-            else:
-                np.multiply(_slab(F, a, 1, N + 1), theta, out=_slab(F, a, 1, N + 1))
-                np.multiply(_slab(F, a, 0, 1), 0.0, out=_slab(F, a, 0, 1))
-                np.multiply(_slab(tmp, a, 0, N), theta, out=_slab(tmp, a, 0, N))
-                np.multiply(_slab(tmp, a, N, N + 1), 0.0, out=_slab(tmp, a, N, N + 1))
-                F += tmp
-                np.subtract(_slab(F, a, 1, N + 1), _slab(F, a, 0, N), out=dst)
+            low = _slab(u, a, 0, N)  # the low face of each cell
+            np.maximum(low, 0.0, out=F)
+            np.minimum(low, 0.0, out=tmp)
+            Ff[s:] *= flat[:-s]
+            # the flat shift has written face 0 with a wrong left state: rebuild it
+            F0 = np.maximum(_slab(u, a, 0, 1), 0.0, out=_slab(F, a, 0, 1))
+            F0 *= _slab(theta, a, N - 1, N) if periodic else 0.0
+            tmp *= theta
+            F += tmp
+            np.subtract(Ff[s:], Ff[:-s], out=dst.reshape(-1)[:-s])
+            # and the last cell's difference with a wrong high flux
+            last = _slab(dst, a, N - 1, N)
+            if periodic:
+                hi = F0
+            else:  # face N: max(u, 0)·θ_{N−1} + min(u, 0)·0
+                uN = _slab(u, a, N, N + 1)
+                hi = np.maximum(uN, 0.0, out=_slab(tmp, a, 0, 1))
+                hi *= _slab(theta, a, N - 1, N)
+                hi += np.multiply(np.minimum(uN, 0.0, out=last), 0.0, out=last)
+            np.subtract(hi, _slab(F, a, N - 1, N), out=last)
             dst /= self.h[a]
             if a:
                 out += dst
@@ -434,8 +426,8 @@ def _timestep(grid, config, upwind, speed):
     positivity bound dt·(D + max_i A_i) ≤ safety, where A_i is the outflow
     rate of cell i and D = 2Σ1/h_a² on zero grids (0 on periodic ones): then
     every cell's update is a convex combination and the max principle holds.
-    The automatic step on zero grids is cut to it; a configured dt that
-    breaks any of the bounds is refused.
+    The automatic step on zero grids is cut to it; a configured dt above any
+    of the three bounds is refused.
     """
     h = min(grid.h)
     explicit = grid.bc == ZERO
@@ -443,12 +435,8 @@ def _timestep(grid, config, upwind, speed):
     adv_bound = np.inf if speed == 0 else config.safety * h / speed
     diffusion = 2.0 * sum(1.0 / ha**2 for ha in grid.h) if explicit else 0.0
 
-    def admits(dt):
-        # split()'s bound on the outflow, which needs no pass over the faces
-        return dt * (diffusion + upwind.outflow_bound) <= config.safety
-
     def cell_bound():
-        rate = diffusion + upwind.max_outflow()
+        rate = diffusion + (upwind.max_outflow() if speed != 0 else 0.0)
         return np.inf if rate == 0 else config.safety / rate
 
     if config.dt is None:
@@ -457,15 +445,12 @@ def _timestep(grid, config, upwind, speed):
         # two bounds one at a time, not summed, so with a drift it is cut to
         # the cell bound
         dt = min(diff_bound, adv_bound / grid.n, (grid.t1 - grid.t0) / 50.0)
-        if explicit and speed != 0 and not admits(dt):
-            dt = min(dt, cell_bound())
-        return dt
-    if not admits(config.dt) or config.dt > min(diff_bound, adv_bound) * (1 + 1e-12):
-        cell = cell_bound()
-        if config.dt > min(diff_bound, adv_bound, cell) * (1 + 1e-12):
-            raise ValueError(
-                f"timestep {config.dt:g} violates CFL bounds (diffusion {diff_bound:g}, "
-                f"advection {adv_bound:g}, per-cell {cell:g})")
+        return min(dt, cell_bound()) if explicit and speed != 0 else dt
+    cell = cell_bound()
+    if config.dt > min(diff_bound, adv_bound, cell) * (1 + 1e-12):
+        raise ValueError(
+            f"timestep {config.dt:g} violates CFL bounds (diffusion {diff_bound:g}, "
+            f"advection {adv_bound:g}, per-cell {cell:g})")
     return config.dt
 
 
@@ -476,8 +461,9 @@ def solve(theta0, b, grid, config=None):
     b is None, a vector SpaceTimeField, or a face-velocity provider.  The
     stepper substeps between stored times with a CFL-admissible dt; an
     explicitly configured dt that violates the CFL or per-cell positivity
-    bounds is refused.  Diffusion is forward Euler on zero grids and backward
-    Euler by FFT on periodic ones.
+    bounds is refused, and so is a step that would need more than MAX_STEPS
+    steps to reach grid.t1.  Diffusion is forward Euler on zero grids and
+    backward Euler by FFT on periodic ones.
     """
     config = config or SolverConfig()
     explicit = grid.bc == ZERO
@@ -515,7 +501,11 @@ def solve(theta0, b, grid, config=None):
         t_end = out_times[j]
         while t < t_end - 1e-14 * max(1.0, abs(t_end)):
             speed = upwind.split(drift.face_velocities(grid, t))
-            dt = min(_timestep(grid, config, upwind, speed), t_end - t)
+            dt = _timestep(grid, config, upwind, speed)
+            if dt * MAX_STEPS < grid.t1 - t:
+                raise ValueError(f"timestep {dt:g} at t = {t:g} needs more than "
+                                 f"{MAX_STEPS} steps to reach t1 = {grid.t1:g}")
+            dt = min(dt, t_end - t)
             upwind.div(theta, adv)
             if explicit:
                 theta = theta + dt * (grid_laplacian(theta, grid) - adv)

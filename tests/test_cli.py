@@ -765,3 +765,24 @@ def test_stored_values_beyond_memory_exit_code(tmp_path, monkeypatch, capsys, na
     assert err.startswith(f"error: {list(edits)[-1]} = ")
     assert "physical memory" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name,edits", [
+    ("heat-2d.cfg", {"grid.shape": "16,16", "grid.nt": "2", "drift.nt": "3",
+                     "drift.kind": "random_stream", "drift.amplitude": "1e300"}),
+    ("nash-ensemble.cfg", {"grid.shape": "16,16", "ensemble.count": "4", "drift.nt": "3",
+                           "ensemble.amplitude": "1e300"}),
+])
+def test_huge_drift_amplitude_exit_code(tmp_path, monkeypatch, capsys, name, edits):
+    # the automatic dt shrinks with the drift's speed, so without a cap on the
+    # step count these ran for minutes; heat-2d's solver.dt is dropped
+    monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
+    lines = [line for line in (CONFIGS / name).read_text().splitlines()
+             if line.split("=")[0].strip() not in {*edits, "solver.dt"}]
+    cfg = tmp_path / name
+    cfg.write_text("\n".join(lines + [f"{k} = {v}" for k, v in edits.items()]) + "\n")
+    assert run_cli("run", str(cfg), "--jobs", "1") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violated: timestep ")
+    assert "needs more than 1000000 steps" in err
+    assert not (tmp_path / "out").exists()

@@ -353,6 +353,7 @@ def reference_step(theta, faces, grid, dt, scheme):
     ((15, 17), "periodic"),
     ((8, 8, 9), "periodic"),
     ((32, 32), "zero"),
+    ((8, 9, 10), "zero"),
 ])
 def test_step_matches_reference_formula(shape, bc):
     n = len(shape)
@@ -535,6 +536,8 @@ def ghost_pad_div(theta, faces, grid):
     ((8, 8, 9), "periodic"),
     ((32, 32), "zero"),
     ((8, 9, 10), "zero"),
+    ((2, 3), "periodic"),
+    ((2, 2, 3), "zero"),  # two cells: the end hyperplanes are neighbours
 ])
 def test_upwind_div_matches_ghost_pad_reference(shape, bc):
     n = len(shape)
@@ -649,11 +652,11 @@ def test_fundamental_solution_refuses_bad_width(width):
         fundamental_solution((0.0, 0.0), 0.0, None, pgrid(32, t1=0.01), width=width)
 
 
-def stored_split_peaks(faces, h):
-    """speed and outflow_bound as split() formed them from stored max(u, 0)
-    and min(u, 0) copies of the faces."""
+def stored_split_peaks(faces):
+    """The speed as split() formed it from stored max(u, 0) and min(u, 0)
+    copies of the faces."""
     peaks = [(np.maximum(u, 0.0).max(), -np.minimum(u, 0.0).min()) for u in faces]
-    return max(max(p) for p in peaks), sum((p + m) / ha for (p, m), ha in zip(peaks, h))
+    return max(max(p) for p in peaks)
 
 
 def split_cases():
@@ -686,16 +689,13 @@ def test_split_peaks_match_stored_split(bc):
 
     for name, faces in split_cases():
         faces = on_grid(faces)
-        got = (upwind.split(faces), upwind.outflow_bound)
-        want = stored_split_peaks(faces, g.h)
+        got = upwind.split(faces)
+        want = stored_split_peaks(faces)
         assert np.array(got).tobytes() == np.array(want).tobytes(), name
     # when every face is a signed zero only the sign of the zero speed can
     # differ, and the speed is only compared with 0
     zeros = on_grid([np.where(np.indices((12, 10)).sum(axis=0) % 3, -0.0, 0.0)] * 2)
-    got = (upwind.split(zeros), upwind.outflow_bound)
-    want = stored_split_peaks(zeros, g.h)
-    assert got[0] == want[0] == 0.0
-    assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
+    assert upwind.split(zeros) == stored_split_peaks(zeros) == 0.0
 
 
 @pytest.mark.parametrize("shape", [(15, 17), (24, 17), (8, 8, 9), (10, 13, 8), (67, 69)])
@@ -712,11 +712,11 @@ def test_reciprocal_scale_matches_division(shape):
 
 @pytest.mark.parametrize("safety", [0.8, 0.9])
 @pytest.mark.parametrize("data", ["uniform", "checkerboard"])
-def test_explicit_fv_auto_dt_keeps_checkerboard_in_unit_interval(data, safety):
+def test_explicit_fv_auto_dt_keeps_checkerboard_in_unit_interval(data, safety, bc="zero"):
     # the drift of test_checkerboard_drift_refuses_largest_cfl_dt: an automatic
     # step that met the diffusion and advection bounds only one at a time
     # blew these data up to about 1e14 at safety 0.8
-    g = Grid(2, (-1.0, -1.0), (1.0, 1.0), (16, 16), 0.0, 0.2, 2, "zero")
+    g = Grid(2, (-1.0, -1.0), (1.0, 1.0), (16, 16), 0.0, 0.2, 2, bc)
 
     def stream(t, x, y):
         i = np.rint((x - g.lo[0]) / g.h[0]).astype(int)
@@ -732,6 +732,13 @@ def test_explicit_fv_auto_dt_keeps_checkerboard_in_unit_interval(data, safety):
     run = solve(theta0, PotentialDrift(2, stream_fn=stream), g, config)
     assert run.minimum.min() >= 0.0
     assert run.maximum.max() <= 1.0
+
+
+@pytest.mark.parametrize("safety", [0.8, 0.9])
+@pytest.mark.parametrize("data", ["uniform", "checkerboard"])
+def test_periodic_auto_dt_keeps_checkerboard_in_unit_interval(data, safety):
+    # the same drift and data on the periodic grid, through the same upwind kernel
+    test_explicit_fv_auto_dt_keeps_checkerboard_in_unit_interval(data, safety, "periodic")
 
 
 @pytest.mark.parametrize("safety", [0.4, 0.9])
@@ -790,3 +797,21 @@ def test_max_outflow_one_pass_per_faces_object(monkeypatch):
     run = solve(gaussian_blob(g, (0.0, 0.0), 0.3), FieldDrift(b), g)
     assert len(run.step_times) > 10
     assert sorted(calls) == [0, 0, 1, 1]
+    # a configured dt is checked against the per-cell bound at every step
+    calls.clear()
+    run = solve(gaussian_blob(g, (0.0, 0.0), 0.3), FieldDrift(b), g,
+                SolverConfig(dt=run.step_times[1]))
+    assert len(run.step_times) > 10
+    assert sorted(calls) == [0, 0, 1, 1]
+
+
+def test_step_count_cap_is_inclusive(monkeypatch):
+    # drift-free on a periodic grid the step is span/50: 50 steps reach t1
+    import driftlab.solver as solver
+    g = pgrid(32, t1=0.01)
+    theta0 = gaussian_blob(g, (0.0, 0.0), 0.5)
+    monkeypatch.setattr(solver, "MAX_STEPS", 50)
+    assert len(solve(theta0, None, g).step_times) == 51
+    monkeypatch.setattr(solver, "MAX_STEPS", 49)
+    with pytest.raises(ValueError, match="needs more than 49 steps to reach t1"):
+        solve(theta0, None, g)
