@@ -31,7 +31,8 @@ from .fields import (PERIODIC, ZERO, SpaceTimeField, _component_sum, _curl_compo
                      face_to_cell, grid_laplacian)
 
 BUFFER_CELLS = 3
-# solve refuses a step that would need more steps than this to reach t1
+# solve refuses a step that would need more steps than this to reach t1: a cap
+# on run time, not error, which long valid runs on fine grids also meet
 MAX_STEPS = 10**6
 
 
@@ -337,10 +338,15 @@ class _Upwind:
         self.faces = self.outflow = None
 
     def split(self, faces):
-        """Keep the face velocities for div(); return max |u|."""
+        """Keep the face velocities for div(); return max |u|.
+
+        Also sets ``outflow_bound``, Σ_a (max u⁺ − min u⁻)/h_a over the faces
+        of each axis: no cell's outflow rate exceeds it.
+        """
         if faces is not self.faces:
             self.faces, self.outflow = faces, None
         peaks = [(max(u.max(), 0.0), -min(u.min(), 0.0)) for u in faces]
+        self.outflow_bound = sum((p + m) / h for (p, m), h in zip(peaks, self.h))
         return max(max(p) for p in peaks)
 
     def max_outflow(self):
@@ -426,8 +432,8 @@ def _timestep(grid, config, upwind, speed):
     positivity bound dt·(D + max_i A_i) ≤ safety, where A_i is the outflow
     rate of cell i and D = 2Σ1/h_a² on zero grids (0 on periodic ones): then
     every cell's update is a convex combination and the max principle holds.
-    The automatic step on zero grids is cut to it; a configured dt above any
-    of the three bounds is refused.
+    The automatic step on zero grids is cut to it; a configured dt that
+    breaks any of the bounds is refused.
     """
     h = min(grid.h)
     explicit = grid.bc == ZERO
@@ -435,8 +441,13 @@ def _timestep(grid, config, upwind, speed):
     adv_bound = np.inf if speed == 0 else config.safety * h / speed
     diffusion = 2.0 * sum(1.0 / ha**2 for ha in grid.h) if explicit else 0.0
 
+    def admits(dt):
+        # split()'s bound on the outflow needs no pass over the faces, and a
+        # time-dependent drift hands over new faces at almost every step
+        return dt * (diffusion + upwind.outflow_bound) <= config.safety
+
     def cell_bound():
-        rate = diffusion + (upwind.max_outflow() if speed != 0 else 0.0)
+        rate = diffusion + upwind.max_outflow()
         return np.inf if rate == 0 else config.safety / rate
 
     if config.dt is None:
@@ -445,12 +456,15 @@ def _timestep(grid, config, upwind, speed):
         # two bounds one at a time, not summed, so with a drift it is cut to
         # the cell bound
         dt = min(diff_bound, adv_bound / grid.n, (grid.t1 - grid.t0) / 50.0)
-        return min(dt, cell_bound()) if explicit and speed != 0 else dt
-    cell = cell_bound()
-    if config.dt > min(diff_bound, adv_bound, cell) * (1 + 1e-12):
-        raise ValueError(
-            f"timestep {config.dt:g} violates CFL bounds (diffusion {diff_bound:g}, "
-            f"advection {adv_bound:g}, per-cell {cell:g})")
+        if explicit and speed != 0 and not admits(dt):
+            dt = min(dt, cell_bound())
+        return dt
+    if not admits(config.dt) or config.dt > min(diff_bound, adv_bound) * (1 + 1e-12):
+        cell = cell_bound()
+        if config.dt > min(diff_bound, adv_bound, cell) * (1 + 1e-12):
+            raise ValueError(
+                f"timestep {config.dt:g} violates CFL bounds (diffusion {diff_bound:g}, "
+                f"advection {adv_bound:g}, per-cell {cell:g})")
     return config.dt
 
 
@@ -461,9 +475,9 @@ def solve(theta0, b, grid, config=None):
     b is None, a vector SpaceTimeField, or a face-velocity provider.  The
     stepper substeps between stored times with a CFL-admissible dt; an
     explicitly configured dt that violates the CFL or per-cell positivity
-    bounds is refused, and so is a step that would need more than MAX_STEPS
-    steps to reach grid.t1.  Diffusion is forward Euler on zero grids and
-    backward Euler by FFT on periodic ones.
+    bounds is refused, and so is any step that would need more than MAX_STEPS
+    steps to reach grid.t1, however admissible.  Diffusion is forward Euler on
+    zero grids and backward Euler by FFT on periodic ones.
     """
     config = config or SolverConfig()
     explicit = grid.bc == ZERO
@@ -504,7 +518,8 @@ def solve(theta0, b, grid, config=None):
             dt = _timestep(grid, config, upwind, speed)
             if dt * MAX_STEPS < grid.t1 - t:
                 raise ValueError(f"timestep {dt:g} at t = {t:g} needs more than "
-                                 f"{MAX_STEPS} steps to reach t1 = {grid.t1:g}")
+                                 f"{MAX_STEPS} steps to reach t1 = {grid.t1:g} "
+                                 "(solver.MAX_STEPS caps the step count, not a CFL bound)")
             dt = min(dt, t_end - t)
             upwind.div(theta, adv)
             if explicit:

@@ -652,11 +652,11 @@ def test_fundamental_solution_refuses_bad_width(width):
         fundamental_solution((0.0, 0.0), 0.0, None, pgrid(32, t1=0.01), width=width)
 
 
-def stored_split_peaks(faces):
-    """The speed as split() formed it from stored max(u, 0) and min(u, 0)
-    copies of the faces."""
+def stored_split_peaks(faces, h):
+    """speed and outflow_bound as split() formed them from stored max(u, 0)
+    and min(u, 0) copies of the faces."""
     peaks = [(np.maximum(u, 0.0).max(), -np.minimum(u, 0.0).min()) for u in faces]
-    return max(max(p) for p in peaks)
+    return max(max(p) for p in peaks), sum((p + m) / ha for (p, m), ha in zip(peaks, h))
 
 
 def split_cases():
@@ -689,13 +689,16 @@ def test_split_peaks_match_stored_split(bc):
 
     for name, faces in split_cases():
         faces = on_grid(faces)
-        got = upwind.split(faces)
-        want = stored_split_peaks(faces)
+        got = (upwind.split(faces), upwind.outflow_bound)
+        want = stored_split_peaks(faces, g.h)
         assert np.array(got).tobytes() == np.array(want).tobytes(), name
     # when every face is a signed zero only the sign of the zero speed can
     # differ, and the speed is only compared with 0
     zeros = on_grid([np.where(np.indices((12, 10)).sum(axis=0) % 3, -0.0, 0.0)] * 2)
-    assert upwind.split(zeros) == stored_split_peaks(zeros) == 0.0
+    got = (upwind.split(zeros), upwind.outflow_bound)
+    want = stored_split_peaks(zeros, g.h)
+    assert got[0] == want[0] == 0.0
+    assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(15, 17), (24, 17), (8, 8, 9), (10, 13, 8), (67, 69)])
@@ -710,12 +713,9 @@ def test_reciprocal_scale_matches_division(shape):
         assert np.array_equal(spec * (1.0 / den), spec / den)
 
 
-@pytest.mark.parametrize("safety", [0.8, 0.9])
-@pytest.mark.parametrize("data", ["uniform", "checkerboard"])
-def test_explicit_fv_auto_dt_keeps_checkerboard_in_unit_interval(data, safety, bc="zero"):
-    # the drift of test_checkerboard_drift_refuses_largest_cfl_dt: an automatic
-    # step that met the diffusion and advection bounds only one at a time
-    # blew these data up to about 1e14 at safety 0.8
+def checkerboard_auto_dt_run(data, safety, bc):
+    """The drift of test_checkerboard_drift_refuses_largest_cfl_dt on data in
+    [0, 1], solved with the automatic step."""
     g = Grid(2, (-1.0, -1.0), (1.0, 1.0), (16, 16), 0.0, 0.2, 2, bc)
 
     def stream(t, x, y):
@@ -728,8 +728,15 @@ def test_explicit_fv_auto_dt_keeps_checkerboard_in_unit_interval(data, safety, b
     else:
         theta0 = np.indices(g.shape).sum(axis=0) % 2.0
     theta0[buffer_frame(g.shape)] = 0.0
-    config = SolverConfig(safety=safety)
-    run = solve(theta0, PotentialDrift(2, stream_fn=stream), g, config)
+    return solve(theta0, PotentialDrift(2, stream_fn=stream), g, SolverConfig(safety=safety))
+
+
+@pytest.mark.parametrize("safety", [0.8, 0.9])
+@pytest.mark.parametrize("data", ["uniform", "checkerboard"])
+def test_explicit_fv_auto_dt_keeps_checkerboard_in_unit_interval(data, safety):
+    # an automatic step that met the diffusion and advection bounds only one
+    # at a time blew these data up to about 1e14 at safety 0.8
+    run = checkerboard_auto_dt_run(data, safety, "zero")
     assert run.minimum.min() >= 0.0
     assert run.maximum.max() <= 1.0
 
@@ -738,7 +745,9 @@ def test_explicit_fv_auto_dt_keeps_checkerboard_in_unit_interval(data, safety, b
 @pytest.mark.parametrize("data", ["uniform", "checkerboard"])
 def test_periodic_auto_dt_keeps_checkerboard_in_unit_interval(data, safety):
     # the same drift and data on the periodic grid, through the same upwind kernel
-    test_explicit_fv_auto_dt_keeps_checkerboard_in_unit_interval(data, safety, "periodic")
+    run = checkerboard_auto_dt_run(data, safety, "periodic")
+    assert run.minimum.min() >= 0.0
+    assert run.maximum.max() <= 1.0
 
 
 @pytest.mark.parametrize("safety", [0.4, 0.9])
@@ -797,12 +806,14 @@ def test_max_outflow_one_pass_per_faces_object(monkeypatch):
     run = solve(gaussian_blob(g, (0.0, 0.0), 0.3), FieldDrift(b), g)
     assert len(run.step_times) > 10
     assert sorted(calls) == [0, 0, 1, 1]
-    # a configured dt is checked against the per-cell bound at every step
-    calls.clear()
-    run = solve(gaussian_blob(g, (0.0, 0.0), 0.3), FieldDrift(b), g,
-                SolverConfig(dt=run.step_times[1]))
-    assert len(run.step_times) > 10
-    assert sorted(calls) == [0, 0, 1, 1]
+    # a configured dt at the per-cell bound, which split()'s peak sum cannot
+    # clear, costs the same one pass; a quarter of it costs none
+    dt = run.step_times[1]
+    for config, want in ((SolverConfig(dt=dt), [0, 0, 1, 1]), (SolverConfig(dt=dt / 4), [])):
+        calls.clear()
+        run = solve(gaussian_blob(g, (0.0, 0.0), 0.3), FieldDrift(b), g, config)
+        assert len(run.step_times) > 10
+        assert sorted(calls) == want
 
 
 def test_step_count_cap_is_inclusive(monkeypatch):
