@@ -18,6 +18,8 @@ from .norms import (
     GoodSlices,
     _energy_terms,
     _flux_average,
+    _good_slices,
+    _same_times,
     _theta2_M,
     _time_selection,
     _time_window,
@@ -438,8 +440,9 @@ def fbc_tilde_test(b, u, params, center, R, t0, t1):
              + ε (R⁻² ∬_{B_R×I} u² + ∬ |∇u|² + sup_t ∫_{B_R} u²).
     Satisfied iff the inequality holds for every ε in the sweep.
     """
-    slices = good_slices(b, center, R / 2.0, R, t0, t1)
-    lhs = _flux_average(b, u, center, slices, t0, t1)
+    _same_times(b, u)
+    slices, b_shells = _good_slices(b, center, R / 2.0, R, t0, t1)
+    lhs = _flux_average(b_shells, u, center, slices, t0, t1)
     e = _energy_terms(u, center, R / 2.0, R, t0, t1)
     rhs = {}
     ok = True

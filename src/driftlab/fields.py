@@ -280,26 +280,36 @@ def _interpolate(grid, samples, pts):
     return vals
 
 
-def sphere_points(n, radius, npts):
-    """Quadrature nodes, unit normals and weights on the sphere of given radius.
+def _sphere_nodes(n, radii, counts):
+    """Quadrature nodes, unit normals and weights on the spheres of the given
+    radii, counts[j] points on sphere j, concatenated in radius order.
 
-    2D: uniform angles. 3D: Fibonacci lattice. Weights are |surface|/npts, so
-    they are nonnegative and sum to the surface measure exactly.
+    2D: uniform angles. 3D: Fibonacci lattice. Weights are |surface|/count, so
+    they are nonnegative and sum to each sphere's surface measure exactly.
+    Every sphere is built in the same vectorised pass.
     """
+    counts = np.asarray(counts, dtype=np.intp)
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    npts = np.repeat(counts, counts)  # the point count of each point's sphere
     if n == 2:
-        phi = 2.0 * np.pi * (np.arange(npts) + 0.5) / npts
+        phi = 2.0 * np.pi * (k + 0.5) / npts
         normals = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-        area = 2.0 * np.pi * radius
+        areas = [2.0 * np.pi * r for r in radii]
     else:
-        k = np.arange(npts)
         z = 1.0 - (2.0 * k + 1.0) / npts
         phi = np.pi * (1.0 + np.sqrt(5.0)) * k
         rxy = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         normals = np.stack([rxy * np.cos(phi), rxy * np.sin(phi), z], axis=-1)
-        area = 4.0 * np.pi * radius ** 2
-    points = radius * normals
-    weights = np.full(npts, area / npts)
+        areas = [4.0 * np.pi * r ** 2 for r in radii]
+    points = np.repeat(np.asarray(radii), counts)[:, None] * normals
+    weights = np.repeat(np.divide(areas, counts), counts)
     return points, normals, weights
+
+
+def sphere_points(n, radius, npts):
+    """Quadrature nodes, unit normals and weights on the sphere of given radius
+    (see `_sphere_nodes`)."""
+    return _sphere_nodes(n, [radius], [npts])
 
 
 def default_shell_points(n, radius, h):
@@ -313,40 +323,54 @@ def default_shell_points(n, radius, h):
 class ShellSamples:
     """Interpolated samples of one field on spheres ∂B_r(center) at all times.
 
-    samples[j] has shape (nt, npts_j) for scalar fields or (nt, npts_j, n) for
-    vector fields; weights[j] sum to |∂B_{r_j}|.
+    The points of all radii form one block, in radius order: ``values`` has
+    shape (nt, P) for scalar fields or (nt, P, n) for vector fields,
+    ``point_normals`` (P, n) and ``point_weights`` (P,); sphere j holds the
+    points up to ``ends[j]``.  ``samples`` and ``weights`` are the per-radius
+    views: samples[j] has shape (nt, npts_j) or (nt, npts_j, n), and weights[j]
+    sum to |∂B_{r_j}|.
     """
 
     center: tuple
     radii: np.ndarray
-    samples: list
-    normals: list
-    weights: list
+    values: np.ndarray
+    point_normals: np.ndarray
+    point_weights: np.ndarray
+    ends: np.ndarray
+
+    @property
+    def spans(self):
+        """(start, end) of each sphere's points in the block."""
+        return list(zip([0, *self.ends[:-1]], self.ends))
+
+    @property
+    def samples(self):
+        return [self.values[:, s:e] for s, e in self.spans]
+
+    @property
+    def weights(self):
+        return [self.point_weights[s:e] for s, e in self.spans]
 
 
 def shell_restrict(f, center, radii):
     """Linear-interpolate f onto spheres around center, with quadrature weights.
 
-    Each sphere takes `default_shell_points` points.  The points of all radii
-    share one `_interpolate` call over every time slice and component.
+    Each sphere takes `default_shell_points` points.  The nodes of all radii
+    are built in one pass, and share one `_interpolate` call over every time
+    slice and component.
     """
     g = f.grid
     center = np.asarray(center, dtype=float)
+    if g.bc != PERIODIC:
+        for r in radii:
+            if np.any(center - r < g.lo) or np.any(center + r > g.hi):
+                raise ValueError(f"shell r={r} exits the domain")
     hmin = min(g.h)
-    pts, all_normals, all_weights = [], [], []
-    for r in radii:
-        if g.bc != PERIODIC and (np.any(center - r < g.lo) or np.any(center + r > g.hi)):
-            raise ValueError(f"shell r={r} exits the domain")
-        p, normals, w = sphere_points(g.n, r, default_shell_points(g.n, r, hmin))
-        pts.append(p + center)
-        all_normals.append(normals)
-        all_weights.append(w)
-    pts = np.concatenate(pts) if pts else np.empty((0, g.n))
-    vals = _interpolate(g, f.samples, pts)
-    ends = np.cumsum([len(w) for w in all_weights])
-    return ShellSamples(tuple(center), np.asarray(radii, dtype=float),
-                        [vals[:, e - len(w):e] for e, w in zip(ends, all_weights)],
-                        all_normals, all_weights)
+    counts = [default_shell_points(g.n, r, hmin) for r in radii]
+    pts, normals, weights = _sphere_nodes(g.n, radii, counts)
+    vals = _interpolate(g, f.samples, pts + center)
+    return ShellSamples(tuple(center), np.asarray(radii, dtype=float), vals, normals,
+                        weights, np.cumsum(counts, dtype=np.intp))
 
 
 # ---------------------------------------------------------------------------

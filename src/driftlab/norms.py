@@ -134,14 +134,15 @@ def _magnitude(samples, scalar):
     return np.abs(samples) if scalar else np.sqrt(_component_sum(samples**2))
 
 
-def _sphere_norms(f, center, radii, tidx, p):
-    """Table of ||f(., t)||_{L^p_sigma(dB_r)}: one row per radius, one column per
-    selected time."""
-    sh = shell_restrict(f, center, radii)
-    out = np.empty((len(radii), len(tidx)))
-    for j, (s, w) in enumerate(zip(sh.samples, sh.weights)):
-        out[j] = _pnorm(_magnitude(s[tidx], f.is_scalar), w, p, axis=-1)
-    return out
+def _sphere_norms(sh, tidx, p):
+    """Table of ||f(., t)||_{L^p_sigma(dB_r)} from f's shell samples: one row per
+    radius, one column per selected time.  The magnitude and its power are taken
+    over the points of all radii at once."""
+    a = _magnitude(sh.values[tidx], sh.values.ndim == 2)
+    if np.isinf(p):
+        return np.array([a[:, s:e].max(axis=-1) for s, e in sh.spans])
+    a, w = a**p, sh.point_weights
+    return np.array([(a[:, s:e] @ w[s:e]) ** (1.0 / p) for s, e in sh.spans])
 
 
 def _spatial_mask(grid, region):
@@ -187,7 +188,7 @@ def mixed_norm(f, spec, region):
     radii = np.linspace(r0, r1, nr)
     rw = _trapz_weights(nr, (r1 - r0) / (nr - 1))
     inner_p = spec.gamma if spec.order == SLICED_TR else spec.p
-    per_rt = _sphere_norms(f, region.center, radii, tidx, inner_p)
+    per_rt = _sphere_norms(shell_restrict(f, region.center, radii), tidx, inner_p)
     if spec.order == SLICED_TR:
         per_t = _pnorm(per_rt.T, rw, spec.beta, axis=-1)  # L^beta_r
         return float(_pnorm(per_t, tw, spec.q, axis=-1))  # L^q_t
@@ -285,15 +286,21 @@ def good_slices(b, center, rho, R, t0, t1, q=INF, p=INF, kappa=1.0):
     slice norm^kappa is at most twice the kappa-average, which guarantees
     measure(A) >= (R - rho)/2.
     """
+    return _good_slices(b, center, rho, R, t0, t1, q, p, kappa)[0]
+
+
+def _good_slices(b, center, rho, R, t0, t1, q=INF, p=INF, kappa=1.0):
+    """`good_slices`, and b's shells on all of its radii."""
     radii = rho + (R - rho) * (np.arange(SLICE_RADII) + 0.5) / SLICE_RADII
     dr = (R - rho) / SLICE_RADII
     tidx, tw = _time_selection(b.grid, t0, t1)
-    per_rt = _sphere_norms(b, center, radii, tidx, p)
+    shells = shell_restrict(b, center, radii)
+    per_rt = _sphere_norms(shells, tidx, p)
     norms = np.array([_pnorm(per_t, tw, q) for per_t in per_rt])
     powered = norms**kappa
     threshold = 2.0 * powered.mean()
     mask = powered <= threshold + 1e-300
-    return GoodSlices(radii, norms, mask, float(threshold), dr)
+    return GoodSlices(radii, norms, mask, float(threshold), dr), shells
 
 
 @dataclass(frozen=True)
@@ -360,21 +367,31 @@ class FbcReport:
     terms: dict
 
 
-def _flux_average(b, u, center, slices, t0, t1):
+def _same_times(b, u):
+    """Refuse a drift and a solution stored at different times: the FBC
+    integrands pair b and u at each stored time."""
+    gb, gu = b.grid, u.grid
+    if not np.array_equal(gb.times, gu.times):
+        raise ValueError(f"b and u must be stored at the same times: b has {gb.nt} on "
+                         f"[{gb.t0}, {gb.t1}], u has {gu.nt} on [{gu.t0}, {gu.t1}]")
+
+
+def _flux_average(b_shells, u, center, slices, t0, t1):
     """(1/|A|) * integral over dB_A x I of (u^2/2)(b . n), A the good slices.
 
-    The sign is that of the outward flux; `fbc_test` negates it for its lhs.
+    b_shells are b's shells on all of slices.radii, as `_good_slices` returns
+    them; u is sampled on the good radii only.  The sign is that of the outward
+    flux; `fbc_test` negates it for its lhs.
     """
     tidx, tw = _time_selection(u.grid, t0, t1)
-    radii = slices.radii[slices.mask]
-    shb = shell_restrict(b, center, radii)
-    shu = shell_restrict(u, center, radii)
+    shu = shell_restrict(u, center, slices.radii[slices.mask])
+    good = np.repeat(slices.mask, np.diff(b_shells.ends, prepend=0))
+    bn = _component_sum(b_shells.values[tidx].compress(good, axis=1)
+                        * b_shells.point_normals.compress(good, axis=0))
+    flux = (shu.values[tidx] ** 2 / 2.0) * bn * shu.point_weights
     total = 0.0
-    for j in range(len(radii)):
-        bn = _component_sum(shb.samples[j][tidx] * shb.normals[j])
-        u2 = shu.samples[j][tidx] ** 2
-        per_t = ((u2 / 2.0) * bn * shb.weights[j]).sum(axis=-1)
-        total += (per_t * tw).sum() * slices.dr
+    for s, e in shu.spans:
+        total += (flux[:, s:e].sum(axis=-1) * tw).sum() * slices.dr
     return total / slices.measure
 
 
@@ -404,8 +421,9 @@ def fbc_test(b, u, params, center, rho, R, t0, t1, slice_q=INF, slice_p=INF, kap
     rhs = M R0^a/(d^a R0^2 (R-rho)^a) * iint_{(B_R\\B_rho) x I} u^2
           + N iint |grad u|^2 + eps sup_t int_{B_R} u^2, with R0 = R.
     """
-    slices = good_slices(b, center, rho, R, t0, t1, q=slice_q, p=slice_p, kappa=kappa)
-    lhs = -_flux_average(b, u, center, slices, t0, t1)
+    _same_times(b, u)
+    slices, b_shells = _good_slices(b, center, rho, R, t0, t1, slice_q, slice_p, kappa)
+    lhs = -_flux_average(b_shells, u, center, slices, t0, t1)
     e = _energy_terms(u, center, rho, R, t0, t1)
     a, d = params.alpha, params.delta
     rhs = (params.M * R**a / (d**a * R**2 * (R - rho) ** a) * e["bulk_annulus"]

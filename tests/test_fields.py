@@ -10,7 +10,9 @@ from driftlab.fields import (
     Grid,
     SpaceTimeField,
     _ddx,
+    _sphere_nodes,
     cell_to_face,
+    default_shell_points,
     divergence,
     face_to_cell,
     gradient,
@@ -247,6 +249,22 @@ def test_shell_exits_domain():
     f = SpaceTimeField(g, np.zeros((1, 32, 32)))
     with pytest.raises(ValueError):
         shell_restrict(f, (0.8, 0.0), [0.5])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sphere_nodes_batch_matches_per_radius(n):
+    rng = np.random.default_rng(40 + n)
+    for radii in ([], [0.5], list(rng.uniform(0.01, 2.0, 25)), rng.uniform(0.01, 2.0, 7)):
+        counts = [default_shell_points(n, r, 0.05) for r in radii]
+        batch = _sphere_nodes(n, radii, counts)
+        per_radius = [sphere_points(n, r, c) for r, c in zip(radii, counts)]
+        for k, got in enumerate(batch):
+            want = (np.concatenate([nodes[k] for nodes in per_radius]) if per_radius
+                    else np.empty((0, n) if k < 2 else (0,)))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    f = gaussian_field(box(n, 16))
+    sh = shell_restrict(f, (0,) * n, [])
+    assert sh.values.shape == (1, 0) and sh.samples == [] and sh.weights == []
 
 
 def _map_coordinates_shells(f, center, sh):

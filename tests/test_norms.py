@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from driftlab.fields import Grid, SpaceTimeField
+from driftlab import norms
+from driftlab.analysis import drift_free_params, fbc_tilde_test
+from driftlab.fields import Grid, SpaceTimeField, _component_sum, shell_restrict, sphere_points
 from driftlab.norms import (
     Annulus,
     Box,
     FbcParams,
     MixedNormSpec,
+    _time_selection,
     ball,
     criticality_index,
     fbc_params_radial,
@@ -292,3 +295,88 @@ def test_fbc_random_ensemble():
             rep = fbc_test(b, u, params, (0, 0), 0.45, 0.9, 0.0, 1.0,
                            slice_q=spec.q, slice_p=spec.p, kappa=spec.kappa)
             assert rep.satisfied, (rep.lhs, rep.rhs)
+
+
+def _resampled_flux(b, u, center, slices, t0, t1):
+    """Reference outward flux average: b and u both sampled afresh on the good
+    radii, one radius at a time."""
+    tidx, tw = _time_selection(u.grid, t0, t1)
+    radii = slices.radii[slices.mask]
+    shb, shu = shell_restrict(b, center, radii), shell_restrict(u, center, radii)
+    total = 0.0
+    for r, sb, w, su in zip(radii, shb.samples, shb.weights, shu.samples):
+        bn = _component_sum(sb[tidx] * sphere_points(b.grid.n, r, len(w))[1])
+        per_t = ((su[tidx] ** 2 / 2.0) * bn * w).sum(axis=-1)
+        total += (per_t * tw).sum() * slices.dr
+    return total / slices.measure
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_fbc_flux_matches_resampled_reference(n):
+    # the flux term reuses b's good-slice shells; it must equal resampling b on
+    # the good radii bit for bit, also when some slices are bad
+    rng = np.random.default_rng(30 + n)
+    N = 64 if n == 2 else 24
+    g = Grid(n, (-1.2,) * n, (1.2,) * n, (N,) * n, 0.0, 1.0, 5, "zero")
+    b = smooth_random_vector(g, rng, modes=2)
+    r = np.sqrt(sum(x**2 for x in g.meshgrid()))
+    b.samples[..., 0] += 50.0 * np.exp(-((r - 0.6) / 0.04) ** 2)
+    u = smooth_random_scalar(g, rng, modes=2)
+    center, rho, R, t0, t1 = (0.0,) * n, 0.45, 0.9, 0.25, 1.0
+
+    params = FbcParams(M=1.0, N=0.25, alpha=2.0, delta=0.5, epsilon=0.25, theta2=0.5)
+    rep = fbc_test(b, u, params, center, rho, R, t0, t1, slice_q=3, slice_p=2, kappa=2)
+    assert not rep.slices.mask.all()
+    assert _bits(rep.lhs) == _bits(-_resampled_flux(b, u, center, rep.slices, t0, t1))
+    e, a, d = rep.terms, params.alpha, params.delta
+    rhs = (params.M * R**a / (d**a * R**2 * (R - rho) ** a) * e["bulk_annulus"]
+           + params.N * e["grad_annulus"] + params.epsilon * e["sup_ball"])
+    assert _bits(rep.rhs) == _bits(rhs)
+
+    par = drift_free_params()
+    trep = fbc_tilde_test(b, u, par, center, R, t0, t1)
+    assert _bits(trep.lhs) == _bits(_resampled_flux(b, u, center, trep.slices, t0, t1))
+    e = norms._energy_terms(u, center, R / 2.0, R, t0, t1)
+    for eps, val in trep.rhs.items():
+        want = (par.M0 / (eps ** (par.alpha0 + 1.0) * R ** (par.alpha0 + 2.0)) * e["bulk_ball"]
+                + eps * (e["bulk_ball"] / R**2 + e["grad_ball"] + e["sup_ball"]))
+        assert _bits(val) == _bits(want)
+
+
+def test_fbc_samples_b_once(monkeypatch):
+    rng = np.random.default_rng(32)
+    g = grid2(64, nt=5)
+    b, u = smooth_random_vector(g, rng, modes=2), smooth_random_scalar(g, rng, modes=2)
+    sampled = []
+
+    def counting_shell_restrict(f, center, radii):
+        sampled.append(f)
+        return shell_restrict(f, center, radii)
+
+    monkeypatch.setattr(norms, "shell_restrict", counting_shell_restrict)
+    params = FbcParams(M=1.0, N=0.25, alpha=2.0, delta=1.0, epsilon=0.25, theta2=0.5)
+    fbc_test(b, u, params, (0, 0), 0.45, 0.9, 0.0, 1.0)
+    assert len(sampled) == 2 and sampled[0] is b and sampled[1] is u
+    sampled.clear()
+    fbc_tilde_test(b, u, drift_free_params(), (0, 0), 0.9, 0.0, 1.0)
+    assert len(sampled) == 2 and sampled[0] is b and sampled[1] is u
+
+
+@pytest.mark.parametrize("u_times", [(0.0, 1.0, 9), (0.5, 1.5, 5)])
+def test_fbc_refuses_b_and_u_on_different_times(u_times):
+    # b at 5 times on [0, 1]; u at 9 times on the same span, or at 5 shifted
+    # ones, which would pair b(t_i) with u(t_i + 1/2)
+    rng = np.random.default_rng(33)
+    g = grid2(48, nt=5)
+    b = smooth_random_vector(g, rng, modes=2)
+    u = smooth_random_scalar(g.with_times(*u_times), rng, modes=2)
+    spans = rf"b has 5 on \[0\.0, 1\.0\], u has {u_times[2]} on \[{u_times[0]}, {u_times[1]}\]"
+    params = FbcParams(M=1.0, N=0.25, alpha=2.0, delta=1.0, epsilon=0.25, theta2=0.5)
+    with pytest.raises(ValueError, match=spans):
+        fbc_test(b, u, params, (0, 0), 0.45, 0.9, 0.5, 1.0)
+    with pytest.raises(ValueError, match=spans):
+        fbc_tilde_test(b, u, drift_free_params(), (0, 0), 0.9, 0.5, 1.0)

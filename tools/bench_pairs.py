@@ -16,9 +16,11 @@ wall time, the peak RSS of the largest process in its tree, and ``pass_ratio``
 (1 when it exits 0).  The side that runs first alternates from one pair to the
 next.  The result goes to ``BENCH_<label>.json`` (or ``--out``): both
 revisions, nproc, the versions, the seeds, every pair's end-to-end metrics
-(with each side's failed perfbench operations as ``<side>_failed_ops``), and
-per metric each side's median and quartiles, the wins of the change, and
-whether the change stays within the bound that ``BENCHMARK.json`` sets.  A
+(with each side's failed perfbench operations as ``<side>_failed_ops`` and,
+when there are any, the last ``STDERR_TAIL`` characters of that run's stderr as
+``<side>_stderr_tail``), and per metric each side's median and quartiles, the
+wins of the change, and whether the change stays within the bound that
+``BENCHMARK.json`` sets.  A
 metric counts as a claimable gain when the change wins at least nine pairs in
 ten (ties count for neither side) and the medians differ by more than the
 base's interquartile range, over at least ten pairs.  Uses the standard
@@ -41,6 +43,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from envinfo import src_digest  # noqa: E402  (the digest perfbench records)
 
 ROOT = Path.cwd()
+STDERR_TAIL = 2000  # characters of a failing run's stderr that are kept
 
 
 def _git(*args, cwd=ROOT):
@@ -58,17 +61,18 @@ def _seeds(text):
 
 def run_bench(root, workload, seed, seconds):
     """One perfbench run in the checkout at root: (result line, env record,
-    failed operations)."""
+    failed operations, the tail of its stderr)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n"
-                           f"{proc.stderr[-2000:]}")
+                           f"{proc.stderr[-STDERR_TAIL:]}")
     failed = [json.loads(line)["failed_op"] for line in lines
               if line.startswith('{"failed_op"')]
-    return json.loads(lines[-1]), json.loads(lines[-2])["env"], failed
+    return json.loads(lines[-1]), json.loads(lines[-2])["env"], failed, \
+        proc.stderr[-STDERR_TAIL:]
 
 
 def run_command(root, command):
@@ -87,7 +91,7 @@ def run_command(root, command):
         if code != 0:
             err.seek(0)
             print(f"{command!r} in {root} exited {code}:\n"
-                  f"{err.read()[-2000:].decode(errors='replace')}", file=sys.stderr)
+                  f"{err.read()[-STDERR_TAIL:].decode(errors='replace')}", file=sys.stderr)
     return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0,
             "pass_ratio": float(code == 0)}, code
 
@@ -191,11 +195,13 @@ def main():
                         metrics, code = run_command(roots[side], workload)
                         correct = code == 0
                     else:
-                        res, env, failed = run_bench(roots[side], workload, seed,
-                                                     args.seconds)
+                        res, env, failed, stderr = run_bench(roots[side], workload, seed,
+                                                             args.seconds)
                         metrics = {k: v["value"] for k, v in res["metrics"].items()}
                         correct = res["correct"]
                         pair[side + "_failed_ops"] = failed
+                        if failed:
+                            pair[side + "_stderr_tail"] = stderr
                         for key in ("nproc", "affinity", "python", "numpy", "scipy",
                                     "machine"):
                             record.setdefault(key, env[key])
