@@ -17,9 +17,9 @@ from .norms import (
     SLICE_RADII,
     GoodSlices,
     _energy_terms,
+    _fbc_inputs,
     _flux_average,
     _good_slices,
-    _same_times,
     _theta2_M,
     _time_selection,
     _time_window,
@@ -440,7 +440,7 @@ def fbc_tilde_test(b, u, params, center, R, t0, t1):
              + ε (R⁻² ∬_{B_R×I} u² + ∬ |∇u|² + sup_t ∫_{B_R} u²).
     Satisfied iff the inequality holds for every ε in the sweep.
     """
-    _same_times(b, u)
+    _fbc_inputs(b, u)
     slices, b_shells = _good_slices(b, center, R / 2.0, R, t0, t1)
     lhs = _flux_average(b_shells, u, center, slices, t0, t1)
     e = _energy_terms(u, center, R / 2.0, R, t0, t1)

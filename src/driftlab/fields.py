@@ -119,6 +119,16 @@ class SpaceTimeField:
         return cls(grid, out, ncomp)
 
 
+def _require_finite(f, name):
+    """Refuse a field with a NaN or infinite sample, naming the first one's
+    index (time slice, cell, component)."""
+    finite = np.isfinite(f.samples)
+    if not finite.all():
+        idx = np.unravel_index(np.argmin(finite), finite.shape)
+        raise ValueError(f"{name} has a non-finite sample ({f.samples[idx]}) at index "
+                         f"{tuple(map(int, idx))}")
+
+
 def _slab(arr, axis, i, j):
     """View of arr restricted to [i, j) along one axis."""
     idx = [slice(None)] * arr.ndim

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import _component_sum, _sq_distance, gradient, shell_restrict
+from .fields import _component_sum, _require_finite, _sq_distance, gradient, shell_restrict
 
 INF = np.inf
 SLICE_RADII = 33  # radii that good_slices tests on an annulus
@@ -367,9 +367,11 @@ class FbcReport:
     terms: dict
 
 
-def _same_times(b, u):
-    """Refuse a drift and a solution stored at different times: the FBC
-    integrands pair b and u at each stored time."""
+def _fbc_inputs(b, u):
+    """Refuse a drift and a solution stored at different times (the FBC
+    integrands pair b and u at each stored time), or with a non-finite sample."""
+    _require_finite(b, "b")
+    _require_finite(u, "u")
     gb, gu = b.grid, u.grid
     if not np.array_equal(gb.times, gu.times):
         raise ValueError(f"b and u must be stored at the same times: b has {gb.nt} on "
@@ -421,7 +423,7 @@ def fbc_test(b, u, params, center, rho, R, t0, t1, slice_q=INF, slice_p=INF, kap
     rhs = M R0^a/(d^a R0^2 (R-rho)^a) * iint_{(B_R\\B_rho) x I} u^2
           + N iint |grad u|^2 + eps sup_t int_{B_R} u^2, with R0 = R.
     """
-    _same_times(b, u)
+    _fbc_inputs(b, u)
     slices, b_shells = _good_slices(b, center, rho, R, t0, t1, slice_q, slice_p, kappa)
     lhs = -_flux_average(b_shells, u, center, slices, t0, t1)
     e = _energy_terms(u, center, rho, R, t0, t1)

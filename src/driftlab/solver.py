@@ -22,6 +22,7 @@ interpolated to faces and then projected onto the divergence-free constraint.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +129,12 @@ class PotentialDrift:
         return SpaceTimeField.from_function(grid, cells, grid.n)
 
 
+class _Faces(list):
+    """One slice's projected faces: a list the face cache can refer to weakly."""
+
+    __slots__ = ("__weakref__",)
+
+
 class FieldDrift:
     """Drift from cell-centered samples of a vector SpaceTimeField.
 
@@ -137,13 +144,20 @@ class FieldDrift:
     time between the stored slices.  Equal consecutive slices share one
     projection and are not interpolated between, so a steady field is
     projected once.
+
+    The drift holds the projected faces of the one or two slices of its last
+    ``face_velocities`` request, and no others: the cache refers to a slice's
+    faces weakly, so they live on only while some caller holds them.  A
+    forward march thus keeps at most two projected slices alive and still
+    projects each slice once.
     """
 
     def __init__(self, b):
         if b.ncomp != b.grid.n:
             raise ValueError("drift must be a vector field")
         self.b = b
-        self._cache = {}
+        self._cache = weakref.WeakValueDictionary()
+        self._held = ()
         # each slice maps to the first slice of its run of equal slices
         s = b.samples
         starts = [0]
@@ -153,15 +167,15 @@ class FieldDrift:
 
     def _faces_at_slice(self, j):
         j = self._run_start[j]
-        if j in self._cache:
-            return self._cache[j]
+        faces = self._cache.get(j)
+        if faces is not None:
+            return faces
         g = self.b.grid
         faces = []
         for a in range(g.n):
             lo, hi = cell_to_face(self.b.samples[j, ..., a], a, g.bc)
             faces.append(0.5 * (lo + hi))
-        faces = _project_faces(g, faces)
-        self._cache[j] = faces
+        faces = self._cache[j] = _Faces(_project_faces(g, faces))
         return faces
 
     def _bracket(self, grid, t):
@@ -178,10 +192,14 @@ class FieldDrift:
 
     def face_velocities(self, grid, t):
         j0, j1, w = self._bracket(grid, t)
+        # the last request's slices stay held until both of this one's are
+        # found, so a march that moves on by one slice projects only the new one
         f0 = self._faces_at_slice(j0)
         if w == 0.0 or self._run_start[j0] == self._run_start[j1]:
+            self._held = (f0,)
             return f0
         f1 = self._faces_at_slice(j1)
+        self._held = (f0, f1)
         out = []
         for a, b in zip(f0, f1):
             r = a * (1 - w)

@@ -309,7 +309,7 @@ def test_blowup_trend_8_blocks():
     asm = assemble_borderline(8, amplitudes=0.9 ** np.arange(8), scale0=0.3,
                               ratio=0.85, travel=1.2, end_time=0.98,
                               x_start=(-0.6, 0.0))
-    sups, regs = blowup_probe_series(asm, resolution=384, extent=2.0)
+    sups, regs = blowup_probe_series(asm, resolution=384, extent=2.0, jobs=2)
     slope = float(np.polyfit(np.log(regs), np.log(sups), 1)[0])
     assert 0.75 <= slope <= 1.25, slope
     running = np.maximum.accumulate(sups)

@@ -380,3 +380,28 @@ def test_fbc_refuses_b_and_u_on_different_times(u_times):
         fbc_test(b, u, params, (0, 0), 0.45, 0.9, 0.5, 1.0)
     with pytest.raises(ValueError, match=spans):
         fbc_tilde_test(b, u, drift_free_params(), (0, 0), 0.9, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fbc_refuses_a_non_finite_sample(bad):
+    # one bad drift sample near r = 0.64 on a zero drift: the slice norms'
+    # mean is then non-finite, so no slice is good and the flux average
+    # divided by a measure of 0
+    rng = np.random.default_rng(34)
+    g = grid2(32, nt=3, L=1.0)
+    cell = int(np.argmin(np.abs(g.axis(0) - 0.64)))
+    samples = np.zeros((g.nt,) + tuple(g.shape) + (2,))
+    samples[1, cell, 16, 0] = bad
+    b = SpaceTimeField(g, samples, 2, allow_nonfinite=True)
+    u = smooth_random_scalar(g, rng, modes=2)
+    where = rf"b has a non-finite sample \({bad}\) at index \(1, {cell}, 16, 0\)"
+    params = FbcParams(M=1.0, N=0.25, alpha=2.0, delta=1.0, epsilon=0.25, theta2=0.5)
+    with pytest.raises(ValueError, match=where):
+        fbc_test(b, u, params, (0, 0), 0.45, 0.9, 0.0, 1.0)
+    with pytest.raises(ValueError, match=where):
+        fbc_tilde_test(b, u, drift_free_params(), (0, 0), 0.9, 0.0, 1.0)
+    # the solution is checked the same way
+    u.samples[2, 3, 4] = bad
+    zero = SpaceTimeField(g, np.zeros_like(samples), 2)
+    with pytest.raises(ValueError, match=rf"u has a non-finite sample \({bad}\) at index \(2, 3, 4\)"):
+        fbc_test(zero, u, params, (0, 0), 0.45, 0.9, 0.0, 1.0)

@@ -456,6 +456,52 @@ def test_field_drift_interpolation_bit_for_bit():
         assert np.array_equal(got[a], f1[a] * 0.75 + f2[a] * 0.25)
 
 
+def marching_drift(bc, n, slices):
+    """A 12ⁿ run grid storing the times of a FieldDrift of random slices, where
+    slices[j] names the random slice that time slice j repeats."""
+    g = Grid(n, (-1.0,) * n, (1.0,) * n, (12,) * n, 0.0, 0.02, len(slices), bc)
+    rng = np.random.default_rng(len(slices) + n)
+    draws = {k: rng.standard_normal((12,) * n + (n,)) for k in sorted(set(slices))}
+    return g, FieldDrift(SpaceTimeField(g, np.stack([draws[k] for k in slices]), n))
+
+
+def blob_at_centre(g):
+    return gaussian_blob(g, (0.0,) * g.n, 0.3)
+
+
+@pytest.mark.parametrize("bc,n", [("periodic", 2), ("zero", 3)])
+def test_field_drift_march_keeps_two_slices_alive(monkeypatch, bc, n):
+    import driftlab.solver as solver
+    g, d = marching_drift(bc, n, range(17))
+    alive = []
+
+    def project(grid, faces):
+        alive.append(len(d._cache))  # the projected slices alive before this one
+        return _project_faces(grid, faces)
+
+    monkeypatch.setattr(solver, "_project_faces", project)
+    solve(blob_at_centre(g), d, g)
+    assert len(alive) == 17
+    assert max(alive) <= 2
+    assert len(d._cache) <= 2
+
+
+def test_field_drift_march_projects_each_run_once(monkeypatch):
+    calls = counting_projection(monkeypatch)
+    runs = [0, 1, 1, 1, 4, 5, 5, 7, 8, 8, 8, 8, 12, 13, 14, 14, 16]
+    g, d = marching_drift("periodic", 2, runs)
+    solve(blob_at_centre(g), d, g)
+    assert len(calls) == len(set(runs))
+
+
+def test_field_drift_solves_again_bit_for_bit():
+    g, d = marching_drift("periodic", 2, range(17))
+    first, again = (solve(blob_at_centre(g), d, g) for _ in range(2))
+    for name in ("step_times", "mass", "minimum", "maximum"):
+        assert getattr(first, name).tobytes() == getattr(again, name).tobytes()
+    assert first.trajectory.samples.tobytes() == again.trajectory.samples.tobytes()
+
+
 def test_steady_field_drift_step_count_unchanged():
     # the advective bound limits dt; 151 ledger entries (150 steps) is what
     # the solver gave before equal slices shared their faces
