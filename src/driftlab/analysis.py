@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpaceTimeField, _component_sum, _slab, _sq_distance, gradient, laplacian
+from .fields import (SpaceTimeField, _component_sum, _refuse_nan, _slab, _sq_distance, gradient,
+                     laplacian)
 from .norms import (
     FBC_PREFACTOR,
     SLICE_RADII,
@@ -104,6 +105,7 @@ def subsolution_residual(theta, b=None, exclude=None):
     ``exclude`` is a boolean space-time mask of kink points; it is dilated by
     two cells (≈ 2h) before exclusion.  Boundary frames and the first/last
     stored times are always excluded.  Any positive residual is a violation.
+    θ must be finite; a NaN residual there is refused, naming b's first one.
     """
     field, b = _as_field_and_drift(theta, b)
     g = field.grid
@@ -126,7 +128,7 @@ def subsolution_residual(theta, b=None, exclude=None):
     if exclude is not None:
         checked &= ~_dilate(exclude)
     vals = res[checked]
-    mx = float(vals.max()) if vals.size else -np.inf
+    mx = _refuse_nan(vals.max(), b=b) if vals.size else -np.inf
     viol = checked & (res > 0.0)
     return ResidualReport(mx, SpaceTimeField(g, res, allow_nonfinite=True),
                           checked, viol)

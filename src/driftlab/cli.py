@@ -126,7 +126,7 @@ DIFFUSION = {
 NASH = {
     "scenario.seed": (int, at_least(0), 0),
     "ensemble.count": (int, at_least(3), 10),
-    "ensemble.amplitude": (float, FINITE, 1.0),
+    "ensemble.amplitude": (float, FINITE, None),  # 1.0; refused where no member uses it
     **GRID,
 }
 BLOWUP = {
@@ -232,8 +232,9 @@ def build_drift(s, grid, config_path):
             raise ConfigError(f"{p}: {e}")
         if asm.n != grid.n:
             raise ConfigError(f"{p}: a {asm.n}D drift manifest for a {grid.n}D grid")
-        return FieldDrift(asm.sample_drift(dgrid))
-    return FieldDrift(trig_stream_field(dgrid, s["drift.seed"], s["drift.amplitude"]))
+        return FieldDrift.from_function(dgrid, asm.drift_function(dgrid))
+    steady = grid.with_times(grid.t0, grid.t1, 1)  # one slice: the same drift as many
+    return FieldDrift(trig_stream_field(steady, s["drift.seed"], s["drift.amplitude"]))
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +304,17 @@ def _nash_member(payload):
         asm = assemble_borderline(3, n=grid.n, scale0=0.2, travel=0.6,
                                   end_time=grid.t0 + span, gap_frac=0.02,
                                   x_start=(-0.3,) + (0.0,) * (grid.n - 1))
-        drift = FieldDrift(asm.sample_drift(dgrid))
+        drift = FieldDrift.from_function(dgrid, asm.drift_function(dgrid))
     elif idx == count - 1:
         label = "selfsimilar_assembly"
         t_seq = grid.t0 + span * np.array([0.05, 0.4, 1.0])
         asm = assemble_selfsimilar(t_seq, n=grid.n, travel=0.6,
                                    x_start=(-0.3,) + (0.0,) * (grid.n - 1))
-        drift = FieldDrift(asm.sample_drift(dgrid))
+        drift = FieldDrift.from_function(dgrid, asm.drift_function(dgrid))
     else:
         label = f"random_stream_{idx}"
-        drift = FieldDrift(trig_stream_field(dgrid, seed + idx, amp))
+        steady = grid.with_times(grid.t0, grid.t1, 1)  # one slice: the same drift as many
+        drift = FieldDrift(trig_stream_field(steady, seed + idx, 1.0 if amp is None else amp))
 
     run = fundamental_solution((0.0,) * grid.n, grid.t0, drift, grid, sol)
     ts = grid.times - grid.t0
@@ -323,6 +325,8 @@ def _nash_member(payload):
 
 def scenario_nash_ensemble(s, out, config_path, jobs):
     count = s["ensemble.count"]
+    if count == 3 and s["ensemble.amplitude"] is not None:  # only members 1..count-3 use it
+        raise ConfigError("ensemble.amplitude is unused at ensemble.count = 3")
     grid = build_grid(s)  # grid and solver settings: checked before any member runs
     build_solver_config(s)
     results = _map_members(_nash_member, [(s, i) for i in range(count)], jobs)
@@ -351,7 +355,8 @@ def _blowup_block(payload):
     blk, n = assembly.blocks[k], assembly.n
     t_start, t_end = blk.t0 + tau0 * blk.width, blk.t0 + tau1 * blk.width
     grid = Grid(n, (-extent,) * n, (extent,) * n, (resolution,) * n, t_start, t_end, 2, "periodic")
-    drift = FieldDrift(assembly.sample_drift(grid.with_times(t_start, t_end, drift_nt)))
+    dgrid = grid.with_times(t_start, t_end, drift_nt)
+    drift = FieldDrift.from_function(dgrid, assembly.drift_function(dgrid))
     X = grid.meshgrid()
     theta0 = assembly.subsolution_at(t_start, np.stack(X, axis=-1))
     run = solve(theta0, drift, grid, config)

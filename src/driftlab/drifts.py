@@ -487,10 +487,12 @@ class DriftAssembly:
                 out = out + b.potential(t, X)
         return out
 
+    def drift_function(self, grid):
+        """fn(t, *X): the cell-centered drift via the discrete curl (div-free exactly)."""
+        return lambda t, *X: curl(self.potential(t, X), grid)
+
     def sample_drift(self, grid):
-        """Cell-centered drift samples via the discrete curl (div-free exactly)."""
-        return SpaceTimeField.from_function(
-            grid, lambda t, *X: curl(self.potential(t, X), grid), grid.n)
+        return SpaceTimeField.from_function(grid, self.drift_function(grid), grid.n)
 
     def sample_subsolution(self, grid):
         pts = np.stack(grid.meshgrid(), axis=-1)

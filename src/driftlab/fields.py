@@ -119,14 +119,25 @@ class SpaceTimeField:
         return cls(grid, out, ncomp)
 
 
-def _require_finite(f, name):
-    """Refuse a field with a NaN or infinite sample, naming the first one's
-    index (time slice, cell, component)."""
-    finite = np.isfinite(f.samples)
+def _require_finite(samples, name):
+    """samples, unless one is NaN or infinite: then refuse them, naming the
+    first one's index (time slice, cell, component)."""
+    finite = np.isfinite(samples)
     if not finite.all():
         idx = np.unravel_index(np.argmin(finite), finite.shape)
-        raise ValueError(f"{name} has a non-finite sample ({f.samples[idx]}) at index "
+        raise ValueError(f"{name} has a non-finite sample ({samples[idx]}) at index "
                          f"{tuple(map(int, idx))}")
+    return samples
+
+
+def _refuse_nan(value, **fields):
+    """float(value), unless NaN: then refuse the named fields' first non-finite sample."""
+    if math.isnan(value):
+        for name, f in fields.items():
+            if f is not None:
+                _require_finite(f.samples, name)
+        raise ValueError("the result is NaN, though every sample is finite")
+    return float(value)
 
 
 def _slab(arr, axis, i, j):

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import _component_sum, _require_finite, _sq_distance, gradient, shell_restrict
+from .fields import (_component_sum, _refuse_nan, _require_finite, _sq_distance, gradient,
+                     shell_restrict)
 
 INF = np.inf
 SLICE_RADII = 33  # radii that good_slices tests on an annulus
@@ -161,7 +162,8 @@ def mixed_norm(f, spec, region):
 
     For sliced specs the region must be an Annulus (its center seeds the
     shells, at least 17 and about three per cell width). Trapezoidal weights
-    in t and r, cell volumes in x, sphere quadrature in sigma.
+    in t and r, cell volumes in x, sphere quadrature in sigma.  A NaN norm
+    is refused with a ValueError naming f's first non-finite sample.
     """
     g = f.grid
     if spec.order in (SLICED_TR, SLICED_RT) and not isinstance(region, Annulus):
@@ -176,9 +178,9 @@ def mixed_norm(f, spec, region):
         vol = np.full(vals.shape[1], g.cell_volume)
         if spec.order == TIME_OUTER:
             per_t = _pnorm(vals, vol, spec.p, axis=-1)
-            return float(_pnorm(per_t, tw, spec.q, axis=-1))
+            return _refuse_nan(_pnorm(per_t, tw, spec.q, axis=-1), f=f)
         per_x = _pnorm(vals.T, tw, spec.q, axis=-1)
-        return float(_pnorm(per_x, vol, spec.p, axis=-1))
+        return _refuse_nan(_pnorm(per_x, vol, spec.p, axis=-1), f=f)
 
     # sliced orders: build (r, t, sigma) samples
     r0, r1 = region.r_inner, region.r_outer
@@ -191,9 +193,9 @@ def mixed_norm(f, spec, region):
     per_rt = _sphere_norms(shell_restrict(f, region.center, radii), tidx, inner_p)
     if spec.order == SLICED_TR:
         per_t = _pnorm(per_rt.T, rw, spec.beta, axis=-1)  # L^beta_r
-        return float(_pnorm(per_t, tw, spec.q, axis=-1))  # L^q_t
+        return _refuse_nan(_pnorm(per_t, tw, spec.q, axis=-1), f=f)  # L^q_t
     per_r = _pnorm(per_rt, tw, spec.q, axis=-1)  # L^q_t
-    return float(_pnorm(per_r, rw, spec.kappa, axis=-1))  # L^kappa_r
+    return _refuse_nan(_pnorm(per_r, rw, spec.kappa, axis=-1), f=f)  # L^kappa_r
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +372,8 @@ class FbcReport:
 def _fbc_inputs(b, u):
     """Refuse a drift and a solution stored at different times (the FBC
     integrands pair b and u at each stored time), or with a non-finite sample."""
-    _require_finite(b, "b")
-    _require_finite(u, "u")
+    _require_finite(b.samples, "b")
+    _require_finite(u.samples, "u")
     gb, gu = b.grid, u.grid
     if not np.array_equal(gb.times, gu.times):
         raise ValueError(f"b and u must be stored at the same times: b has {gb.nt} on "

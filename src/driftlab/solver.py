@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (PERIODIC, ZERO, SpaceTimeField, _component_sum, _curl_components,
-                     _interpolate, _slab, _sq_distance, cell_to_face, divergence, face_diff,
-                     face_to_cell, grid_laplacian)
+                     _interpolate, _require_finite, _slab, _sq_distance, cell_to_face,
+                     divergence, face_diff, face_to_cell, grid_laplacian)
 
 BUFFER_CELLS = 3
 # solve refuses a step that would need more steps than this to reach t1: a cap
@@ -136,7 +136,7 @@ class _Faces(list):
 
 
 class FieldDrift:
-    """Drift from cell-centered samples of a vector SpaceTimeField.
+    """Drift from cell-centered samples of a vector field, read slice by slice.
 
     Faces are midpoint averages of the adjacent cells, then projected onto
     the discretely divergence-free constraint (a Poisson solve per slice),
@@ -145,35 +145,54 @@ class FieldDrift:
     projection and are not interpolated between, so a steady field is
     projected once.
 
-    The drift holds the projected faces of the one or two slices of its last
-    ``face_velocities`` request, and no others: the cache refers to a slice's
-    faces weakly, so they live on only while some caller holds them.  A
-    forward march thus keeps at most two projected slices alive and still
-    projects each slice once.
+    The slices are a stored field's, ``FieldDrift(b)``, or a function's,
+    ``FieldDrift.from_function``, each read when first needed, refused if not
+    finite and compared with the one before.  The drift holds the last slice
+    read and the projected faces of its last ``face_velocities`` request, and
+    refers to other faces weakly: a forward march keeps at most two cell and
+    two projected slices alive, and reads and projects each slice once.
     """
 
     def __init__(self, b):
         if b.ncomp != b.grid.n:
             raise ValueError("drift must be a vector field")
-        self.b = b
-        self._cache = weakref.WeakValueDictionary()
-        self._held = ()
-        # each slice maps to the first slice of its run of equal slices
-        s = b.samples
-        starts = [0]
-        for j in range(1, len(s)):
-            starts.append(starts[-1] if np.array_equal(s[j], s[j - 1]) else j)
-        self._run_start = starts
+        self._set_source(b.grid, b.samples.__getitem__, lambda: b)
+
+    @classmethod
+    def from_function(cls, grid, fn):
+        """The drift of ``SpaceTimeField.from_function(grid, fn, grid.n)``, read slice by slice."""
+        X, drift = grid.meshgrid(), cls.__new__(cls)
+        drift._set_source(grid, lambda j: np.asarray(fn(grid.times[j], *X), dtype=float),
+                          lambda: SpaceTimeField.from_function(grid, fn, grid.n))
+        return drift
+
+    def _set_source(self, grid, slice_at, whole):  # slice j is slice_at(j); whole() is all
+        self.grid, self._slice_at, self._whole = grid, slice_at, whole
+        self._last, self._run_start = (None, None), []  # the last slice read; run starts
+        self._cache, self._held = weakref.WeakValueDictionary(), ()
+
+    def _slice(self, j):
+        if self._last[0] != j:
+            self._last = j, _require_finite(self._slice_at(j), f"drift slice {j}")
+        return self._last[1]
+
+    def _start(self, j):
+        """The first slice of j's run of equal slices."""
+        starts = self._run_start
+        for i in range(len(starts), j + 1):  # in order, each against the one before
+            same = i and np.array_equal(self._slice(i - 1), self._slice(i))
+            starts.append(starts[-1] if same else i)
+        return starts[j]
 
     def _faces_at_slice(self, j):
-        j = self._run_start[j]
+        j = self._start(j)
         faces = self._cache.get(j)
         if faces is not None:
             return faces
-        g = self.b.grid
+        g, cells = self.grid, self._slice(j)
         faces = []
         for a in range(g.n):
-            lo, hi = cell_to_face(self.b.samples[j, ..., a], a, g.bc)
+            lo, hi = cell_to_face(cells[..., a], a, g.bc)
             faces.append(0.5 * (lo + hi))
         faces = self._cache[j] = _Faces(_project_faces(g, faces))
         return faces
@@ -181,7 +200,7 @@ class FieldDrift:
     def _bracket(self, grid, t):
         """Stored slices j0 ≤ j1 around time t, clamped to the stored span,
         and the weight w of j1 in the linear interpolation between them."""
-        g = self.b.grid
+        g = self.grid
         if tuple(grid.shape) != tuple(g.shape) or grid.bc != g.bc:
             raise ValueError("drift grid does not match the run grid")
         if g.nt == 1:
@@ -195,7 +214,7 @@ class FieldDrift:
         # the last request's slices stay held until both of this one's are
         # found, so a march that moves on by one slice projects only the new one
         f0 = self._faces_at_slice(j0)
-        if w == 0.0 or self._run_start[j0] == self._run_start[j1]:
+        if w == 0.0 or self._start(j0) == self._start(j1):
             self._held = (f0,)
             return f0
         f1 = self._faces_at_slice(j1)
@@ -208,15 +227,14 @@ class FieldDrift:
         return out
 
     def sample(self, grid):
-        """Cell samples at grid's stored times: the stored field when the times
+        """Cell samples at grid's stored times: every slice when the times
         match, else linear in time between the slices face_velocities uses."""
-        if np.array_equal(grid.times, self.b.grid.times):
-            return self.b
-        s = self.b.samples
+        if np.array_equal(grid.times, self.grid.times):
+            return self._whole()
 
         def interpolated(t, *X):
             j0, j1, w = self._bracket(grid, t)
-            return s[j0] * (1 - w) + s[j1] * w
+            return self._slice(j0) * (1 - w) + self._slice(j1) * w
 
         return SpaceTimeField.from_function(grid, interpolated, grid.n)
 

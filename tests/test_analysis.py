@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,30 @@ def test_residual_elliptic_steady():
     got = rep.residual.samples[1][rep.checked[1]]
     want = expected[rep.checked[1]]
     assert np.median(np.abs(got - want)) < 0.05 * scale
+
+
+def test_residual_nan_drift_refused_where_checked_only():
+    g = Grid(2, (-2.0, -2.0), (2.0, 2.0), (32, 32), 0.1, 0.2, 5, "periodic")
+    th = SpaceTimeField(g, np.stack([evolved_gaussian(g, 2.0 * t) for t in g.times]))
+    b = np.zeros(th.samples.shape + (2,))
+    want = subsolution_residual(th, SpaceTimeField(g, b, 2)).max_residual
+    # the first and last stored times and the three-cell frame are not checked
+    for idx, checked in (((2, 16, 16, 1), True), ((0, 16, 16, 0), False),
+                         ((3, 31, 5, 0), False)):
+        b2 = b.copy()
+        b2[idx] = np.nan
+        drift = SpaceTimeField(g, b2, 2, allow_nonfinite=True)
+        if checked:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"b has a non-finite sample (nan) at index {idx}")):
+                subsolution_residual(th, drift)
+        else:
+            assert subsolution_residual(th, drift).max_residual == want
+    # θ enters every stencil, so a NaN anywhere in it is refused
+    samples = th.samples.copy()
+    samples[0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        subsolution_residual(SpaceTimeField(g, samples, allow_nonfinite=True))
 
 
 def test_residual_grid_mismatch():

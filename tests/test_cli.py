@@ -391,6 +391,35 @@ def test_norm_center_must_match_dump_dimension(tmp_path, capsys, order):
     assert float(capsys.readouterr().out) > 0
 
 
+@pytest.mark.parametrize("order", ["tq", "sliced-tr"])
+def test_norm_of_nan_dump_exit_code(tmp_path, capsys, order):
+    g = Grid(2, (-1.0,) * 2, (1.0,) * 2, (16,) * 2, 0.0, 1.0, 2, "periodic")
+    samples = np.ones((2, 16, 16))
+    samples[0, 12, 8] = np.nan  # at r = 0.57, inside the annulus
+    dump = tmp_path / "nan.dlf1"
+    write_field(dump, SpaceTimeField(g, samples, allow_nonfinite=True))
+    assert run_cli("norm", str(dump), "--order", order, "--p", "2", "--q", "2",
+                   "--rinner", "0.25", "--radius", "0.75") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "f has a non-finite sample (nan) at index (0, 12, 8)" in captured.err
+
+
+def test_nash_amplitude_unused_at_three_members_exit_code(tmp_path, monkeypatch, capsys):
+    import driftlab.cli as cli
+
+    monkeypatch.setattr(cli, "_nash_member", lambda *a: pytest.fail("a member ran"))
+    monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
+    edits = {"grid.shape": "16,16", "ensemble.count": "3", "ensemble.amplitude": "1.0"}
+    lines = [line for line in (CONFIGS / "nash-ensemble.cfg").read_text().splitlines()
+             if line.split("=")[0].strip() not in edits]
+    cfg = tmp_path / "nash.cfg"
+    cfg.write_text("\n".join(lines + [f"{k} = {v}" for k, v in edits.items()]) + "\n")
+    assert run_cli("run", str(cfg)) == 2
+    assert capsys.readouterr().err.startswith("error: ensemble.amplitude is unused")
+    assert not (tmp_path / "out").exists()
+
+
 NAN_STOP = "NaN detected at step 1 (t = 0)"
 
 
@@ -410,7 +439,8 @@ def test_solver_runtime_error_exit_code(tmp_path, monkeypatch, capsys, name, edi
     monkeypatch.setattr(cli, "solve", nan_stop)
     monkeypatch.setattr(solver, "solve", nan_stop)
     monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
-    keys = {e.split("=")[0].strip() for e in edits}
+    # ensemble.amplitude is unused, so refused, at ensemble.count = 3
+    keys = {e.split("=")[0].strip() for e in edits} | {"ensemble.amplitude"}
     lines = [line for line in (CONFIGS / name).read_text().splitlines()
              if line.split("=")[0].strip() not in keys]
     cfg = tmp_path / name
@@ -446,7 +476,8 @@ def test_jobs_capped_at_member_count(tmp_path, monkeypatch, jobs, workers):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
     edits = ["grid.shape = 16,16", "ensemble.count = 3", "drift.nt = 3"]
-    keys = {e.split("=")[0].strip() for e in edits}
+    # ensemble.amplitude is unused, so refused, at ensemble.count = 3
+    keys = {e.split("=")[0].strip() for e in edits} | {"ensemble.amplitude"}
     lines = [line for line in (CONFIGS / "nash-ensemble.cfg").read_text().splitlines()
              if line.split("=")[0].strip() not in keys]
     cfg = tmp_path / "nash.cfg"
@@ -687,19 +718,15 @@ def test_blowup_block_drift_dies_before_next_block(tmp_path, monkeypatch):
     import driftlab.solver as solver
 
     alive, seen = weakref.WeakSet(), []
-    sample = DriftAssembly.sample_drift
+    build = solver.FieldDrift.from_function
 
-    def field_drift(field):
-        drift = solver.FieldDrift(field)
+    def from_function(grid, fn):
+        seen.append(len(alive))  # drifts of earlier blocks still alive
+        drift = build(grid, fn)
         alive.add(drift)
         return drift
 
-    def counting_sample(self, grid):
-        seen.append(len(alive))  # drifts of earlier blocks still alive
-        return sample(self, grid)
-
-    monkeypatch.setattr(cli, "FieldDrift", field_drift)
-    monkeypatch.setattr(DriftAssembly, "sample_drift", counting_sample)
+    monkeypatch.setattr(cli.FieldDrift, "from_function", from_function)
     monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
     cfg = tmp_path / "blowup.cfg"
     cfg.write_text("\n".join(_SMALL_BLOWUP) + "\n")
@@ -724,7 +751,7 @@ def _refused_before_sampling(monkeypatch):
         raise AssertionError("the setting must be refused before any sampling or solve")
 
     for module, attr in ((cli, "solve"), (solver, "solve"), (cli, "trig_stream_field"),
-                         (DriftAssembly, "sample_drift")):
+                         (DriftAssembly, "sample_drift"), (solver.FieldDrift, "from_function")):
         monkeypatch.setattr(module, attr, no_work)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,32 @@ def test_refinement_convergence():
         errs.append(abs(v - truth))
     assert np.log2(errs[0] / errs[1]) > 1.0
     assert np.log2(errs[1] / errs[2]) > 1.0
+
+
+NORM_REGIONS = [
+    (MixedNormSpec("time_outer", 2, p=3, q=2), ball((0, 0), 1.0, 0.0, 1.0)),
+    (MixedNormSpec("space_outer", 2, p=2, q=INF), ball((0, 0), 1.0, 0.0, 1.0)),
+    (MixedNormSpec("sliced_tr", 2, q=2, beta=3, gamma=4), Annulus((0, 0), 0.3, 0.9, 0.0, 1.0)),
+    (MixedNormSpec("sliced_rt", 2, p=2, q=3, kappa=0.5), Annulus((0, 0), 0.3, 0.9, 0.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("spec,region", NORM_REGIONS, ids=lambda v: getattr(v, "order", ""))
+def test_nan_sample_refused_inside_region_only(spec, region):
+    g = grid2(48, nt=5)
+    clean = smooth_random_scalar(g, np.random.default_rng(8))
+    want = mixed_norm(clean, spec, region)
+    # cell (35, 24) sits at r = 0.58 in slice 2 (t = 0.5); cell (0, 0) at r = 1.6
+    for idx, inside in (((2, 35, 24), True), ((0, 0, 0), False), ((4, 47, 47), False)):
+        samples = clean.samples.copy()
+        samples[idx] = np.nan
+        f = SpaceTimeField(g, samples, allow_nonfinite=True)
+        if inside:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"f has a non-finite sample (nan) at index {idx}")):
+                mixed_norm(f, spec, region)
+        else:
+            assert mixed_norm(f, spec, region) == want
 
 
 def test_minkowski_containment_on_annuli():

@@ -6,6 +6,7 @@ from scipy import fft as sfft
 
 from driftlab.analysis import subsolution_residual
 from driftlab.cli import trig_stream_field
+from driftlab.drifts import assemble_selfsimilar
 from driftlab.fields import Grid, SpaceTimeField
 from driftlab.solver import (
     FieldDrift,
@@ -824,6 +825,96 @@ def test_field_drift_sample_at_run_times():
     state = dynamic_rescale(run)
     assert state.drift_t.grid == g
     assert subsolution_residual(run).residual.grid == g
+
+
+def streamed_assembly(n, N):
+    """A periodic N^n drift grid of 9 slices, and two moving caps that cross it."""
+    g = Grid(n, (-2.0,) * n, (2.0,) * n, (N,) * n, 0.0, 0.2, 9, "periodic")
+    asm = assemble_selfsimilar([0.01, 0.08, 0.2], n=n, travel=0.5,
+                               x_start=(-0.25, 0.1, -0.1)[:n])
+    return g, asm
+
+
+STREAMED = pytest.mark.parametrize("n,N", [(2, 32), (3, 16)])
+
+
+@STREAMED
+def test_streamed_drift_faces_match_stored(n, N):
+    g, asm = streamed_assembly(n, N)
+    stored = FieldDrift(asm.sample_drift(g))
+    streamed = FieldDrift.from_function(g, asm.drift_function(g))
+    # the stored times and three times between each two, forward, then backward
+    # (which reads the slices again), then beyond either end
+    times = np.linspace(g.t0, g.t1, 4 * (g.nt - 1) + 1)
+    for t in [*times, *times[::-1], g.t0 - 1.0, g.t1 + 1.0]:
+        for got, want in zip(streamed.face_velocities(g, t), stored.face_velocities(g, t)):
+            assert np.array_equal(got, want)
+
+
+@STREAMED
+def test_streamed_drift_solves_bit_for_bit(n, N):
+    g, asm = streamed_assembly(n, N)
+    run_grid = g.with_times(g.t0, g.t1, 3)
+    theta0 = gaussian_blob(run_grid, (0.0,) * n, 0.5)
+    stored, streamed = (solve(theta0, d, run_grid) for d in (
+        FieldDrift(asm.sample_drift(g)), FieldDrift.from_function(g, asm.drift_function(g))))
+    assert len(stored.step_times) > 20
+    for name in ("step_times", "mass", "minimum", "maximum"):
+        assert getattr(stored, name).tobytes() == getattr(streamed, name).tobytes()
+    assert stored.trajectory.samples.tobytes() == streamed.trajectory.samples.tobytes()
+
+
+@STREAMED
+def test_streamed_drift_march_reads_each_slice_once(monkeypatch, n, N):
+    calls = counting_projection(monkeypatch)
+    g, asm = streamed_assembly(n, N)
+    fn, reads = asm.drift_function(g), []
+
+    def counting(t, *X):
+        reads.append(t)
+        return fn(t, *X)
+
+    run_grid = g.with_times(g.t0, g.t1, 3)
+    solve(gaussian_blob(run_grid, (0.0,) * n, 0.5), FieldDrift.from_function(g, counting),
+          run_grid)
+    assert reads == list(g.times)
+    assert len(calls) == g.nt  # no two consecutive slices are equal here
+
+
+@STREAMED
+def test_streamed_drift_sample_is_sample_drift(n, N):
+    g, asm = streamed_assembly(n, N)
+    streamed = FieldDrift.from_function(g, asm.drift_function(g))
+    assert streamed.sample(g).samples.tobytes() == asm.sample_drift(g).samples.tobytes()
+    between = g.with_times(g.t0, g.t1, 7)  # times between the stored ones
+    want = FieldDrift(asm.sample_drift(g)).sample(between).samples
+    assert streamed.sample(between).samples.tobytes() == want.tobytes()
+
+
+@STREAMED
+def test_nonfinite_drift_slice_refused_before_projection(monkeypatch, n, N):
+    calls = counting_projection(monkeypatch)
+    g, asm = streamed_assembly(n, N)
+    fn, k = asm.drift_function(g), 5
+
+    def poisoned(t, *X):
+        b = fn(t, *X)
+        if t == g.times[k]:
+            b[(2,) * n + (n - 1,)] = np.nan
+        return b
+
+    run_grid = g.with_times(g.t0, g.t1, 3)
+    theta0 = gaussian_blob(run_grid, (0.0,) * n, 0.5)
+    with pytest.raises(ValueError, match=rf"drift slice {k} has a non-finite sample "
+                                         rf"\(nan\) at index \({', '.join(['2'] * n)}, {n - 1}\)"):
+        solve(theta0, FieldDrift.from_function(g, poisoned), run_grid)
+    assert len(calls) == k  # slices 0..k-1 were projected, slice k was not
+    # a stored field takes the same path
+    samples = asm.sample_drift(g).samples
+    samples[k, 0] = np.inf
+    stored = FieldDrift(SpaceTimeField(g, samples, n, allow_nonfinite=True))
+    with pytest.raises(ValueError, match=f"drift slice {k} has a non-finite sample"):
+        stored.face_velocities(g, g.times[k])
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 7), (15, 17), (31, 64), (67, 69), (128, 96),
