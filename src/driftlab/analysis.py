@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (SpaceTimeField, _component_sum, _refuse_nan, _slab, _sq_distance, gradient,
-                     laplacian)
+from .fields import (SpaceTimeField, _component_sum, _refuse_nan, _require_finite, _slab,
+                     _sq_distance, gradient, laplacian)
 from .norms import (
     FBC_PREFACTOR,
     SLICE_RADII,
@@ -105,9 +105,11 @@ def subsolution_residual(theta, b=None, exclude=None):
     ``exclude`` is a boolean space-time mask of kink points; it is dilated by
     two cells (≈ 2h) before exclusion.  Boundary frames and the first/last
     stored times are always excluded.  Any positive residual is a violation.
-    θ must be finite; a NaN residual there is refused, naming b's first one.
+    A non-finite θ is refused, naming its first bad index; a NaN residual in
+    the checked cells is refused, naming b's first non-finite sample.
     """
     field, b = _as_field_and_drift(theta, b)
+    _require_finite(field.samples, "theta")
     g = field.grid
     if b is not None and (b.grid.shape != g.shape or b.grid.nt != g.nt):
         raise ValueError("field and drift grids do not match")

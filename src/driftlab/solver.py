@@ -1,8 +1,9 @@
 """Conservative advection-diffusion stepper and the dynamic-rescaling transform.
 
 Solves ∂_t θ − Δθ + b·∇θ = 0 with unit diffusivity by first-order upwind
-flux-form advection, one kernel for both boundary modes (the mode sets only
-the fluxes through the box's two end faces per axis), and one timestep rule.
+flux-form advection, one kernel for both boundary modes (the mode, and the
+support box below, set only the fluxes through two end faces per axis), and
+one timestep rule.
 The grid's boundary mode picks the diffusion step:
 
 * ``zero`` grids — forward Euler diffusion on a bounded box with
@@ -18,6 +19,13 @@ function (2D) or edge-sampled vector potential (3D) has exactly zero discrete
 divergence by telescoping, which is what makes the conservation and
 monotonicity ledgers hold to round-off.  Cell-sampled drift fields are
 interpolated to faces and then projected onto the divergence-free constraint.
+
+Faces carry a support box (``_Faces.box``, else the whole grid): a block of
+cells outside which every face is exactly 0, as are the box's end faces inside
+the grid.  A projected drift slice's box is the bounding box of its nonzero
+cells widened by one cell when the projection left only round-off outside it
+(which is then set to 0), else the whole grid.  The upwind kernel reads and
+writes only the box, and cells outside it get div = 0.
 """
 from __future__ import annotations
 
@@ -54,8 +62,17 @@ class SolverConfig:
 
 
 class ZeroDrift:
+    """The drift b = 0: one cached list of read-only zero faces per grid, with
+    an empty support box, so the solver makes no flux pass."""
+
+    def __init__(self):
+        self._faces = {}
+
     def face_velocities(self, grid, t):
-        return _zero_faces(grid)
+        key = (tuple(grid.shape), grid.bc)
+        if key not in self._faces:
+            self._faces[key] = _zero_faces(grid)
+        return self._faces[key]
 
     def sample(self, grid):
         return SpaceTimeField(
@@ -63,12 +80,13 @@ class ZeroDrift:
 
 
 def _zero_faces(grid):
-    faces = []
+    faces = _Faces()
     for a in range(grid.n):
         s = list(grid.shape)
         if grid.bc == ZERO:
             s[a] += 1  # the high face of the last cell
-        faces.append(np.zeros(s))
+        faces.append(np.broadcast_to(0.0, s))  # read-only, and holds one float
+    faces.box = (slice(0, 0),) * grid.n
     return faces
 
 
@@ -130,9 +148,68 @@ class PotentialDrift:
 
 
 class _Faces(list):
-    """One slice's projected faces: a list the face cache can refer to weakly."""
+    """Faces and their support ``box`` (see ``_Upwind``): a list the face
+    cache can refer to weakly."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "box")
+
+
+def _support_box(grid, cells, faces):
+    """Set one slice's projected faces to 0 outside its support box and
+    return the box: the bounding box of the nonzero cells widened by one cell
+    (spanning a periodic axis whose end it reaches), when the faces outside it
+    and on its end faces inside the grid are all within ε·max|u|, the
+    projection's round-off; else the whole grid, with the faces unchanged."""
+    whole = tuple(slice(0, N) for N in grid.shape)
+    nonzero = cells[..., 0] != 0  # by component: any(axis=-1) is slow on length n
+    for c in range(1, grid.n):
+        nonzero |= cells[..., c] != 0
+    if not nonzero.any():
+        box = (slice(0, 0),) * grid.n
+    else:
+        box = []
+        for a, N in enumerate(grid.shape):
+            hit = np.flatnonzero(nonzero.any(axis=tuple(i for i in range(grid.n) if i != a)))
+            lo, hi = int(hit[0]) - 1, int(hit[-1]) + 2
+            if grid.bc == PERIODIC and (lo <= 0 or hi >= N):
+                lo, hi = 0, N
+            box.append(slice(max(lo, 0), min(hi, N)))
+        box = tuple(box)
+    if box == whole:
+        return whole
+    outside = []
+    for a, u in enumerate(faces):
+        idx = list(box)
+        lo, hi = box[a].start, box[a].stop
+        # the faces of the box's cells along a, less its end faces inside the
+        # grid (a box that does not span a periodic axis stops short of its ends)
+        idx[a] = slice(lo + (lo > 0), hi + (hi == grid.shape[a]))
+        outside += _outside(u, idx)
+    eps = np.finfo(float).eps * max(np.abs(u).max() for u in faces)
+    if not all(np.abs(v).max(initial=0.0) <= eps for v in outside):
+        return whole
+    for v in outside:
+        v[...] = 0.0
+    return box
+
+
+def _outside(u, block):
+    """Views that together cover u outside a block (a slice per axis)."""
+    views, head = [], ()
+    for s in block:
+        views += [u[head + (slice(None, s.start),)], u[head + (slice(s.stop, None),)]]
+        head += (s,)
+    return views
+
+
+def _box_union(b0, b1):
+    """The smallest box holding boxes b0 and b1 (an empty box holds nothing)."""
+    if any(s.start == s.stop for s in b0):
+        return b1
+    if any(s.start == s.stop for s in b1):
+        return b0
+    return tuple(slice(min(s0.start, s1.start), max(s0.stop, s1.stop))
+                 for s0, s1 in zip(b0, b1))
 
 
 class FieldDrift:
@@ -144,6 +221,10 @@ class FieldDrift:
     time between the stored slices.  Equal consecutive slices share one
     projection and are not interpolated between, so a steady field is
     projected once.
+
+    Each projected slice has a support box (see ``_support_box``) outside
+    which its faces are exactly 0; interpolated faces have the union of their
+    two slices' boxes, and only that union is interpolated.
 
     The slices are a stored field's, ``FieldDrift(b)``, or a function's,
     ``FieldDrift.from_function``, each read when first needed, refused if not
@@ -195,6 +276,7 @@ class FieldDrift:
             lo, hi = cell_to_face(cells[..., a], a, g.bc)
             faces.append(0.5 * (lo + hi))
         faces = self._cache[j] = _Faces(_project_faces(g, faces))
+        faces.box = _support_box(g, cells, faces)
         return faces
 
     def _bracket(self, grid, t):
@@ -219,10 +301,15 @@ class FieldDrift:
             return f0
         f1 = self._faces_at_slice(j1)
         self._held = (f0, f1)
-        out = []
-        for a, b in zip(f0, f1):
-            r = a * (1 - w)
-            r += b * w
+        out = _Faces()
+        out.box = _box_union(f0.box, f1.box)
+        for a, (u0, u1) in enumerate(zip(f0, f1)):
+            r = np.zeros(u0.shape)
+            idx = list(out.box)
+            idx[a] = slice(idx[a].start, idx[a].stop + 1)  # both end faces
+            v = tuple(idx)
+            np.multiply(u0[v], 1 - w, out=r[v])
+            r[v] += u1[v] * w
             out.append(r)
         return out
 
@@ -348,18 +435,28 @@ def as_drift(b, grid):
 
 
 class _Upwind:
-    """First-order upwind flux divergence, one kernel for both boundary modes.
+    """First-order upwind flux divergence on the faces' support box, one
+    kernel for both boundary modes.
 
-    Face k along an axis is the low face of cell k, so its left state is cell
-    k − 1 and its right state cell k.  Faces 0..N − 1 take
-    F = max(u, 0)·θ_L + min(u, 0)·θ_R in a flux buffer of θ's shape, which
-    every axis shares: θ_R is θ and θ_L is θ's flat buffer shifted by the
-    axis stride ``prod(shape[a+1:])``, with no ghost-padded copy.  Each cell's
+    The box (``_Faces.box``, else the whole grid) is a block of cells outside
+    which every face is exactly 0, as are its end faces inside the grid, so
+    every cell outside it has div = 0 and the kernel reads and writes the box
+    alone.  The box wraps along an axis it spans on a periodic grid and takes
+    the zero mode along every other, where its end faces are 0 or the zero
+    grid's own.  The whole grid is the largest box.
+
+    Face k of the box along an axis is the low face of its cell k, so its left
+    state is cell k − 1 and its right state cell k.  Faces 0..N − 1 take
+    F = max(u, 0)·θ_L + min(u, 0)·θ_R in a flux buffer of the box's shape,
+    which every axis shares: θ_R is θ on the box and θ_L its flat buffer
+    shifted by the axis stride ``prod(shape[a+1:])``, with no ghost-padded
+    copy (a box smaller than the grid copies its cells once).  Each cell's
     (F_hi − F_lo)/h reads F shifted the same way and is accumulated into the
-    output.  The boundary mode decides only the two hyperplanes the shift
-    gets wrong: face 0's left state is the wrapped cell N − 1 or 0, and the
-    last cell's high flux is face 0 again, or face N with a right state of 0
-    (zero states enter as products with 0.0).
+    output.  The mode decides only the two hyperplanes the shift gets wrong:
+    face 0's left state is the wrapped cell N − 1 or 0, and the last cell's
+    high flux is face 0 again, or face N with a right state of 0 (zero states
+    enter as products with 0.0).  The box's buffers are prefixes of three
+    buffers of the grid's size.
 
     ``split`` keeps a reference to the faces and stores no copy of their
     split, so they must stay unchanged until ``div``; faces passed again as
@@ -368,9 +465,9 @@ class _Upwind:
     """
 
     def __init__(self, grid):
-        shape, self.h, self.bc = tuple(grid.shape), grid.h, grid.bc
-        self.flux, self.prod, self.part = (np.empty(shape) for _ in range(3))
-        self.strides = [math.prod(shape[a + 1:]) for a in range(grid.n)]
+        self.shape, self.h, self.bc = tuple(grid.shape), grid.h, grid.bc
+        self.flux, self.prod, self.cells = (np.empty(math.prod(self.shape)) for _ in range(3))
+        self.whole = tuple(slice(0, N) for N in self.shape)
         self.faces = self.outflow = None
 
     def split(self, faces):
@@ -381,7 +478,16 @@ class _Upwind:
         """
         if faces is not self.faces:
             self.faces, self.outflow = faces, None
-        peaks = [(max(u.max(), 0.0), -min(u.min(), 0.0)) for u in faces]
+            self.box = getattr(faces, "box", self.whole)
+            # per axis: whether the box wraps, and its faces with both end faces unless it does
+            self.axes = []
+            for a, (u, s) in enumerate(zip(faces, self.box)):
+                wrap = self.bc == PERIODIC and s.stop - s.start == self.shape[a]
+                idx = list(self.box)
+                idx[a] = slice(s.start, s.stop + (not wrap))
+                self.axes.append((wrap, u[tuple(idx)]))
+        peaks = [(max(u.max(), 0.0), -min(u.min(), 0.0)) if u.size else (0.0, 0.0)
+                 for _, u in self.axes]
         self.outflow_bound = sum((p + m) / h for (p, m), h in zip(peaks, self.h))
         return max(max(p) for p in peaks)
 
@@ -390,42 +496,54 @@ class _Upwind:
         max_i Σ_a (max(u, 0) on its high face − min(u, 0) on its low face) / h_a."""
         if self.outflow is None:
             total = 0.0
-            for a, u in enumerate(self.faces):
-                total = total + (face_to_cell(np.maximum(u, 0.0), a, self.bc)[1]
-                                 - face_to_cell(np.minimum(u, 0.0), a, self.bc)[0]) / self.h[a]
-            self.outflow = total.max()
+            for a, (wrap, u) in enumerate(self.axes):
+                bc = PERIODIC if wrap else ZERO
+                total = total + (face_to_cell(np.maximum(u, 0.0), a, bc)[1]
+                                 - face_to_cell(np.minimum(u, 0.0), a, bc)[0]) / self.h[a]
+            self.outflow = total.max(initial=0.0)
         return self.outflow
 
     def div(self, theta, out):
         """Write div(u theta) for the faces of the last split() into out."""
-        F, tmp, periodic = self.flux, self.prod, self.bc == PERIODIC
-        flat, Ff = theta.reshape(-1), F.reshape(-1)
-        for a, u in enumerate(self.faces):
-            N, s = theta.shape[a], self.strides[a]
-            dst = out if a == 0 else self.part
+        shape = tuple(s.stop - s.start for s in self.box)
+        size = math.prod(shape)
+        F, tmp, th = (b[:size].reshape(shape) for b in (self.flux, self.prod, self.cells))
+        if size == out.size:
+            th, res = theta, out
+        else:  # the box's cells, copied to be shifted flat
+            out.fill(0.0)
+            if not size:
+                return out
+            np.copyto(th, theta[self.box])
+            res = out[self.box]
+        flat, Ff, Tf = th.reshape(-1), F.reshape(-1), tmp.reshape(-1)
+        for a, (wrap, u) in enumerate(self.axes):
+            N, s = shape[a], math.prod(shape[a + 1:])
             low = _slab(u, a, 0, N)  # the low face of each cell
             np.maximum(low, 0.0, out=F)
             np.minimum(low, 0.0, out=tmp)
             Ff[s:] *= flat[:-s]
             # the flat shift has written face 0 with a wrong left state: rebuild it
             F0 = np.maximum(_slab(u, a, 0, 1), 0.0, out=_slab(F, a, 0, 1))
-            F0 *= _slab(theta, a, N - 1, N) if periodic else 0.0
-            tmp *= theta
+            F0 *= _slab(th, a, N - 1, N) if wrap else 0.0
+            tmp *= th
             F += tmp
-            np.subtract(Ff[s:], Ff[:-s], out=dst.reshape(-1)[:-s])
+            np.subtract(Ff[s:], Ff[:-s], out=Tf[:-s])
             # and the last cell's difference with a wrong high flux
-            last = _slab(dst, a, N - 1, N)
-            if periodic:
+            last = _slab(tmp, a, N - 1, N)
+            if wrap:
                 hi = F0
             else:  # face N: max(u, 0)·θ_{N−1} + min(u, 0)·0
                 uN = _slab(u, a, N, N + 1)
-                hi = np.maximum(uN, 0.0, out=_slab(tmp, a, 0, 1))
-                hi *= _slab(theta, a, N - 1, N)
+                hi = np.maximum(uN, 0.0, out=F0)
+                hi *= _slab(th, a, N - 1, N)
                 hi += np.multiply(np.minimum(uN, 0.0, out=last), 0.0, out=last)
             np.subtract(hi, _slab(F, a, N - 1, N), out=last)
-            dst /= self.h[a]
             if a:
-                out += dst
+                tmp /= self.h[a]
+                res += tmp
+            else:
+                np.divide(tmp, self.h[a], out=res)
         return out
 
 

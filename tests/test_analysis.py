@@ -126,6 +126,17 @@ def test_residual_nan_drift_refused_where_checked_only():
         subsolution_residual(SpaceTimeField(g, samples, allow_nonfinite=True))
 
 
+@pytest.mark.parametrize("idx,value", [((0, 0, 0), np.nan), ((2, 16, 7), -np.inf)])
+def test_residual_nonfinite_theta_named(idx, value):
+    g = Grid(2, (-2.0, -2.0), (2.0, 2.0), (32, 32), 0.1, 0.2, 5, "periodic")
+    samples = np.stack([evolved_gaussian(g, 2.0 * t) for t in g.times])
+    samples[idx] = value
+    th = SpaceTimeField(g, samples, allow_nonfinite=True)
+    with pytest.raises(ValueError, match=re.escape(
+            f"theta has a non-finite sample ({value}) at index {idx}")):
+        subsolution_residual(th)
+
+
 def test_residual_grid_mismatch():
     g = Grid(2, (-1, -1), (1, 1), (32, 32), 0.0, 0.1, 3, "periodic")
     g2 = Grid(2, (-1, -1), (1, 1), (16, 16), 0.0, 0.1, 3, "periodic")

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import fft as sfft
 
 from driftlab.analysis import subsolution_residual
 from driftlab.cli import trig_stream_field
 from driftlab.drifts import assemble_selfsimilar
-from driftlab.fields import Grid, SpaceTimeField
+from driftlab.fields import Grid, SpaceTimeField, cell_to_face, curl
 from driftlab.solver import (
     FieldDrift,
     PotentialDrift,
     SolverConfig,
     ZeroDrift,
+    _Faces,
     _face_div,
     _fd_symbol,
     _half_spectrum,
@@ -251,7 +251,7 @@ def test_dynamic_rescale_precondition():
 
 @pytest.mark.parametrize("bc", ["periodic", "zero"])
 def test_dynamic_rescale_matches_map_coordinates(bc):
-    from scipy import ndimage
+    ndimage = pytest.importorskip("scipy.ndimage")
 
     # each box leaves out the origin along x, so some points λy exit it:
     # they wrap on the periodic grid and sample 0 on the zero grid
@@ -615,6 +615,7 @@ def test_upwind_div_matches_ghost_pad_reference(shape, bc):
 
 @pytest.mark.parametrize("shape", [(15, 17), (24, 17), (8, 8, 9), (10, 13, 8), (67, 69)])
 def test_fft_helpers_match_scipy(shape):
+    sfft = pytest.importorskip("scipy.fft")
     # 67 x 69 = 4623 is a size where 1/prod rounded in double and in long
     # double differ in the last bit
     rng = np.random.default_rng(sum(shape))
@@ -754,7 +755,7 @@ def test_reciprocal_scale_matches_division(shape):
     g = Grid(n, (-1.0,) * n, (1.5,) * n, shape, 0.0, 1.0, 2, "periodic")
     sym = _fd_symbol(g)
     rng = np.random.default_rng(sum(shape))
-    spec = sfft.rfftn(rng.standard_normal(shape))
+    spec = _rfftn(rng.standard_normal(shape), _half_spectrum(shape))  # scipy.fft.rfftn's bits
     for dt in (1e-6, 3.7e-4, 1e-2, 0.5):
         den = 1.0 - dt * sym
         assert np.array_equal(spec * (1.0 / den), spec / den)
@@ -920,6 +921,7 @@ def test_nonfinite_drift_slice_refused_before_projection(monkeypatch, n, N):
 @pytest.mark.parametrize("shape", [(1, 1), (2, 7), (15, 17), (31, 64), (67, 69), (128, 96),
                                    (1, 5, 2), (8, 8, 9), (10, 13, 8), (17, 6, 11)])
 def test_dstn_matches_scipy(shape):
+    sfft = pytest.importorskip("scipy.fft")
     from driftlab.solver import _dstn
     x = np.random.default_rng(sum(shape)).standard_normal(shape)
     assert np.array_equal(_dstn(x), sfft.dstn(x, type=1))
@@ -963,3 +965,137 @@ def test_step_count_cap_is_inclusive(monkeypatch):
     monkeypatch.setattr(solver, "MAX_STEPS", 49)
     with pytest.raises(ValueError, match="needs more than 49 steps to reach t1"):
         solve(theta0, None, g)
+
+
+def zeroed_outside(faces, box, bc):
+    """Copies of faces that are 0 outside box (a slice per axis) and on its
+    end faces inside the grid; a box spanning a periodic axis keeps every face."""
+    out = []
+    for a, u in enumerate(faces):
+        N, (lo, hi) = u.shape[a] - (bc == "zero"), (box[a].start, box[a].stop)
+        idx = list(box)
+        if bc == "periodic" and hi - lo < N:
+            idx[a] = slice(lo + 1, hi)
+        elif bc == "zero":
+            idx[a] = slice(lo + (lo > 0), hi + (hi == N))
+        z = np.zeros_like(u)
+        z[tuple(idx)] = u[tuple(idx)]
+        out.append(z)
+    return out
+
+
+def random_box(rng, shape, bc):
+    box = []
+    for N in shape:
+        if rng.random() < 0.3:
+            box.append(slice(0, N))
+            continue
+        # a box that does not span a periodic axis ends inside it
+        lo = int(rng.integers(0, N - 2))
+        hi = int(rng.integers(lo + 2, N + (bc == "zero")))
+        box.append(slice(lo, hi))
+    return tuple(box)
+
+
+def box_cases(shape, bc):
+    n = len(shape)
+    yield "empty", (slice(0, 0),) * n
+    yield "interior", tuple(slice(1, N - 2) for N in shape)
+    yield "whole", tuple(slice(0, N) for N in shape)
+    # at the low end of axis 0, and spanning the last axis (wrap on periodic grids)
+    yield "edge", (slice(0, 3),) + tuple(slice(2, N - 1) for N in shape[1:-1]) + (
+        slice(0, shape[-1]),)
+    yield "high edge", tuple(slice(N - 4, N - (bc == "periodic")) for N in shape)
+    rng = np.random.default_rng(sum(shape) + len(bc))
+    for k in range(12):
+        yield f"random {k}", random_box(rng, shape, bc)
+
+
+@pytest.mark.parametrize("shape,bc", [((20, 18), "periodic"), ((20, 18), "zero"),
+                                      ((9, 8, 10), "periodic"), ((9, 8, 10), "zero")])
+def test_upwind_box_matches_whole_grid(shape, bc):
+    n = len(shape)
+    g = Grid(n, (-1.0,) * n, (1.5,) * n, shape, 0.0, 1.0, 2, bc)
+    rng = np.random.default_rng(n + len(bc))
+    whole, boxed = _Upwind(g), _Upwind(g)
+    for name, box in box_cases(shape, bc):
+        faces = []
+        for a in range(n):
+            face_shape = list(shape)
+            face_shape[a] += bc == "zero"
+            faces.append(rng.standard_normal(face_shape))
+        faces = zeroed_outside(faces, box, bc)
+        with_box = _Faces(faces)
+        with_box.box = box
+        assert whole.split(faces) == boxed.split(with_box), name
+        assert whole.outflow_bound == boxed.outflow_bound, name
+        assert whole.max_outflow() == boxed.max_outflow(), name
+        for _ in range(2):  # the buffers are reused from one call to the next
+            theta = rng.standard_normal(shape)
+            want = whole.div(theta, np.empty(shape))
+            got = boxed.div(theta, np.full(shape, np.nan))
+            assert np.array_equal(got, want), name
+
+
+def compact_bump(g, center, radius):
+    r2 = sum((x - c) ** 2 for x, c in zip(g.meshgrid(), center)) / radius**2
+    return np.where(r2 < 1.0, (1.0 - r2) ** 4, 0.0)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+def test_compact_curl_slice_gets_interior_box(bc):
+    g = Grid(2, (-1.0, -1.0), (1.0, 1.0), (32, 32), 0.0, 1.0, 2, bc)
+    slices = [curl(compact_bump(g, c, 0.4), g) for c in ((-0.2, 0.1), (0.1, 0.0))]
+    d = FieldDrift(slice_field(g, slices))
+    f0, f1 = d.face_velocities(g, 0.0), d.face_velocities(g, 1.0)
+    for cells, faces in ((slices[0], f0), (slices[1], f1)):
+        nonzero = np.argwhere((cells != 0).any(axis=-1))
+        want = tuple(slice(lo - 1, hi + 2) for lo, hi in zip(nonzero.min(0), nonzero.max(0)))
+        assert faces.box == want
+        assert all(0 < s.start and s.stop < 32 for s in want)
+        interpolated = []
+        for a in range(2):
+            lo, hi = cell_to_face(cells[..., a], a, bc)
+            interpolated.append(0.5 * (lo + hi))
+        projected = _project_faces(g, interpolated)
+        kept = zeroed_outside(projected, want, bc)
+        for a in range(2):
+            assert np.array_equal(faces[a], kept[a])
+            assert np.abs(projected[a] - kept[a]).max() <= 1e-16 * np.abs(projected[a]).max()
+    # between the two slices: the union of their boxes, exactly 0 outside it
+    mid = d.face_velocities(g, 0.3)
+    assert mid.box == tuple(slice(min(s.start, t.start), max(s.stop, t.stop))
+                            for s, t in zip(f0.box, f1.box))
+    for a in range(2):
+        assert mid[a].tobytes() == (f0[a] * 0.7 + f1[a] * 0.3).tobytes()
+
+
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+def test_compact_non_solenoidal_slice_keeps_whole_grid(bc):
+    g = Grid(2, (-1.0, -1.0), (1.0, 1.0), (32, 32), 0.0, 1.0, 2, bc)
+    cells = np.zeros((32, 32, 2))
+    cells[..., 0] = compact_bump(g, (0.0, 0.1), 0.4)  # a bump times e1
+    faces = FieldDrift(slice_field(g, [cells, cells])).face_velocities(g, 0.0)
+    interpolated = []
+    for a in range(2):
+        lo, hi = cell_to_face(cells[..., a], a, bc)
+        interpolated.append(0.5 * (lo + hi))
+    want = _project_faces(g, interpolated)
+    assert faces.box == (slice(0, 32), slice(0, 32))
+    for a in range(2):
+        assert faces[a].tobytes() == want[a].tobytes()
+
+
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+def test_drift_free_solve_uses_one_empty_box(bc):
+    g = pgrid(32, t1=0.01) if bc == "periodic" else zgrid(32, t1=0.001)
+    zero = ZeroDrift()
+    faces = zero.face_velocities(g, 0.0)
+    assert zero.face_velocities(g, 0.5) is faces
+    assert faces.box == (slice(0, 0),) * 2
+    assert not any(u.any() or u.flags.writeable for u in faces)
+    theta0 = gaussian_blob(g, (0.0, 0.0), 0.3)
+    still = PotentialDrift(2, stream_fn=lambda t, x, y: np.zeros_like(x))
+    run, want = solve(theta0, None, g), solve(theta0, still, g)
+    assert np.array_equal(run.trajectory.samples, want.trajectory.samples)
+    assert np.array_equal(run.mass, want.mass)
