@@ -20,12 +20,12 @@ divergence by telescoping, which is what makes the conservation and
 monotonicity ledgers hold to round-off.  Cell-sampled drift fields are
 interpolated to faces and then projected onto the divergence-free constraint.
 
-Faces carry a support box (``_Faces.box``, else the whole grid): a block of
+Faces live on a support box (``_Faces.box``, else the whole grid): a block of
 cells outside which every face is exactly 0, as are the box's end faces inside
 the grid.  A projected drift slice's box is the bounding box of its nonzero
 cells widened by one cell when the projection left only round-off outside it
-(which is then set to 0), else the whole grid.  The upwind kernel reads and
-writes only the box, and cells outside it get div = 0.
+(which is then set to 0), else the whole grid.  Only the box's faces are
+stored, and the step advects on the box alone.
 """
 from __future__ import annotations
 
@@ -62,8 +62,8 @@ class SolverConfig:
 
 
 class ZeroDrift:
-    """The drift b = 0: one cached list of read-only zero faces per grid, with
-    an empty support box, so the solver makes no flux pass."""
+    """The drift b = 0: one cached faces object per grid, of read-only empty
+    arrays on an empty support box, so the solver makes no flux pass."""
 
     def __init__(self):
         self._faces = {}
@@ -71,23 +71,15 @@ class ZeroDrift:
     def face_velocities(self, grid, t):
         key = (tuple(grid.shape), grid.bc)
         if key not in self._faces:
-            self._faces[key] = _zero_faces(grid)
+            faces = self._faces[key] = _Faces()
+            faces.box = (slice(0, 0),) * grid.n
+            faces += (np.broadcast_to(0.0, _face_shape(grid, faces.box, a))  # read-only
+                      for a in range(grid.n))
         return self._faces[key]
 
     def sample(self, grid):
         return SpaceTimeField(
             grid, np.zeros((grid.nt,) + tuple(grid.shape) + (grid.n,)), grid.n)
-
-
-def _zero_faces(grid):
-    faces = _Faces()
-    for a in range(grid.n):
-        s = list(grid.shape)
-        if grid.bc == ZERO:
-            s[a] += 1  # the high face of the last cell
-        faces.append(np.broadcast_to(0.0, s))  # read-only, and holds one float
-    faces.box = (slice(0, 0),) * grid.n
-    return faces
 
 
 def _nodes(grid):
@@ -148,18 +140,30 @@ class PotentialDrift:
 
 
 class _Faces(list):
-    """Faces and their support ``box`` (see ``_Upwind``): a list the face
-    cache can refer to weakly."""
+    """The faces on their support ``box`` (``_face_block`` per axis), in a
+    list the face cache can refer to weakly; a plain list is the whole grid's."""
 
     __slots__ = ("__weakref__", "box")
 
 
+def _face_block(grid, box, a):
+    """The faces along axis a of the box's cells, as a slice per axis of the
+    grid's faces: both end faces, unless the box wraps (spans a periodic axis)."""
+    s = box[a]
+    wrap = grid.bc == PERIODIC and s.stop - s.start == grid.shape[a]
+    return box[:a] + (slice(s.start, s.stop + (not wrap)),) + box[a + 1:]
+
+
+def _face_shape(grid, box, a):
+    return tuple(s.stop - s.start for s in _face_block(grid, box, a))
+
+
 def _support_box(grid, cells, faces):
-    """Set one slice's projected faces to 0 outside its support box and
-    return the box: the bounding box of the nonzero cells widened by one cell
-    (spanning a periodic axis whose end it reaches), when the faces outside it
-    and on its end faces inside the grid are all within ε·max|u|, the
-    projection's round-off; else the whole grid, with the faces unchanged."""
+    """One slice's support box and its projected faces on it: the bounding
+    box of the nonzero cells widened by one cell (spanning a periodic axis
+    whose end it reaches), when the faces outside it and on its end faces
+    inside the grid are all within ε·max|u|, the projection's round-off, which
+    is set to 0; else the whole grid and the faces as they are."""
     whole = tuple(slice(0, N) for N in grid.shape)
     nonzero = cells[..., 0] != 0  # by component: any(axis=-1) is slow on length n
     for c in range(1, grid.n):
@@ -176,7 +180,7 @@ def _support_box(grid, cells, faces):
             box.append(slice(max(lo, 0), min(hi, N)))
         box = tuple(box)
     if box == whole:
-        return whole
+        return whole, faces
     outside = []
     for a, u in enumerate(faces):
         idx = list(box)
@@ -187,10 +191,10 @@ def _support_box(grid, cells, faces):
         outside += _outside(u, idx)
     eps = np.finfo(float).eps * max(np.abs(u).max() for u in faces)
     if not all(np.abs(v).max(initial=0.0) <= eps for v in outside):
-        return whole
+        return whole, faces
     for v in outside:
         v[...] = 0.0
-    return box
+    return box, [u[_face_block(grid, box, a)].copy() for a, u in enumerate(faces)]
 
 
 def _outside(u, block):
@@ -200,6 +204,12 @@ def _outside(u, block):
         views += [u[head + (slice(None, s.start),)], u[head + (slice(s.stop, None),)]]
         head += (s,)
     return views
+
+
+def _within(outer, box, shape):
+    """The block of an array of this shape at box's offset in outer's."""
+    return tuple(slice(s.start - o.start, s.start - o.start + m)
+                 for o, s, m in zip(outer, box, shape))
 
 
 def _box_union(b0, b1):
@@ -222,9 +232,9 @@ class FieldDrift:
     projection and are not interpolated between, so a steady field is
     projected once.
 
-    Each projected slice has a support box (see ``_support_box``) outside
-    which its faces are exactly 0; interpolated faces have the union of their
-    two slices' boxes, and only that union is interpolated.
+    Each projected slice keeps only the faces on its support box (see
+    ``_support_box``); interpolated faces cover the union of their two slices'
+    boxes.
 
     The slices are a stored field's, ``FieldDrift(b)``, or a function's,
     ``FieldDrift.from_function``, each read when first needed, refused if not
@@ -275,8 +285,9 @@ class FieldDrift:
         for a in range(g.n):
             lo, hi = cell_to_face(cells[..., a], a, g.bc)
             faces.append(0.5 * (lo + hi))
-        faces = self._cache[j] = _Faces(_project_faces(g, faces))
-        faces.box = _support_box(g, cells, faces)
+        box, faces = _support_box(g, cells, _project_faces(g, faces))
+        faces = self._cache[j] = _Faces(faces)
+        faces.box = box
         return faces
 
     def _bracket(self, grid, t):
@@ -285,6 +296,9 @@ class FieldDrift:
         g = self.grid
         if tuple(grid.shape) != tuple(g.shape) or grid.bc != g.bc:
             raise ValueError("drift grid does not match the run grid")
+        if tuple(grid.lo) != tuple(g.lo) or tuple(grid.hi) != tuple(g.hi):
+            raise ValueError(f"drift grid spans lo {tuple(g.lo)}, hi {tuple(g.hi)}, "
+                             f"the run grid lo {tuple(grid.lo)}, hi {tuple(grid.hi)}")
         if g.nt == 1:
             return 0, 0, 0.0
         s = min(max((t - g.t0) / (g.t1 - g.t0) * (g.nt - 1), 0.0), g.nt - 1.0)
@@ -292,6 +306,9 @@ class FieldDrift:
         return j0, min(j0 + 1, g.nt - 1), s - j0
 
     def face_velocities(self, grid, t):
+        """The faces at time t: a slice's, or linear in time between two
+        slices, on the union of their boxes."""
+        g = self.grid
         j0, j1, w = self._bracket(grid, t)
         # the last request's slices stay held until both of this one's are
         # found, so a march that moves on by one slice projects only the new one
@@ -304,12 +321,11 @@ class FieldDrift:
         out = _Faces()
         out.box = _box_union(f0.box, f1.box)
         for a, (u0, u1) in enumerate(zip(f0, f1)):
-            r = np.zeros(u0.shape)
-            idx = list(out.box)
-            idx[a] = slice(idx[a].start, idx[a].stop + 1)  # both end faces
-            v = tuple(idx)
-            np.multiply(u0[v], 1 - w, out=r[v])
-            r[v] += u1[v] * w
+            r = np.zeros(_face_shape(g, out.box, a))
+            if u0.size:
+                np.multiply(u0, 1 - w, out=r[_within(out.box, f0.box, u0.shape)])
+            if u1.size:
+                r[_within(out.box, f1.box, u1.shape)] += u1 * w
             out.append(r)
         return out
 
@@ -441,9 +457,10 @@ class _Upwind:
     The box (``_Faces.box``, else the whole grid) is a block of cells outside
     which every face is exactly 0, as are its end faces inside the grid, so
     every cell outside it has div = 0 and the kernel reads and writes the box
-    alone.  The box wraps along an axis it spans on a periodic grid and takes
-    the zero mode along every other, where its end faces are 0 or the zero
-    grid's own.  The whole grid is the largest box.
+    alone, and the faces cover only the box (``_face_block``).  The box wraps
+    along an axis it spans on a periodic grid and takes the zero mode along
+    every other, where its end faces are 0 or the zero grid's own.  The whole
+    grid is the largest box.
 
     Face k of the box along an axis is the low face of its cell k, so its left
     state is cell k − 1 and its right state cell k.  Faces 0..N − 1 take
@@ -452,10 +469,10 @@ class _Upwind:
     shifted by the axis stride ``prod(shape[a+1:])``, with no ghost-padded
     copy (a box smaller than the grid copies its cells once).  Each cell's
     (F_hi − F_lo)/h reads F shifted the same way and is accumulated into the
-    output.  The mode decides only the two hyperplanes the shift gets wrong:
+    result.  The mode decides only the two hyperplanes the shift gets wrong:
     face 0's left state is the wrapped cell N − 1 or 0, and the last cell's
     high flux is face 0 again, or face N with a right state of 0 (zero states
-    enter as products with 0.0).  The box's buffers are prefixes of three
+    enter as products with 0.0).  The box's buffers are prefixes of four
     buffers of the grid's size.
 
     ``split`` keeps a reference to the faces and stores no copy of their
@@ -465,9 +482,10 @@ class _Upwind:
     """
 
     def __init__(self, grid):
-        self.shape, self.h, self.bc = tuple(grid.shape), grid.h, grid.bc
-        self.flux, self.prod, self.cells = (np.empty(math.prod(self.shape)) for _ in range(3))
-        self.whole = tuple(slice(0, N) for N in self.shape)
+        self.grid, self.h = grid, grid.h
+        self.flux, self.prod, self.cells, self.res = (
+            np.empty(math.prod(grid.shape)) for _ in range(4))
+        self.whole = tuple(slice(0, N) for N in grid.shape)
         self.faces = self.outflow = None
 
     def split(self, faces):
@@ -477,15 +495,15 @@ class _Upwind:
         of each axis: no cell's outflow rate exceeds it.
         """
         if faces is not self.faces:
-            self.faces, self.outflow = faces, None
-            self.box = getattr(faces, "box", self.whole)
-            # per axis: whether the box wraps, and its faces with both end faces unless it does
-            self.axes = []
-            for a, (u, s) in enumerate(zip(faces, self.box)):
-                wrap = self.bc == PERIODIC and s.stop - s.start == self.shape[a]
-                idx = list(self.box)
-                idx[a] = slice(s.start, s.stop + (not wrap))
-                self.axes.append((wrap, u[tuple(idx)]))
+            box = getattr(faces, "box", self.whole)
+            axes = []  # per axis: whether the box wraps, and its faces
+            for a, (u, s) in enumerate(zip(faces, box)):
+                want = _face_shape(self.grid, box, a)
+                if u.shape != want:
+                    raise ValueError(f"faces along axis {a} have shape {u.shape}, "
+                                     f"but their box needs {want}")
+                axes.append((u.shape[a] == s.stop - s.start, u))
+            self.faces, self.box, self.axes, self.outflow = faces, box, axes, None
         peaks = [(max(u.max(), 0.0), -min(u.min(), 0.0)) if u.size else (0.0, 0.0)
                  for _, u in self.axes]
         self.outflow_bound = sum((p + m) / h for (p, m), h in zip(peaks, self.h))
@@ -503,19 +521,19 @@ class _Upwind:
             self.outflow = total.max(initial=0.0)
         return self.outflow
 
-    def div(self, theta, out):
-        """Write div(u theta) for the faces of the last split() into out."""
+    def div(self, theta):
+        """div(u theta) on the box of the last split(), in a buffer the next
+        call overwrites."""
         shape = tuple(s.stop - s.start for s in self.box)
         size = math.prod(shape)
-        F, tmp, th = (b[:size].reshape(shape) for b in (self.flux, self.prod, self.cells))
-        if size == out.size:
-            th, res = theta, out
+        F, tmp, th, res = (b[:size].reshape(shape)
+                           for b in (self.flux, self.prod, self.cells, self.res))
+        if size == theta.size:
+            th = theta
+        elif not size:
+            return res
         else:  # the box's cells, copied to be shifted flat
-            out.fill(0.0)
-            if not size:
-                return out
             np.copyto(th, theta[self.box])
-            res = out[self.box]
         flat, Ff, Tf = th.reshape(-1), F.reshape(-1), tmp.reshape(-1)
         for a, (wrap, u) in enumerate(self.axes):
             N, s = shape[a], math.prod(shape[a + 1:])
@@ -544,7 +562,7 @@ class _Upwind:
                 res += tmp
             else:
                 np.divide(tmp, self.h[a], out=res)
-        return out
+        return res
 
 
 def _apply_buffer(theta, grid):
@@ -649,7 +667,6 @@ def solve(theta0, b, grid, config=None):
         den = np.empty_like(sym)
         spec = _half_spectrum(grid.shape)
     upwind = _Upwind(grid)
-    adv = np.empty(grid.shape)
     vol = grid.cell_volume
 
     if explicit:
@@ -675,13 +692,16 @@ def solve(theta0, b, grid, config=None):
                                  f"{MAX_STEPS} steps to reach t1 = {grid.t1:g} "
                                  "(solver.MAX_STEPS caps the step count, not a CFL bound)")
             dt = min(dt, t_end - t)
-            upwind.div(theta, adv)
+            adv = upwind.div(theta)  # 0 outside upwind.box
             if explicit:
-                theta = theta + dt * (grid_laplacian(theta, grid) - adv)
+                lap = grid_laplacian(theta, grid)
+                lap[upwind.box] -= adv
+                theta = theta + dt * lap
                 _apply_buffer(theta, grid)
             else:
                 adv *= dt
-                _rfftn(np.subtract(theta, adv, out=adv), spec)
+                theta[upwind.box] -= adv
+                _rfftn(theta, spec)
                 np.multiply(sym, -dt, out=den)
                 den += 1.0
                 # times the real reciprocal: the values of spec / den, no complex division

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import ndimage
 
 from driftlab.fields import (
     Grid,
@@ -269,6 +268,7 @@ def test_sphere_nodes_batch_matches_per_radius(n):
 
 def _map_coordinates_shells(f, center, sh):
     """Reference: map_coordinates(order=1) per time slice and component."""
+    ndimage = pytest.importorskip("scipy.ndimage")
     g = f.grid
     mode = "grid-wrap" if g.bc == "periodic" else "constant"
     data = f.samples.reshape(f.samples.shape[:1 + g.n] + (f.ncomp,))

@@ -603,12 +603,11 @@ def test_upwind_div_matches_ghost_pad_reference(shape, bc):
             faces[a][tuple(corner)] = -np.inf
     upwind = _Upwind(g)
     upwind.split(faces)
-    out = np.empty(shape)
     for _ in range(2):  # the buffers are reused from one call to the next
         theta = rng.standard_normal(shape)
         with np.errstate(invalid="ignore"):
             want = ghost_pad_div(theta, faces, g)
-            got = upwind.div(theta, out)
+            got = upwind.div(theta)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.isnan(want).any() == (bc == "zero")
 
@@ -984,6 +983,38 @@ def zeroed_outside(faces, box, bc):
     return out
 
 
+def face_block(box, a, shape, bc):
+    """The faces along axis a of box's cells, as a slice per axis of the
+    grid's faces: both end faces, unless the box spans a periodic axis."""
+    idx = list(box)
+    wrap = bc == "periodic" and box[a].stop - box[a].start == shape[a]
+    idx[a] = slice(box[a].start, box[a].stop + (not wrap))
+    return tuple(idx)
+
+
+def box_face_shape(box, a, shape, bc):
+    return tuple(s.stop - s.start for s in face_block(box, a, shape, bc))
+
+
+def on_box(faces, box, shape, bc):
+    """Whole-grid faces cut to box, as a _Faces."""
+    out = _Faces(u[face_block(box, a, shape, bc)] for a, u in enumerate(faces))
+    out.box = box
+    return out
+
+
+def embedded(faces, shape, bc):
+    """A _Faces's arrays placed in zero faces of the whole grid."""
+    out = []
+    for a, u in enumerate(faces):
+        face_shape = list(shape)
+        face_shape[a] += bc == "zero"
+        z = np.zeros(face_shape)
+        z[face_block(faces.box, a, shape, bc)] = u
+        out.append(z)
+    return out
+
+
 def random_box(rng, shape, bc):
     box = []
     for N in shape:
@@ -1025,15 +1056,18 @@ def test_upwind_box_matches_whole_grid(shape, bc):
             face_shape[a] += bc == "zero"
             faces.append(rng.standard_normal(face_shape))
         faces = zeroed_outside(faces, box, bc)
-        with_box = _Faces(faces)
-        with_box.box = box
+        with_box = on_box(faces, box, shape, bc)
+        assert all(np.array_equal(e, u) for e, u in zip(embedded(with_box, shape, bc), faces))
         assert whole.split(faces) == boxed.split(with_box), name
         assert whole.outflow_bound == boxed.outflow_bound, name
         assert whole.max_outflow() == boxed.max_outflow(), name
         for _ in range(2):  # the buffers are reused from one call to the next
             theta = rng.standard_normal(shape)
-            want = whole.div(theta, np.empty(shape))
-            got = boxed.div(theta, np.full(shape, np.nan))
+            want = whole.div(theta)
+            div = boxed.div(theta)
+            assert div.shape == tuple(s.stop - s.start for s in box), name
+            got = np.zeros(shape)  # the box's div in the whole grid
+            got[box] = div
             assert np.array_equal(got, want), name
 
 
@@ -1059,15 +1093,18 @@ def test_compact_curl_slice_gets_interior_box(bc):
             interpolated.append(0.5 * (lo + hi))
         projected = _project_faces(g, interpolated)
         kept = zeroed_outside(projected, want, bc)
-        for a in range(2):
-            assert np.array_equal(faces[a], kept[a])
+        for a, u in enumerate(on_box(kept, want, g.shape, bc)):
+            assert faces[a].shape == u.shape
+            assert np.array_equal(faces[a], u)
             assert np.abs(projected[a] - kept[a]).max() <= 1e-16 * np.abs(projected[a]).max()
     # between the two slices: the union of their boxes, exactly 0 outside it
     mid = d.face_velocities(g, 0.3)
     assert mid.box == tuple(slice(min(s.start, t.start), max(s.stop, t.stop))
                             for s, t in zip(f0.box, f1.box))
-    for a in range(2):
-        assert mid[a].tobytes() == (f0[a] * 0.7 + f1[a] * 0.3).tobytes()
+    e0, e1 = embedded(f0, g.shape, bc), embedded(f1, g.shape, bc)
+    for a, u in enumerate(embedded(mid, g.shape, bc)):
+        assert mid[a].shape == box_face_shape(mid.box, a, g.shape, bc)
+        assert u.tobytes() == (e0[a] * 0.7 + e1[a] * 0.3).tobytes()
 
 
 @pytest.mark.parametrize("bc", ["periodic", "zero"])
@@ -1093,9 +1130,104 @@ def test_drift_free_solve_uses_one_empty_box(bc):
     faces = zero.face_velocities(g, 0.0)
     assert zero.face_velocities(g, 0.5) is faces
     assert faces.box == (slice(0, 0),) * 2
-    assert not any(u.any() or u.flags.writeable for u in faces)
+    assert [u.shape for u in faces] == [(1, 0), (0, 1)]  # the box's faces: none
+    assert not any(u.flags.writeable for u in faces)
     theta0 = gaussian_blob(g, (0.0, 0.0), 0.3)
     still = PotentialDrift(2, stream_fn=lambda t, x, y: np.zeros_like(x))
     run, want = solve(theta0, None, g), solve(theta0, still, g)
     assert np.array_equal(run.trajectory.samples, want.trajectory.samples)
     assert np.array_equal(run.mass, want.mass)
+
+
+def seam_bump(g, center, radius):
+    """compact_bump, with distances taken across the seam of a periodic grid."""
+    r2 = 0.0
+    for x, c, lo, hi in zip(g.meshgrid(), center, g.lo, g.hi):
+        d = x - c
+        if g.bc == "periodic":
+            d = (d + (hi - lo) / 2) % (hi - lo) - (hi - lo) / 2
+        r2 = r2 + (d / radius) ** 2
+    return np.where(r2 < 1.0, (1.0 - r2) ** 4, 0.0)
+
+
+# per stored time, the centre of a bump (None: no drift), on [-1, 1]^n: inside,
+# on a grid edge, across the seam (or the zero grid's edge) and at a corner
+BUMP_PATHS = {2: [(-0.3, 0.2), (-0.95, 0.1), None, (0.2, 0.97), (0.96, -0.97), (0.1, -0.2)],
+              3: [(0.0, 0.1, 0.0), (0.97, 0.0, -0.1), None, (0.1, -0.96, 0.95), (0.0, 0.2, 0.1)]}
+
+
+def compact_curl_drift(g, radius):
+    """A FieldDrift of curls of compact bumps moving along BUMP_PATHS."""
+    slices = []
+    for c in BUMP_PATHS[g.n]:
+        bump = np.zeros(g.shape) if c is None else seam_bump(g, c, radius)
+        slices.append(curl(bump if g.n == 2 else (bump, -0.5 * bump, 0.25 * bump), g))
+    return FieldDrift(SpaceTimeField(g, np.stack(slices), g.n))
+
+
+@pytest.mark.parametrize("shape,bc", [((32, 28), "periodic"), ((32, 28), "zero"),
+                                      ((12, 14, 12), "periodic"), ((12, 14, 12), "zero")])
+def test_box_faces_solve_as_whole_grid_faces(monkeypatch, shape, bc):
+    import driftlab.solver as solver
+    n = len(shape)
+    g = Grid(n, (-1.0,) * n, (1.0,) * n, shape, 0.0, 0.004, len(BUMP_PATHS[n]), bc)
+    run_grid = g.with_times(g.t0, g.t1, 3)
+    theta0 = gaussian_blob(run_grid, (0.1,) * n, 0.3)
+    faces_at = FieldDrift.face_velocities
+    boxes = []
+
+    def checked(drift, grid, t):
+        faces = faces_at(drift, grid, t)
+        for a, u in enumerate(faces):
+            assert u.shape == box_face_shape(faces.box, a, shape, bc)
+        boxes.append(faces.box)
+        return faces
+
+    monkeypatch.setattr(FieldDrift, "face_velocities", checked)
+    on_boxes = solve(theta0, compact_curl_drift(g, 0.4), run_grid)
+    # the same run on whole-grid faces: each slice's box faces placed in zeros
+    support_box = solver._support_box
+
+    def whole_grid(grid, cells, faces):
+        box, kept = support_box(grid, cells, faces)
+        kept = _Faces(kept)
+        kept.box = box
+        return tuple(slice(0, N) for N in shape), embedded(kept, shape, bc)
+
+    # the march met empty boxes, boxes inside the grid and boxes at its edges
+    edges = {tuple((s.start == 0, s.stop == N) for s, N in zip(box, shape))
+             for box in boxes if box[0].stop}
+    assert (slice(0, 0),) * n in boxes
+    assert ((False, False),) * n in edges
+    assert any(True in axis for e in edges for axis in e)
+    monkeypatch.setattr(solver, "_support_box", whole_grid)
+    whole = solve(theta0, compact_curl_drift(g, 0.4), run_grid)
+    assert len(on_boxes.step_times) > 20
+    for name in ("step_times", "mass", "minimum", "maximum"):
+        assert getattr(on_boxes, name).tobytes() == getattr(whole, name).tobytes(), name
+    assert on_boxes.trajectory.samples.tobytes() == whole.trajectory.samples.tobytes()
+
+
+@pytest.mark.parametrize("bad", [(17, 16), (15, 16)])
+def test_faces_off_their_box_refused(bad):
+    g = pgrid(16, t1=0.01)
+    faces = [np.zeros(bad), np.zeros((16, 16))]
+    with pytest.raises(ValueError, match=rf"faces along axis 0 have shape \({bad[0]}, 16\)"
+                                         r".* needs \(16, 16\)"):
+        solve(gaussian_blob(g, (0.0, 0.0), 0.5), FixedFaces(faces), g)
+    boxed = on_box([np.zeros((16, 16))] * 2, (slice(2, 9), slice(0, 16)), (16, 16), "periodic")
+    boxed[1] = np.zeros((7, 17))
+    with pytest.raises(ValueError, match=r"axis 1 have shape \(7, 17\).* needs \(7, 16\)"):
+        _Upwind(g).split(boxed)
+
+
+def test_drift_on_another_space_refused():
+    g = Grid(2, (-4.0, -4.0), (4.0, 4.0), (16, 16), 0.0, 1.0, 3, "periodic")
+    d = FieldDrift(slice_field(g, [random_slice(np.random.default_rng(8))] * 3))
+    run_grid = pgrid(16, L=1.0, t1=0.01)
+    theta0 = gaussian_blob(run_grid, (0.0, 0.0), 0.3)
+    with pytest.raises(ValueError, match=r"lo \(-4\.0, -4\.0\), hi \(4\.0, 4\.0\).*"
+                                         r"lo \(-1\.0, -1\.0\), hi \(1\.0, 1\.0\)"):
+        solve(theta0, d, run_grid)
+    # another time span is clamped to the drift's, by design
+    solve(gaussian_blob(g, (0.0, 0.0), 0.3), d, g.with_times(0.5, 2.0, 2))
