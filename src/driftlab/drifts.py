@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Grid, SpaceTimeField, ZERO, _component_sum, curl, divergence
+from .fields import (Grid, SpaceTimeField, ZERO, _box, _component_sum, _curl_components, _ddx,
+                     curl, divergence)
 
 E_CONST = float(np.e)
 C0_DEFAULT = float(np.exp(-np.e))  # largest time with logloglog(1/t) >= 0
@@ -488,8 +489,26 @@ class DriftAssembly:
         return out
 
     def drift_function(self, grid):
-        """fn(t, *X): the cell-centered drift via the discrete curl (div-free exactly)."""
-        return lambda t, *X: curl(self.potential(t, X), grid)
+        """fn(t, *X): ``curl(self.potential(t, X), grid)``, the cell-centered drift
+        (div-free exactly) at grid's cell centers X, evaluated only on the box of
+        the cells within ramp[1]·R of an active block, where a cutoff is not 0,
+        widened by one cell for the stencil (``fields._box``)."""
+        def fn(t, *X):
+            # outside the box: the curl of a zero potential, with its signs of zero
+            out = np.full(tuple(grid.shape) + (grid.n,),
+                          _curl_components((0.0,) * 3, grid.n, lambda a, axis: 0.0))
+            caps = [(b.position(float(t)), b.ramp[1] * b.R) for b in self.blocks if b.active(t)]
+            if caps:
+                lo = np.floor((np.min([p - r for p, r in caps], 0) - grid.lo) / grid.h - 0.5)
+                hi = np.ceil((np.max([p + r for p, r in caps], 0) - grid.lo) / grid.h - 0.5)
+                box = _box(grid, lo.astype(int) - 1, hi.astype(int) + 2)
+                # the curl wraps only along an axis the box spans on a periodic grid
+                bc = [grid.bc if s.stop - s.start == N else ZERO for s, N in zip(box, grid.shape)]
+                out[box] = np.stack(_curl_components(
+                    self.potential(t, [x[box] for x in X]), grid.n,
+                    lambda a, axis: _ddx(a, axis, grid.h[axis], bc[axis])), axis=-1)
+            return out
+        return fn
 
     def sample_drift(self, grid):
         return SpaceTimeField.from_function(grid, self.drift_function(grid), grid.n)

@@ -155,6 +155,14 @@ def _extend(a, axis, bc, width=(1, 1)):
     return np.pad(a, pad, mode="wrap" if bc == PERIODIC else "constant")
 
 
+def _box(grid, lo, hi):
+    """Cells lo[a]..hi[a] − 1 along each axis a clipped to the grid, a slice per axis; a
+    periodic axis whose end they reach is taken whole, so its stencils wrap as on the grid."""
+    return tuple(slice(0, N) if grid.bc == PERIODIC and (l <= 0 or h >= N)
+                 else slice(min(max(l, 0), N), max(min(h, N), 0))
+                 for l, h, N in zip(lo, hi, grid.shape))
+
+
 def _ddx(a, axis, h, bc):
     p = _extend(a, axis, bc)
     return (_slab(p, axis, 2, None) - _slab(p, axis, None, -2)) / (2.0 * h)

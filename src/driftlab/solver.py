@@ -18,14 +18,16 @@ Advection velocities live on cell faces.  Face data produced from a stream
 function (2D) or edge-sampled vector potential (3D) has exactly zero discrete
 divergence by telescoping, which is what makes the conservation and
 monotonicity ledgers hold to round-off.  Cell-sampled drift fields are
-interpolated to faces and then projected onto the divergence-free constraint.
+interpolated to faces, which are projected onto the divergence-free constraint
+only when their divergence is more than round-off: the face averages of a
+centered curl, as every drift the lab builds is, are used as they are.
 
 Faces live on a support box (``_Faces.box``, else the whole grid): a block of
 cells outside which every face is exactly 0, as are the box's end faces inside
-the grid.  A projected drift slice's box is the bounding box of its nonzero
-cells widened by one cell when the projection left only round-off outside it
-(which is then set to 0), else the whole grid.  Only the box's faces are
-stored, and the step advects on the box alone.
+the grid.  A drift slice's faces are formed on the bounding box of its nonzero
+cells widened by one cell; a projected slice keeps it when the projection left
+only round-off outside it (then set to 0), else takes the whole grid.  Only the
+box's faces are stored, and the step advects on the box alone.
 """
 from __future__ import annotations
 
@@ -35,11 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (PERIODIC, ZERO, SpaceTimeField, _component_sum, _curl_components,
+from .fields import (PERIODIC, ZERO, SpaceTimeField, _box, _component_sum, _curl_components,
                      _interpolate, _require_finite, _slab, _sq_distance, cell_to_face,
                      divergence, face_diff, face_to_cell, grid_laplacian)
 
 BUFFER_CELLS = 3
+_EPS = np.finfo(float).eps
 # solve refuses a step that would need more steps than this to reach t1: a cap
 # on run time, not error, which long valid runs on fine grids also meet
 MAX_STEPS = 10**6
@@ -71,10 +74,9 @@ class ZeroDrift:
     def face_velocities(self, grid, t):
         key = (tuple(grid.shape), grid.bc)
         if key not in self._faces:
-            faces = self._faces[key] = _Faces()
-            faces.box = (slice(0, 0),) * grid.n
-            faces += (np.broadcast_to(0.0, _face_shape(grid, faces.box, a))  # read-only
-                      for a in range(grid.n))
+            box = (slice(0, 0),) * grid.n
+            self._faces[key] = _Faces((np.broadcast_to(0.0, _face_shape(grid, box, a))
+                                       for a in range(grid.n)), box)  # read-only
         return self._faces[key]
 
     def sample(self, grid):
@@ -145,6 +147,10 @@ class _Faces(list):
 
     __slots__ = ("__weakref__", "box")
 
+    def __init__(self, faces=(), box=None):
+        super().__init__(faces)
+        self.box = box
+
 
 def _face_block(grid, box, a):
     """The faces along axis a of the box's cells, as a slice per axis of the
@@ -158,29 +164,23 @@ def _face_shape(grid, box, a):
     return tuple(s.stop - s.start for s in _face_block(grid, box, a))
 
 
-def _support_box(grid, cells, faces):
-    """One slice's support box and its projected faces on it: the bounding
-    box of the nonzero cells widened by one cell (spanning a periodic axis
-    whose end it reaches), when the faces outside it and on its end faces
-    inside the grid are all within ε·max|u|, the projection's round-off, which
-    is set to 0; else the whole grid and the faces as they are."""
-    whole = tuple(slice(0, N) for N in grid.shape)
+def _nonzero_box(grid, cells):
+    """The bounding box of a slice's nonzero cells widened by one cell (``fields._box``)."""
     nonzero = cells[..., 0] != 0  # by component: any(axis=-1) is slow on length n
     for c in range(1, grid.n):
         nonzero |= cells[..., c] != 0
     if not nonzero.any():
-        box = (slice(0, 0),) * grid.n
-    else:
-        box = []
-        for a, N in enumerate(grid.shape):
-            hit = np.flatnonzero(nonzero.any(axis=tuple(i for i in range(grid.n) if i != a)))
-            lo, hi = int(hit[0]) - 1, int(hit[-1]) + 2
-            if grid.bc == PERIODIC and (lo <= 0 or hi >= N):
-                lo, hi = 0, N
-            box.append(slice(max(lo, 0), min(hi, N)))
-        box = tuple(box)
-    if box == whole:
-        return whole, faces
+        return (slice(0, 0),) * grid.n
+    hits = [np.flatnonzero(nonzero.any(axis=tuple(i for i in range(grid.n) if i != a)))
+            for a in range(grid.n)]
+    return _box(grid, [int(k[0]) - 1 for k in hits], [int(k[-1]) + 2 for k in hits])
+
+
+def _support_box(grid, box, faces):
+    """Projected whole-grid faces on a slice's nonzero box: cut to it when
+    the faces outside it and on its end faces inside the grid are all within
+    ε·max|u|, the projection's round-off, which is set to 0; else the whole
+    grid's faces as they are."""
     outside = []
     for a, u in enumerate(faces):
         idx = list(box)
@@ -189,12 +189,12 @@ def _support_box(grid, cells, faces):
         # grid (a box that does not span a periodic axis stops short of its ends)
         idx[a] = slice(lo + (lo > 0), hi + (hi == grid.shape[a]))
         outside += _outside(u, idx)
-    eps = np.finfo(float).eps * max(np.abs(u).max() for u in faces)
+    eps = _EPS * max(np.abs(u).max() for u in faces)
     if not all(np.abs(v).max(initial=0.0) <= eps for v in outside):
-        return whole, faces
+        return _Faces(faces, tuple(slice(0, N) for N in grid.shape))
     for v in outside:
         v[...] = 0.0
-    return box, [u[_face_block(grid, box, a)].copy() for a, u in enumerate(faces)]
+    return _Faces((u[_face_block(grid, box, a)].copy() for a, u in enumerate(faces)), box)
 
 
 def _outside(u, block):
@@ -206,10 +206,15 @@ def _outside(u, block):
     return views
 
 
-def _within(outer, box, shape):
-    """The block of an array of this shape at box's offset in outer's."""
-    return tuple(slice(s.start - o.start, s.start - o.start + m)
-                 for o, s, m in zip(outer, box, shape))
+def _embed(grid, outer, faces):
+    """A _Faces's arrays placed in zero faces of an outer box holding its box."""
+    out = []
+    for a, u in enumerate(faces):
+        e = np.zeros(_face_shape(grid, outer, a))
+        e[tuple(slice(s.start - o.start, s.start - o.start + m)  # an empty box places none
+                for o, s, m in zip(outer, faces.box, u.shape))] = u
+        out.append(e)
+    return out
 
 
 def _box_union(b0, b1):
@@ -225,16 +230,13 @@ def _box_union(b0, b1):
 class FieldDrift:
     """Drift from cell-centered samples of a vector field, read slice by slice.
 
-    Faces are midpoint averages of the adjacent cells, then projected onto
-    the discretely divergence-free constraint (a Poisson solve per slice),
-    which restores exact telescoping conservation.  Linear interpolation in
-    time between the stored slices.  Equal consecutive slices share one
-    projection and are not interpolated between, so a steady field is
-    projected once.
-
-    Each projected slice keeps only the faces on its support box (see
-    ``_support_box``); interpolated faces cover the union of their two slices'
-    boxes.
+    A slice's faces are midpoint averages of the adjacent cells on its support
+    box (see ``_nonzero_box``), made discretely divergence-free by
+    ``_project_faces``, which restores exact telescoping conservation: a Poisson
+    solve runs only for a slice whose face divergence is more than round-off.
+    Linear interpolation in time between the stored slices, on the union of
+    their boxes.  Equal consecutive slices share one set of faces and are not
+    interpolated between, so a steady field's faces are made once.
 
     The slices are a stored field's, ``FieldDrift(b)``, or a function's,
     ``FieldDrift.from_function``, each read when first needed, refused if not
@@ -261,6 +263,7 @@ class FieldDrift:
         self.grid, self._slice_at, self._whole = grid, slice_at, whole
         self._last, self._run_start = (None, None), []  # the last slice read; run starts
         self._cache, self._held = weakref.WeakValueDictionary(), ()
+        self._pair = (None,)  # the run starts of the last two slices interpolated, embedded
 
     def _slice(self, j):
         if self._last[0] != j:
@@ -278,16 +281,15 @@ class FieldDrift:
     def _faces_at_slice(self, j):
         j = self._start(j)
         faces = self._cache.get(j)
-        if faces is not None:
-            return faces
-        g, cells = self.grid, self._slice(j)
-        faces = []
-        for a in range(g.n):
-            lo, hi = cell_to_face(cells[..., a], a, g.bc)
-            faces.append(0.5 * (lo + hi))
-        box, faces = _support_box(g, cells, _project_faces(g, faces))
-        faces = self._cache[j] = _Faces(faces)
-        faces.box = box
+        if faces is None:
+            g, cells = self.grid, self._slice(j)
+            box = _nonzero_box(g, cells)
+            on_box, faces = cells[box], _Faces((), box)
+            for a in range(g.n):  # the cells beyond the box are 0, or wrap where it spans
+                wrap = g.bc == PERIODIC and box[a].stop - box[a].start == g.shape[a]
+                lo, hi = cell_to_face(on_box[..., a], a, PERIODIC if wrap else ZERO)
+                faces.append(0.5 * (lo + hi))
+            faces = self._cache[j] = _project_faces(g, faces)
         return faces
 
     def _bracket(self, grid, t):
@@ -308,7 +310,6 @@ class FieldDrift:
     def face_velocities(self, grid, t):
         """The faces at time t: a slice's, or linear in time between two
         slices, on the union of their boxes."""
-        g = self.grid
         j0, j1, w = self._bracket(grid, t)
         # the last request's slices stay held until both of this one's are
         # found, so a march that moves on by one slice projects only the new one
@@ -318,20 +319,21 @@ class FieldDrift:
             return f0
         f1 = self._faces_at_slice(j1)
         self._held = (f0, f1)
-        out = _Faces()
-        out.box = _box_union(f0.box, f1.box)
-        for a, (u0, u1) in enumerate(zip(f0, f1)):
-            r = np.zeros(_face_shape(g, out.box, a))
-            if u0.size:
-                np.multiply(u0, 1 - w, out=r[_within(out.box, f0.box, u0.shape)])
-            if u1.size:
-                r[_within(out.box, f1.box, u1.shape)] += u1 * w
+        runs = (self._start(j0), self._start(j1))
+        if self._pair[0] != runs:  # both slices' faces on their union, once per bracket
+            box = _box_union(f0.box, f1.box)
+            self._pair = runs, box, _embed(self.grid, box, f0), _embed(self.grid, box, f1)
+        out = _Faces((), self._pair[1])
+        for u0, u1 in zip(*self._pair[2:]):
+            r = u0 * (1 - w)
+            r += u1 * w
             out.append(r)
         return out
 
     def sample(self, grid):
         """Cell samples at grid's stored times: every slice when the times
         match, else linear in time between the slices face_velocities uses."""
+        self._bracket(grid, grid.t0)  # refuses a grid of another shape, mode or extent
         if np.array_equal(grid.times, self.grid.times):
             return self._whole()
 
@@ -343,9 +345,10 @@ class FieldDrift:
 
 
 def _face_div(grid, faces):
-    out = np.zeros(grid.shape)
-    for a in range(grid.n):
-        out += face_diff(faces[a], a, grid.bc) / grid.h[a]
+    """The face divergence on the faces' box (``_Faces.box``, else the whole grid)."""
+    out = np.zeros([faces[a - 1].shape[a] for a in range(grid.n)])  # other faces' cell counts
+    for a, u in enumerate(faces):  # faces along an axis the box spans wrap
+        out += face_diff(u, a, PERIODIC if u.shape[a] == out.shape[a] else ZERO) / grid.h[a]
     return out
 
 
@@ -413,7 +416,17 @@ def _dstn(x, inverse=False):
 
 
 def _project_faces(grid, faces):
-    """Remove the face-divergence by a discrete Poisson correction."""
+    """Faces on their box (``_Faces.box``, else the whole grid) made discretely
+    divergence-free, as a _Faces: as they are if max|div|·min(h) ≤ 2n·ε·max|u|,
+    round-off (the face averages of a centered curl do), else by a discrete
+    Poisson correction on the whole grid, cut to the box by ``_support_box``."""
+    whole = tuple(slice(0, N) for N in grid.shape)
+    box = getattr(faces, "box", None) or whole
+    peak = max(np.abs(u).max(initial=0.0) for u in faces)
+    div = _face_div(grid, faces)
+    if np.abs(div).max(initial=0.0) * min(grid.h) <= 2 * grid.n * _EPS * peak:
+        return _Faces(faces, box)
+    faces = _embed(grid, whole, _Faces(faces, box))
     div = _face_div(grid, faces)
     sym = _fd_symbol(grid)
     if grid.bc == PERIODIC:
@@ -429,7 +442,7 @@ def _project_faces(grid, faces):
     for a in range(grid.n):
         lo, hi = cell_to_face(phi, a, grid.bc)
         out.append(faces[a] - (hi - lo) / grid.h[a])
-    return out
+    return _support_box(grid, box, out)
 
 
 def as_drift(b, grid):

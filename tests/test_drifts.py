@@ -525,3 +525,40 @@ def test_samplers_bit_equal_to_per_slice_loop(n, bc):
         w = pos - j0
         want[j] = b.samples[j0] * (1 - w) + b.samples[min(j0 + 1, g.nt - 1)] * w
     assert fd.sample(g2).samples.tobytes() == want.tobytes()
+
+
+def cap_blocks(n, centers, windows):
+    """A DriftAssembly of caps of scale 0.06 (cutoff radius 0.228) centered at
+    the given points, each moving 0.02 along e1 in its time window."""
+    return DriftAssembly([AssemblyBlock(t0, t1, 0.06, 1.0, 0.02, np.array(c, dtype=float), n)
+                          for c, (t0, t1) in zip(centers, windows)], n, "block_rescaled")
+
+
+# per case: the cap centres on [-1, 1]^n, the windows, and a time in them; the
+# two-block cases use windows that overlap by the 1e-12 the assembly allows
+CAP_CASES = {
+    "interior": ([(-0.3, 0.2, 0.1)], [(0.0, 1.0)], 0.5),
+    "seam or edge": ([(0.95, 0.1, 0.0)], [(0.0, 1.0)], 0.5),
+    "corner": ([(-0.97, 0.96, -0.9)], [(0.0, 1.0)], 0.3),
+    "two apart": ([(-0.5, 0.4, 0.0), (0.5, -0.3, 0.2)], [(0.0, 2e-12), (1e-12, 3e-12)], 1.5e-12),
+    "two overlapping": ([(-0.1, 0.0, 0.0), (0.05, 0.1, 0.0)], [(0.0, 2e-12), (1e-12, 3e-12)],
+                        1.5e-12),
+    "none active": ([(-0.3, 0.2, 0.1)], [(0.0, 1.0)], 1.5),
+}
+
+
+@pytest.mark.parametrize("case", list(CAP_CASES))
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_box_sampled_drift_is_the_whole_grid_curl(n, bc, case):
+    centers, windows, t = CAP_CASES[case]
+    asm = cap_blocks(n, [c[:n] for c in centers], windows)
+    g = Grid(n, (-1.0,) * n, (1.0,) * n, (32, 28) if n == 2 else (12, 14, 10), bc=bc)
+    X = g.meshgrid()
+    assert sum(b.active(t) for b in asm.blocks) == len(centers) * (case != "none active")
+    got, want = asm.drift_function(g)(t, *X), curl(asm.potential(t, X), g)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # the signs of zero too
+    # the cap reaches across the seam of a periodic grid and to the edge of a zero one
+    if case == "seam or edge":
+        assert np.any(got[0] != 0) == (bc == "periodic") and np.any(got[-1] != 0)

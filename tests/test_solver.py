@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -1186,13 +1188,11 @@ def test_box_faces_solve_as_whole_grid_faces(monkeypatch, shape, bc):
     monkeypatch.setattr(FieldDrift, "face_velocities", checked)
     on_boxes = solve(theta0, compact_curl_drift(g, 0.4), run_grid)
     # the same run on whole-grid faces: each slice's box faces placed in zeros
-    support_box = solver._support_box
+    project = solver._project_faces
 
-    def whole_grid(grid, cells, faces):
-        box, kept = support_box(grid, cells, faces)
-        kept = _Faces(kept)
-        kept.box = box
-        return tuple(slice(0, N) for N in shape), embedded(kept, shape, bc)
+    def whole_grid(grid, faces):
+        return _Faces(embedded(project(grid, faces), shape, bc),
+                      tuple(slice(0, N) for N in shape))
 
     # the march met empty boxes, boxes inside the grid and boxes at its edges
     edges = {tuple((s.start == 0, s.stop == N) for s, N in zip(box, shape))
@@ -1200,7 +1200,7 @@ def test_box_faces_solve_as_whole_grid_faces(monkeypatch, shape, bc):
     assert (slice(0, 0),) * n in boxes
     assert ((False, False),) * n in edges
     assert any(True in axis for e in edges for axis in e)
-    monkeypatch.setattr(solver, "_support_box", whole_grid)
+    monkeypatch.setattr(solver, "_project_faces", whole_grid)
     whole = solve(theta0, compact_curl_drift(g, 0.4), run_grid)
     assert len(on_boxes.step_times) > 20
     for name in ("step_times", "mass", "minimum", "maximum"):
@@ -1231,3 +1231,162 @@ def test_drift_on_another_space_refused():
         solve(theta0, d, run_grid)
     # another time span is clamped to the drift's, by design
     solve(gaussian_blob(g, (0.0, 0.0), 0.3), d, g.with_times(0.5, 2.0, 2))
+
+
+def whole_grid_averages(g, cells):
+    """The face average of each axis' cells, on the whole grid."""
+    out = []
+    for a in range(g.n):
+        lo, hi = cell_to_face(cells[..., a], a, g.bc)
+        out.append(0.5 * (lo + hi))
+    return out
+
+
+def whole_grid_projection(g, faces):
+    """The Poisson projection of whole-grid faces, run whatever their divergence:
+    the reference for faces that _project_faces projects."""
+    import driftlab.solver as solver
+    div = _face_div(g, faces)
+    sym = _fd_symbol(g)
+    if g.bc == "periodic":
+        sym[(0,) * g.n] = 1.0
+        dh = _rfftn(div, _half_spectrum(div.shape))
+        dh[(0,) * g.n] = 0.0
+        dh /= sym
+        phi = _irfftn(dh, div)
+    else:
+        phi = solver._dstn(solver._dstn(div) / sym, inverse=True)
+    out = []
+    for a in range(g.n):
+        lo, hi = cell_to_face(phi, a, g.bc)
+        out.append(faces[a] - (hi - lo) / g.h[a])
+    return out
+
+
+def counting_transforms(monkeypatch):
+    """The names of the FFT and DST calls the solver makes from now on."""
+    import driftlab.solver as solver
+    calls = []
+    for name in ("_rfftn", "_dstn"):
+        def counted(*args, _name=name, _fn=getattr(solver, name), **kw):
+            calls.append(_name)
+            return _fn(*args, **kw)
+        monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
+def curl_slice(g, center, radius=0.4):
+    """The centered curl of a compact bump at center: a 2D stream function or a
+    3D vector potential."""
+    bump = seam_bump(g, center, radius)
+    return curl(bump if g.n == 2 else (bump, -0.5 * bump, 0.25 * bump), g)
+
+
+CURL_SLICES = pytest.mark.parametrize("shape,bc,center", [
+    ((32, 28), "periodic", (-0.3, 0.2)), ((32, 28), "periodic", (0.96, -0.1)),
+    ((32, 28), "zero", (-0.3, 0.2)), ((32, 28), "zero", (0.8, -0.9)),
+    ((12, 14, 12), "periodic", (0.97, 0.0, -0.1)), ((12, 14, 12), "zero", (0.0, 0.1, 0.0))])
+
+
+@CURL_SLICES
+def test_curl_slice_faces_are_its_averages_with_no_transform(monkeypatch, shape, bc, center):
+    n = len(shape)
+    g = Grid(n, (-1.0,) * n, (1.0,) * n, shape, 0.0, 1.0, 2, bc)
+    cells = curl_slice(g, center)
+    calls = counting_transforms(monkeypatch)
+    faces = FieldDrift(SpaceTimeField(g, np.stack([cells, cells]), n)).face_velocities(g, 0.0)
+    assert calls == []
+    nonzero = np.argwhere((cells != 0).any(axis=-1))
+    lo, hi = nonzero.min(0) - 1, nonzero.max(0) + 2
+    want = tuple(slice(0, N) if bc == "periodic" and (a <= 0 or b >= N)
+                 else slice(max(a, 0), min(b, N)) for a, b, N in zip(lo, hi, shape))
+    assert faces.box == want
+    kept = zeroed_outside(whole_grid_averages(g, cells), want, bc)
+    for a, u in enumerate(on_box(kept, want, shape, bc)):
+        assert faces[a].tobytes() == u.tobytes()
+
+
+def gradient_slice(g, scale):
+    """The cells of a compact curl plus scale times the centered gradient of a
+    compact bump, and the ratio max|div|·min(h)/max|u| of their face averages to
+    the round-off bound 2n·ε of _project_faces."""
+    from driftlab.fields import gradient
+    phi = seam_bump(g, (0.1, -0.2), 0.3)
+    grad = gradient(SpaceTimeField(g.with_times(0.0, 1.0, 1), phi[None])).samples[0]
+    cells = curl_slice(g, (-0.1, 0.0)) + scale * grad
+    faces = whole_grid_averages(g, cells)
+    ratio = np.abs(_face_div(g, faces)).max() * min(g.h) / max(np.abs(u).max() for u in faces)
+    return cells, ratio / (2 * g.n * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+def test_slice_at_the_round_off_bound(monkeypatch, bc):
+    import driftlab.solver as solver
+    g = Grid(2, (-1.0, -1.0), (1.0, 1.0), (32, 28), 0.0, 1.0, 2, bc)
+    calls = counting_transforms(monkeypatch)
+    # just above the bound: projected as on the whole grid, then cut to the box
+    cells, ratio = gradient_slice(g, 6e-16)
+    assert 1.0 < ratio < 1.5
+    faces = FieldDrift(slice_field(g, [cells, cells])).face_velocities(g, 0.0)
+    assert calls
+    nonzero = np.argwhere((cells != 0).any(axis=-1))
+    box = tuple(slice(lo - 1, hi + 2) for lo, hi in zip(nonzero.min(0), nonzero.max(0)))
+    want = solver._support_box(g, box, whole_grid_projection(g, whole_grid_averages(g, cells)))
+    assert faces.box == want.box == box
+    for got, u in zip(faces, want):
+        assert got.tobytes() == u.tobytes()
+    # just below it: the face averages as they are
+    calls.clear()
+    cells, ratio = gradient_slice(g, 4e-16)
+    assert 0.75 < ratio <= 1.0
+    faces = FieldDrift(slice_field(g, [cells, cells])).face_velocities(g, 0.0)
+    assert calls == []
+    kept = zeroed_outside(whole_grid_averages(g, cells), faces.box, bc)
+    for got, u in zip(faces, on_box(kept, faces.box, g.shape, bc)):
+        assert got.tobytes() == u.tobytes()
+
+
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+def test_interpolated_faces_follow_the_bracket(monkeypatch, bc):
+    import driftlab.solver as solver
+    g = Grid(2, (-1.0, -1.0), (1.0, 1.0), (32, 28), 0.0, 5.0, 6, bc)  # slices at 0, 1, ..., 5
+    a, b, c, d = (curl_slice(g, x) for x in ((-0.4, 0.1), (0.0, 0.0), (0.9, -0.3), (0.2, 0.6)))
+    drift = FieldDrift(slice_field(g, [a, b, b.copy(), b.copy(), c, d]))
+    single = {j: embedded(drift.face_velocities(g, float(j)), g.shape, bc) for j in range(6)}
+    embed, built = solver._embed, []
+    monkeypatch.setattr(solver, "_embed", lambda *args: built.append(1) or embed(*args))
+    # (time, the slices interpolated between, or None for one slice's faces, rebuilt)
+    steps = [(0.25, (0, 1), True), (0.75, (0, 1), False),   # one bracket: built once
+             (1.5, None, False),                            # inside the run of b
+             (3.5, (1, 4), True), (3.75, (1, 4), False),    # across that run
+             (4.5, (4, 5), True),                           # forward
+             (9.0, None, False), (4.25, (4, 5), False),     # past the end and back
+             (0.5, (0, 1), True),                           # backward
+             (-2.0, None, False), (0.5, (0, 1), False),     # past the start and back
+             (4.5, (4, 5), True)]
+    for t, pair, rebuilt in steps:
+        built.clear()
+        faces = drift.face_velocities(g, t)
+        assert len(built) == (2 if rebuilt else 0), t
+        if pair is None:
+            continue
+        assert drift._pair[0] == pair  # the run starts of the bracket
+        s = (t - g.t0) / (g.t1 - g.t0) * (g.nt - 1)  # as FieldDrift._bracket
+        j0 = math.floor(s)
+        w = s - j0
+        e0, e1 = single[j0], single[j0 + 1]
+        for u, u0, u1 in zip(embedded(faces, g.shape, bc), e0, e1):
+            assert u.tobytes() == (u0 * (1 - w) + u1 * w).tobytes(), t
+
+
+@pytest.mark.parametrize("other", [
+    Grid(2, (-4.0, -4.0), (4.0, 4.0), (8, 8), 0.0, 1.0, 3, "periodic"),
+    Grid(2, (-4.0, -4.0), (4.0, 4.0), (16, 16), 0.0, 1.0, 3, "zero"),
+    Grid(2, (-1.0, -1.0), (1.0, 1.0), (16, 16), 0.0, 1.0, 3, "periodic")],
+    ids=["shape", "mode", "extent"])
+def test_drift_sample_refuses_another_grid(other):
+    g = Grid(2, (-4.0, -4.0), (4.0, 4.0), (16, 16), 0.0, 1.0, 3, "periodic")
+    d = FieldDrift(slice_field(g, [random_slice(np.random.default_rng(9))] * 3))
+    with pytest.raises(ValueError, match="drift grid"):
+        d.sample(other)
+    assert d.sample(g).grid == g

@@ -18,9 +18,11 @@ next.  The result goes to ``BENCH_<label>.json`` (or ``--out``): both
 revisions, nproc, the versions, the seeds, every pair's end-to-end metrics
 (with each side's failed perfbench operations as ``<side>_failed_ops`` and,
 when there are any, the last ``STDERR_TAIL`` characters of that run's stderr as
-``<side>_stderr_tail``), and per metric each side's median and quartiles, the
-wins of the change, and whether the change stays within the bound that
-``BENCHMARK.json`` sets.  A
+``<side>_stderr_tail``, and the medians of its timed executions' unscaled
+``wall_raw_s`` and speed probe ``probe_s`` as ``<side>_raw``), and per metric
+each side's median and quartiles, the wins of the change, and whether the
+change stays within the bound that ``BENCHMARK.json`` sets; the unscaled
+medians over the pairs are printed beside ``wall_s``.  A
 metric counts as a claimable gain when the change wins at least nine pairs in
 ten (ties count for neither side) and the medians differ by more than the
 base's interquartile range, over at least ten pairs.  Uses the standard
@@ -44,6 +46,9 @@ from envinfo import src_digest  # noqa: E402  (the digest perfbench records)
 
 ROOT = Path.cwd()
 STDERR_TAIL = 2000  # characters of a failing run's stderr that are kept
+# unscaled run metrics kept beside wall_s, which perfbench scales by its speed
+# probe: a probe that runs slower beside one side moves wall_s and not these
+RAW = ("wall_raw_s", "probe_s")
 
 
 def _git(*args, cwd=ROOT):
@@ -61,7 +66,8 @@ def _seeds(text):
 
 def run_bench(root, workload, seed, seconds):
     """One perfbench run in the checkout at root: (result line, env record,
-    failed operations, the tail of its stderr)."""
+    failed operations, the tail of its stderr, and the medians of its timed
+    executions' unscaled wall time ``wall_raw_s`` and speed probe ``probe_s``)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -71,8 +77,11 @@ def run_bench(root, workload, seed, seconds):
                            f"{proc.stderr[-STDERR_TAIL:]}")
     failed = [json.loads(line)["failed_op"] for line in lines
               if line.startswith('{"failed_op"')]
+    runs = [r for r in map(json.loads, lines[:-2])
+            if r.get("mode") == "run" and "wall_raw_s" in r]
+    raw = {k: statistics.median(r[k] for r in runs) for k in RAW} if runs else {}
     return json.loads(lines[-1]), json.loads(lines[-2])["env"], failed, \
-        proc.stderr[-STDERR_TAIL:]
+        proc.stderr[-STDERR_TAIL:], raw
 
 
 def run_command(root, command):
@@ -195,8 +204,9 @@ def main():
                         metrics, code = run_command(roots[side], workload)
                         correct = code == 0
                     else:
-                        res, env, failed, stderr = run_bench(roots[side], workload, seed,
-                                                             args.seconds)
+                        res, env, failed, stderr, raw = run_bench(roots[side], workload,
+                                                                  seed, args.seconds)
+                        pair[side + "_raw"] = raw
                         metrics = {k: v["value"] for k, v in res["metrics"].items()}
                         correct = res["correct"]
                         pair[side + "_failed_ops"] = failed
@@ -210,6 +220,11 @@ def main():
                 print(json.dumps({"workload": workload, **pair}), flush=True)
             record["workloads"][workload] = {"pairs": pairs,
                                              "metrics": summarize(pairs, spec)}
+            if not args.command:  # each side's median over the pairs
+                record["workloads"][workload]["raw"] = {
+                    side: {k: statistics.median(p[side + "_raw"][k] for p in pairs
+                                                if k in p[side + "_raw"]) for k in RAW}
+                    for side in roots}
     out_path.write_text(json.dumps(record, indent=1) + "\n")
     for workload, w in record["workloads"].items():
         for name, m in w["metrics"].items():
@@ -217,6 +232,13 @@ def main():
                   f"{m['change']['median']:.4g} {m['unit']} ({100 * m['change_rel']:+.1f}%, "
                   f"wins {m['wins']}/{len(w['pairs'])}, base IQR {m['base']['iqr']:.3g}, "
                   f"within bound {m['within_bound']}, claimable gain {m['claimable_gain']})")
+        raw = w.get("raw")
+        if raw:
+            b, c = raw["base"], raw["change"]
+            print(f"{workload:9s} unscaled     wall_raw_s {b['wall_raw_s']:.4g} -> "
+                  f"{c['wall_raw_s']:.4g} s "
+                  f"({100 * (c['wall_raw_s'] - b['wall_raw_s']) / b['wall_raw_s']:+.1f}%), "
+                  f"probe_s {b['probe_s']:.4g} -> {c['probe_s']:.4g} s")
     print(f"wrote {out_path}")
     return 0
 
