@@ -9,10 +9,10 @@ The grid's boundary mode picks the diffusion step:
 * ``zero`` grids — forward Euler diffusion on a bounded box with
   zero-extension (Dirichlet) boundary data, enforced on a three-cell buffer
   frame;
-* ``periodic`` grids — backward Euler diffusion, with the finite-difference
-  Laplacian inverted exactly by FFT.  The implicit operator is an
-  inverse-positive M-matrix, so discrete monotonicity (max principle,
-  comparison) survives.
+* ``periodic`` grids — backward Euler diffusion, with the finite-difference Laplacian
+  inverted exactly by FFT.  The implicit operator is an inverse-positive M-matrix, so
+  discrete monotonicity (max principle, comparison) survives.  θ's row spectra are
+  kept between steps, and a step re-transforms only the rows its advection changed.
 
 Advection velocities live on cell faces.  Face data produced from a stream
 function (2D) or edge-sampled vector potential (3D) has exactly zero discrete
@@ -164,16 +164,22 @@ def _face_shape(grid, box, a):
     return tuple(s.stop - s.start for s in _face_block(grid, box, a))
 
 
+def _span(mask):
+    """The bounding box of a mask's true entries, a slice per axis (None if it has none)."""
+    hits = [np.flatnonzero(mask.any(axis=tuple(i for i in range(mask.ndim) if i != a)))
+            for a in range(mask.ndim)]
+    return tuple(slice(int(k[0]), int(k[-1]) + 1) for k in hits) if hits[0].size else None
+
+
 def _nonzero_box(grid, cells):
     """The bounding box of a slice's nonzero cells widened by one cell (``fields._box``)."""
     nonzero = cells[..., 0] != 0  # by component: any(axis=-1) is slow on length n
     for c in range(1, grid.n):
         nonzero |= cells[..., c] != 0
-    if not nonzero.any():
+    span = _span(nonzero)
+    if span is None:
         return (slice(0, 0),) * grid.n
-    hits = [np.flatnonzero(nonzero.any(axis=tuple(i for i in range(grid.n) if i != a)))
-            for a in range(grid.n)]
-    return _box(grid, [int(k[0]) - 1 for k in hits], [int(k[-1]) + 2 for k in hits])
+    return _box(grid, [s.start - 1 for s in span], [s.stop + 1 for s in span])
 
 
 def _support_box(grid, box, faces):
@@ -377,9 +383,9 @@ def _half_spectrum(shape):
 
 
 def _rfftn(x, spec):
-    """Half-spectrum DFT of x into spec: a real FFT along the last axis, then
-    complex FFTs in place along the others in ascending order, as
-    ``scipy.fft.rfftn`` does them, so the result is bit-equal to it."""
+    """Half-spectrum DFT of x into spec, for ``_project_faces`` only: a real FFT along
+    the last axis, then complex FFTs in place along the others in ascending order,
+    as ``scipy.fft.rfftn`` does them, so the result is bit-equal to it."""
     np.fft.rfft(x, axis=-1, out=spec)
     for a in range(x.ndim - 1):
         np.fft.fft(spec, axis=a, out=spec)
@@ -387,7 +393,7 @@ def _rfftn(x, spec):
 
 
 def _irfftn(spec, out):
-    """Inverse of ``_rfftn`` into the real array out, overwriting spec.
+    """Inverse of ``_rfftn`` into the real array out, overwriting spec (``_project_faces`` only).
 
     Bit-equal to ``scipy.fft.irfftn``: the same passes in the same order, then
     one scaling by 1/prod(shape) rounded from long double, as pocketfft does.
@@ -656,13 +662,13 @@ def _timestep(grid, config, upwind, speed):
 def solve(theta0, b, grid, config=None):
     """March theta0 from grid.t0 to grid.t1, storing at the grid's times.
 
-    theta0 is an array on grid.shape (or a single-snapshot SpaceTimeField);
-    b is None, a vector SpaceTimeField, or a face-velocity provider.  The
-    stepper substeps between stored times with a CFL-admissible dt; an
-    explicitly configured dt that violates the CFL or per-cell positivity
-    bounds is refused, and so is any step that would need more than MAX_STEPS
-    steps to reach grid.t1, however admissible.  Diffusion is forward Euler on
-    zero grids and backward Euler by FFT on periodic ones.
+    theta0 is an array on grid.shape (or a single-snapshot SpaceTimeField); b is None, a
+    vector SpaceTimeField, or a face-velocity provider.  The stepper substeps between
+    stored times with a CFL-admissible dt; an explicitly configured dt that violates the
+    CFL or per-cell positivity bounds is refused, and so is any step that would need more
+    than MAX_STEPS steps to reach grid.t1, however admissible.  Diffusion is forward Euler
+    on zero grids and backward Euler by FFT on periodic ones, from θ's row spectra, kept
+    between steps: a step re-transforms only the rows its advection changed.
     """
     config = config or SolverConfig()
     explicit = grid.bc == ZERO
@@ -678,7 +684,7 @@ def solve(theta0, b, grid, config=None):
     if not explicit:
         sym = _fd_symbol(grid)
         den = np.empty_like(sym)
-        spec = _half_spectrum(grid.shape)
+        rows = np.fft.rfft(theta, axis=-1, norm="forward")  # θ's row spectra, kept
     upwind = _Upwind(grid)
     vol = grid.cell_volume
 
@@ -714,12 +720,18 @@ def solve(theta0, b, grid, config=None):
             else:
                 adv *= dt
                 theta[upwind.box] -= adv
-                _rfftn(theta, spec)
-                np.multiply(sym, -dt, out=den)
-                den += 1.0
-                # times the real reciprocal: the values of spec / den, no complex division
-                spec *= np.divide(1.0, den, out=den)
-                _irfftn(spec, theta)
+                span = _span(adv.any(axis=-1))  # the box's rows that advection changed
+                if span is not None:
+                    at = upwind.box[:-1]
+                    np.fft.rfft(theta[at][span], axis=-1, norm="forward", out=rows[at][span])
+                for a in range(grid.n - 1):
+                    np.fft.fft(rows, axis=a, out=rows)
+                # times a real reciprocal (no complex division) that also scales the fft
+                np.subtract(1.0, np.multiply(sym, dt, out=den), out=den)
+                rows *= np.divide(1.0 / math.prod(grid.shape[:-1]), den, out=den)
+                for a in range(grid.n - 1):
+                    np.fft.ifft(rows, axis=a, norm="forward", out=rows)
+                np.fft.irfft(rows, n=grid.shape[-1], axis=-1, norm="forward", out=theta)
             t += dt
             step += 1
             # a NaN anywhere makes the sum non-finite, so the scan runs only then

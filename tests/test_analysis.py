@@ -356,7 +356,7 @@ def test_fbc_tilde_random_ensemble():
 
 @pytest.mark.parametrize("ndim", [2, 3, 4])
 def test_dilate_matches_ndimage(ndim):
-    from scipy import ndimage
+    ndimage = pytest.importorskip("scipy.ndimage")
 
     from driftlab.analysis import _dilate
     rng = np.random.default_rng(ndim)

@@ -1390,3 +1390,67 @@ def test_drift_sample_refuses_another_grid(other):
     with pytest.raises(ValueError, match="drift grid"):
         d.sample(other)
     assert d.sample(g).grid == g
+
+
+# the configured dt keeps 300 steps within the compact curl drift's per-cell bound
+@pytest.mark.parametrize("n,N,dt", [(2, 64, 1e-3), (3, 16, 2e-3)])
+@pytest.mark.parametrize("moving", [True, False], ids=["compact-curl", "zero-drift"])
+def test_kept_row_spectra_match_one_step_solves(n, N, dt, moving):
+    steps = 300
+    g = Grid(n, (-1.0,) * n, (1.0,) * n, (N,) * n, 0.0, steps * dt, len(BUMP_PATHS[n]),
+             "periodic")
+    drift = compact_curl_drift(g, 0.4) if moving else ZeroDrift()
+    run_grid, config = g.with_times(g.t0, g.t1, steps + 1), SolverConfig(dt=dt)
+    theta0 = 1.0 + gaussian_blob(run_grid, (0.2,) * n, 0.3, normalize=False)
+    run = solve(theta0, drift, run_grid, config)
+    assert len(run.step_times) == steps + 1
+    # the same march as one-step solves, each starting its row spectra from θ
+    theta, times = theta0, run_grid.times
+    for k in range(steps):
+        theta = solve(theta, drift, g.with_times(times[k], times[k + 1], 2),
+                      config).trajectory.samples[-1]
+        np.testing.assert_allclose(theta, run.trajectory.samples[k + 1], rtol=1e-12, atol=0)
+    assert np.abs(run.mass / run.mass[0] - 1.0).max() <= 1e-10
+    assert (np.diff(run.maximum) <= 0.0).all()
+
+
+@pytest.mark.parametrize("moving", [True, False], ids=["compact-curl", "zero-drift"])
+def test_step_transforms_only_the_rows_it_changed(monkeypatch, moving):
+    g = Grid(2, (-1.0, -1.0), (1.0, 1.0), (64, 64), 0.0, 0.3, len(BUMP_PATHS[2]), "periodic")
+    drift = compact_curl_drift(g, 0.4) if moving else ZeroDrift()
+    div, rfft = _Upwind.div, np.fft.rfft
+    # per step: the rows of θ it re-transformed, and the span of the rows where its
+    # dt·div(uθ) is nonzero, read before the next step's div overwrites the buffer
+    initial, steps, last = [], [], []
+
+    def changed_rows():
+        box, adv = last.pop()
+        hits = np.flatnonzero(adv.any(axis=-1)) + box[0].start
+        steps[-1][1].extend([range(hits[0], hits[-1] + 1)] if hits.size else [])
+
+    def recording_div(self, theta):
+        if last:
+            changed_rows()
+        adv = div(self, theta)
+        steps.append(([], []))
+        last.append((self.box, adv))
+        return adv
+
+    def recording_rfft(x, *args, **kwargs):
+        first = (x.ctypes.data - x.base.ctypes.data) // x.strides[0] if steps else 0
+        (steps[-1][0] if steps else initial).append(range(first, first + x.shape[0]))
+        return rfft(x, *args, **kwargs)
+
+    monkeypatch.setattr(_Upwind, "div", recording_div)
+    monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+    run = solve(gaussian_blob(g, (0.1, 0.0), 0.3), drift, g.with_times(g.t0, g.t1, 3))
+    changed_rows()
+    assert initial == [range(64)]  # the first transform takes every row
+    assert len(steps) == len(run.step_times) - 1
+    for got, want in steps:
+        assert got == want
+    spans = [len(got[0]) if got else 0 for got, _ in steps]
+    if moving:  # boxes inside the grid, and bumps across its seam
+        assert 0 < min(spans) < 32 and max(spans) == 64
+    else:
+        assert spans == [0] * len(steps)
