@@ -25,8 +25,7 @@ centered curl, as every drift the lab builds is, are used as they are.
 Faces live on a support box (``_Faces.box``, else the whole grid): a block of
 cells outside which every face is exactly 0, as are the box's end faces inside
 the grid.  A drift slice's faces are formed on the bounding box of its nonzero
-cells widened by one cell; a projected slice keeps it when the projection left
-only round-off outside it (then set to 0), else takes the whole grid.  Only the
+cells widened by one cell; a projected slice takes the whole grid.  Only the
 box's faces are stored, and the step advects on the box alone.
 """
 from __future__ import annotations
@@ -182,36 +181,6 @@ def _nonzero_box(grid, cells):
     return _box(grid, [s.start - 1 for s in span], [s.stop + 1 for s in span])
 
 
-def _support_box(grid, box, faces):
-    """Projected whole-grid faces on a slice's nonzero box: cut to it when
-    the faces outside it and on its end faces inside the grid are all within
-    ε·max|u|, the projection's round-off, which is set to 0; else the whole
-    grid's faces as they are."""
-    outside = []
-    for a, u in enumerate(faces):
-        idx = list(box)
-        lo, hi = box[a].start, box[a].stop
-        # the faces of the box's cells along a, less its end faces inside the
-        # grid (a box that does not span a periodic axis stops short of its ends)
-        idx[a] = slice(lo + (lo > 0), hi + (hi == grid.shape[a]))
-        outside += _outside(u, idx)
-    eps = _EPS * max(np.abs(u).max() for u in faces)
-    if not all(np.abs(v).max(initial=0.0) <= eps for v in outside):
-        return _Faces(faces, tuple(slice(0, N) for N in grid.shape))
-    for v in outside:
-        v[...] = 0.0
-    return _Faces((u[_face_block(grid, box, a)].copy() for a, u in enumerate(faces)), box)
-
-
-def _outside(u, block):
-    """Views that together cover u outside a block (a slice per axis)."""
-    views, head = [], ()
-    for s in block:
-        views += [u[head + (slice(None, s.start),)], u[head + (slice(s.stop, None),)]]
-        head += (s,)
-    return views
-
-
 def _embed(grid, outer, faces):
     """A _Faces's arrays placed in zero faces of an outer box holding its box."""
     out = []
@@ -239,7 +208,8 @@ class FieldDrift:
     A slice's faces are midpoint averages of the adjacent cells on its support
     box (see ``_nonzero_box``), made discretely divergence-free by
     ``_project_faces``, which restores exact telescoping conservation: a Poisson
-    solve runs only for a slice whose face divergence is more than round-off.
+    solve runs only for a slice whose face divergence is more than round-off,
+    and its faces cover the whole grid.
     Linear interpolation in time between the stored slices, on the union of
     their boxes.  Equal consecutive slices share one set of faces and are not
     interpolated between, so a steady field's faces are made once.
@@ -249,7 +219,9 @@ class FieldDrift:
     finite and compared with the one before.  The drift holds the last slice
     read and the projected faces of its last ``face_velocities`` request, and
     refers to other faces weakly: a forward march keeps at most two cell and
-    two projected slices alive, and reads and projects each slice once.
+    two projected slices alive, and reads and projects each slice once.  It
+    also holds its last bracket's embedded and interpolated faces for as long
+    as it lives (a finished ``SimRun`` keeps its drift).
     """
 
     def __init__(self, b):
@@ -269,7 +241,9 @@ class FieldDrift:
         self.grid, self._slice_at, self._whole = grid, slice_at, whole
         self._last, self._run_start = (None, None), []  # the last slice read; run starts
         self._cache, self._held = weakref.WeakValueDictionary(), ()
-        self._pair = (None,)  # the run starts of the last two slices interpolated, embedded
+        # the run starts of the last two slices interpolated, their box, their
+        # embedded faces and the interpolated ones; the last request's bracket
+        self._pair, self._at = (None,), None
 
     def _slice(self, j):
         if self._last[0] != j:
@@ -315,26 +289,28 @@ class FieldDrift:
 
     def face_velocities(self, grid, t):
         """The faces at time t: a slice's, or linear in time between two
-        slices, on the union of their boxes."""
+        slices, on the union of their boxes.  Interpolated faces are written
+        into arrays the bracket owns and stay valid until the next request."""
         j0, j1, w = self._bracket(grid, t)
-        # the last request's slices stay held until both of this one's are
-        # found, so a march that moves on by one slice projects only the new one
-        f0 = self._faces_at_slice(j0)
-        if w == 0.0 or self._start(j0) == self._start(j1):
-            self._held = (f0,)
-            return f0
-        f1 = self._faces_at_slice(j1)
-        self._held = (f0, f1)
-        runs = (self._start(j0), self._start(j1))
-        if self._pair[0] != runs:  # both slices' faces on their union, once per bracket
-            box = _box_union(f0.box, f1.box)
-            self._pair = runs, box, _embed(self.grid, box, f0), _embed(self.grid, box, f1)
-        out = _Faces((), self._pair[1])
-        for u0, u1 in zip(*self._pair[2:]):
-            r = u0 * (1 - w)
+        if w == 0.0 or self._at != (j0, j1):  # else straight to the last request's bracket
+            # the last request's slices stay held until both of this one's are
+            # found, so a march that moves on by one slice projects only the new one
+            f0 = self._faces_at_slice(j0)
+            if w == 0.0 or self._start(j0) == self._start(j1):
+                self._held, self._at = (f0,), None
+                return f0
+            f1 = self._faces_at_slice(j1)
+            self._held, self._at = (f0, f1), (j0, j1)
+            runs = (self._start(j0), self._start(j1))
+            if self._pair[0] != runs:  # both slices' faces on their union, once per bracket
+                box = _box_union(f0.box, f1.box)
+                e0, e1 = _embed(self.grid, box, f0), _embed(self.grid, box, f1)
+                self._pair = runs, box, e0, e1, [np.empty_like(u) for u in e0]
+        _, box, e0, e1, out = self._pair
+        for r, u0, u1 in zip(out, e0, e1):
+            np.multiply(u0, 1 - w, out=r)
             r += u1 * w
-            out.append(r)
-        return out
+        return _Faces(out, box)
 
     def sample(self, grid):
         """Cell samples at grid's stored times: every slice when the times
@@ -425,7 +401,7 @@ def _project_faces(grid, faces):
     """Faces on their box (``_Faces.box``, else the whole grid) made discretely
     divergence-free, as a _Faces: as they are if max|div|·min(h) ≤ 2n·ε·max|u|,
     round-off (the face averages of a centered curl do), else by a discrete
-    Poisson correction on the whole grid, cut to the box by ``_support_box``."""
+    Poisson correction on the whole grid, whose faces it keeps."""
     whole = tuple(slice(0, N) for N in grid.shape)
     box = getattr(faces, "box", None) or whole
     peak = max(np.abs(u).max(initial=0.0) for u in faces)
@@ -448,11 +424,12 @@ def _project_faces(grid, faces):
     for a in range(grid.n):
         lo, hi = cell_to_face(phi, a, grid.bc)
         out.append(faces[a] - (hi - lo) / grid.h[a])
-    return _support_box(grid, box, out)
+    return _Faces(out, whole)
 
 
 def as_drift(b, grid):
-    """Normalize the drift argument: None, provider object, or SpaceTimeField."""
+    """Normalize the drift argument: None, provider object, or SpaceTimeField.  A provider
+    may return a face list again only with its values unchanged (see ``_Upwind``)."""
     if b is None:
         return ZeroDrift()
     if hasattr(b, "face_velocities"):
@@ -495,9 +472,12 @@ class _Upwind:
     buffers of the grid's size.
 
     ``split`` keeps a reference to the faces and stores no copy of their
-    split, so they must stay unchanged until ``div``; faces passed again as
-    the same object must hold the same values, since ``max_outflow`` is kept
-    for them.
+    split, so they must stay unchanged until ``div``.  Faces passed again as
+    the same list must hold the same values, since their peaks and
+    ``max_outflow`` are kept for them; a new list over the same arrays may
+    hold new values.  The views ``div`` slices are kept per box, set of face
+    arrays and θ, so a march that hands over the same arrays at each step, in
+    a new list or not, builds them once.
     """
 
     def __init__(self, grid):
@@ -505,28 +485,33 @@ class _Upwind:
         self.flux, self.prod, self.cells, self.res = (
             np.empty(math.prod(grid.shape)) for _ in range(4))
         self.whole = tuple(slice(0, N) for N in grid.shape)
-        self.faces = self.outflow = None
+        self.faces = self.outflow = self.box = None
+        self.axes, self.views = [], (None,)
 
     def split(self, faces):
-        """Keep the face velocities for div(); return max |u|.
+        """Keep the face velocities for div(); return ``speed``, max |u|.
 
         Also sets ``outflow_bound``, Σ_a (max u⁺ − min u⁻)/h_a over the faces
         of each axis: no cell's outflow rate exceeds it.
         """
         if faces is not self.faces:
             box = getattr(faces, "box", self.whole)
-            axes = []  # per axis: whether the box wraps, and its faces
-            for a, (u, s) in enumerate(zip(faces, box)):
-                want = _face_shape(self.grid, box, a)
-                if u.shape != want:
-                    raise ValueError(f"faces along axis {a} have shape {u.shape}, "
-                                     f"but their box needs {want}")
-                axes.append((u.shape[a] == s.stop - s.start, u))
-            self.faces, self.box, self.axes, self.outflow = faces, box, axes, None
-        peaks = [(max(u.max(), 0.0), -min(u.min(), 0.0)) if u.size else (0.0, 0.0)
-                 for _, u in self.axes]
-        self.outflow_bound = sum((p + m) / h for (p, m), h in zip(peaks, self.h))
-        return max(max(p) for p in peaks)
+            if box != self.box or len(faces) != len(self.axes) or any(
+                    u is not v for u, (_, v) in zip(faces, self.axes)):
+                axes = []  # per axis: whether the box wraps, and its faces
+                for a, (u, s) in enumerate(zip(faces, box)):
+                    want = _face_shape(self.grid, box, a)
+                    if u.shape != want:
+                        raise ValueError(f"faces along axis {a} have shape {u.shape}, "
+                                         f"but their box needs {want}")
+                    axes.append((u.shape[a] == s.stop - s.start, u))
+                self.box, self.axes, self.views = box, axes, (None,)
+            peaks = [(max(u.max(), 0.0), -min(u.min(), 0.0)) if u.size else (0.0, 0.0)
+                     for _, u in self.axes]
+            self.faces, self.outflow = faces, None
+            self.speed = max(max(p) for p in peaks)
+            self.outflow_bound = sum((p + m) / h for (p, m), h in zip(peaks, self.h))
+        return self.speed
 
     def max_outflow(self):
         """Largest outflow rate of a cell for the faces of the last split():
@@ -540,47 +525,56 @@ class _Upwind:
             self.outflow = total.max(initial=0.0)
         return self.outflow
 
-    def div(self, theta):
-        """div(u theta) on the box of the last split(), in a buffer the next
-        call overwrites."""
+    def _slice_views(self, theta):
+        """θ, the box's buffers, θ's box cells if they are copied, and per axis
+        the views of the faces, the buffers and the cells that div() reads."""
         shape = tuple(s.stop - s.start for s in self.box)
         size = math.prod(shape)
         F, tmp, th, res = (b[:size].reshape(shape)
                            for b in (self.flux, self.prod, self.cells, self.res))
         if size == theta.size:
             th = theta
-        elif not size:
-            return res
-        else:  # the box's cells, copied to be shifted flat
-            np.copyto(th, theta[self.box])
         flat, Ff, Tf = th.reshape(-1), F.reshape(-1), tmp.reshape(-1)
-        for a, (wrap, u) in enumerate(self.axes):
+        axes = []
+        for a, (wrap, u) in enumerate(self.axes if size else ()):
             N, s = shape[a], math.prod(shape[a + 1:])
-            low = _slab(u, a, 0, N)  # the low face of each cell
+            axes.append((wrap, _slab(u, a, 0, N),  # the low face of each cell
+                         _slab(u, a, 0, 1), _slab(u, a, N, N + 1),  # faces 0 and N
+                         Ff[s:], flat[:-s], Ff[:-s], Tf[:-s],  # shifted by the stride
+                         _slab(F, a, 0, 1), _slab(F, a, N - 1, N), _slab(th, a, N - 1, N),
+                         _slab(tmp, a, N - 1, N), self.h[a]))
+        return theta, F, tmp, th, res, theta[self.box] if 0 < size < theta.size else None, axes
+
+    def div(self, theta):
+        """div(u theta) on the box of the last split(), in a buffer the next
+        call overwrites."""
+        if self.views[0] is not theta:
+            self.views = self._slice_views(theta)
+        _, F, tmp, th, res, cells, axes = self.views
+        if cells is not None:  # the box's cells, copied to be shifted flat
+            np.copyto(th, cells)
+        for a, (wrap, low, u0, uN, Fhi, thlo, Flo, Tlo, F0, FN, thN, last, h) in enumerate(axes):
             np.maximum(low, 0.0, out=F)
             np.minimum(low, 0.0, out=tmp)
-            Ff[s:] *= flat[:-s]
+            Fhi *= thlo
             # the flat shift has written face 0 with a wrong left state: rebuild it
-            F0 = np.maximum(_slab(u, a, 0, 1), 0.0, out=_slab(F, a, 0, 1))
-            F0 *= _slab(th, a, N - 1, N) if wrap else 0.0
+            np.maximum(u0, 0.0, out=F0)
+            F0 *= thN if wrap else 0.0
             tmp *= th
             F += tmp
-            np.subtract(Ff[s:], Ff[:-s], out=Tf[:-s])
-            # and the last cell's difference with a wrong high flux
-            last = _slab(tmp, a, N - 1, N)
-            if wrap:
-                hi = F0
-            else:  # face N: max(u, 0)·θ_{N−1} + min(u, 0)·0
-                uN = _slab(u, a, N, N + 1)
-                hi = np.maximum(uN, 0.0, out=F0)
-                hi *= _slab(th, a, N - 1, N)
-                hi += np.multiply(np.minimum(uN, 0.0, out=last), 0.0, out=last)
-            np.subtract(hi, _slab(F, a, N - 1, N), out=last)
+            np.subtract(Fhi, Flo, out=Tlo)
+            # and the last cell's difference with a wrong high flux: face 0 again,
+            # or face N, max(u, 0)·θ_{N−1} + min(u, 0)·0, written over face 0's
+            if not wrap:
+                np.maximum(uN, 0.0, out=F0)
+                F0 *= thN
+                F0 += np.multiply(np.minimum(uN, 0.0, out=last), 0.0, out=last)
+            np.subtract(F0, FN, out=last)
             if a:
-                tmp /= self.h[a]
+                tmp /= h
                 res += tmp
             else:
-                np.divide(tmp, self.h[a], out=res)
+                np.divide(tmp, h, out=res)
         return res
 
 
@@ -663,12 +657,13 @@ def solve(theta0, b, grid, config=None):
     """March theta0 from grid.t0 to grid.t1, storing at the grid's times.
 
     theta0 is an array on grid.shape (or a single-snapshot SpaceTimeField); b is None, a
-    vector SpaceTimeField, or a face-velocity provider.  The stepper substeps between
-    stored times with a CFL-admissible dt; an explicitly configured dt that violates the
-    CFL or per-cell positivity bounds is refused, and so is any step that would need more
-    than MAX_STEPS steps to reach grid.t1, however admissible.  Diffusion is forward Euler
-    on zero grids and backward Euler by FFT on periodic ones, from θ's row spectra, kept
-    between steps: a step re-transforms only the rows its advection changed.
+    vector SpaceTimeField, or a face-velocity provider (whose contract ``as_drift`` states).
+    The stepper substeps between stored times with a CFL-admissible dt; an explicitly
+    configured dt that violates the CFL or per-cell positivity bounds is refused, and so is
+    any step that would need more than MAX_STEPS steps to reach grid.t1, however
+    admissible.  Diffusion is forward Euler on zero grids and backward Euler by FFT on
+    periodic ones, from θ's row spectra, kept between steps: a step re-transforms only the
+    rows its advection changed.
     """
     config = config or SolverConfig()
     explicit = grid.bc == ZERO
@@ -682,7 +677,7 @@ def solve(theta0, b, grid, config=None):
     drift = as_drift(b, grid)
 
     if not explicit:
-        sym = _fd_symbol(grid)
+        sym, scaled_dt = _fd_symbol(grid), None
         den = np.empty_like(sym)
         rows = np.fft.rfft(theta, axis=-1, norm="forward")  # θ's row spectra, kept
     upwind = _Upwind(grid)
@@ -715,7 +710,8 @@ def solve(theta0, b, grid, config=None):
             if explicit:
                 lap = grid_laplacian(theta, grid)
                 lap[upwind.box] -= adv
-                theta = theta + dt * lap
+                lap *= dt
+                theta += lap  # in place, bit-equal to theta + dt * lap: div keeps its views
                 _apply_buffer(theta, grid)
             else:
                 adv *= dt
@@ -726,9 +722,13 @@ def solve(theta0, b, grid, config=None):
                     np.fft.rfft(theta[at][span], axis=-1, norm="forward", out=rows[at][span])
                 for a in range(grid.n - 1):
                     np.fft.fft(rows, axis=a, out=rows)
-                # times a real reciprocal (no complex division) that also scales the fft
-                np.subtract(1.0, np.multiply(sym, dt, out=den), out=den)
-                rows *= np.divide(1.0 / math.prod(grid.shape[:-1]), den, out=den)
+                # times a real reciprocal (no complex division) that also scales the
+                # fft, rebuilt when dt changes
+                if dt != scaled_dt:
+                    np.subtract(1.0, np.multiply(sym, dt, out=den), out=den)
+                    np.divide(1.0 / math.prod(grid.shape[:-1]), den, out=den)
+                    scaled_dt = dt
+                rows *= den
                 for a in range(grid.n - 1):
                     np.fft.ifft(rows, axis=a, norm="forward", out=rows)
                 np.fft.irfft(rows, n=grid.shape[-1], axis=-1, norm="forward", out=theta)

@@ -750,16 +750,24 @@ def test_split_peaks_match_stored_split(bc):
     assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
 
 
-@pytest.mark.parametrize("shape", [(15, 17), (24, 17), (8, 8, 9), (10, 13, 8), (67, 69)])
-def test_reciprocal_scale_matches_division(shape):
-    n = len(shape)
-    g = Grid(n, (-1.0,) * n, (1.5,) * n, shape, 0.0, 1.0, 2, "periodic")
-    sym = _fd_symbol(g)
-    rng = np.random.default_rng(sum(shape))
-    spec = _rfftn(rng.standard_normal(shape), _half_spectrum(shape))  # scipy.fft.rfftn's bits
-    for dt in (1e-6, 3.7e-4, 1e-2, 0.5):
-        den = 1.0 - dt * sym
-        assert np.array_equal(spec * (1.0 / den), spec / den)
+def test_diffusion_multiplier_follows_a_short_step():
+    # stored times 2.5 steps apart: two full steps and one cut short per interval,
+    # so the backward-Euler multiplier must be rebuilt after each short step
+    dt, span = 1e-3, 2.5e-3
+    g = Grid(2, (-1.0, -1.0), (1.0, 1.0), (64, 64), 0.0, 8 * span, len(BUMP_PATHS[2]),
+             "periodic")
+    drift, config = compact_curl_drift(g, 0.4), SolverConfig(dt=dt)
+    run_grid = g.with_times(g.t0, g.t1, 9)
+    theta0 = 1.0 + gaussian_blob(run_grid, (0.2, 0.2), 0.3, normalize=False)
+    run = solve(theta0, drift, run_grid, config)
+    steps = np.diff(run.step_times)
+    assert len(steps) == 24
+    np.testing.assert_allclose(steps, [dt, dt, span - 2 * dt] * 8, rtol=1e-9)
+    theta, times = theta0, run_grid.times
+    for k in range(run_grid.nt - 1):
+        theta = solve(theta, drift, g.with_times(times[k], times[k + 1], 2),
+                      config).trajectory.samples[-1]
+        np.testing.assert_allclose(theta, run.trajectory.samples[k + 1], rtol=1e-12, atol=0)
 
 
 def checkerboard_auto_dt_run(data, safety, bc):
@@ -1158,12 +1166,12 @@ BUMP_PATHS = {2: [(-0.3, 0.2), (-0.95, 0.1), None, (0.2, 0.97), (0.96, -0.97), (
               3: [(0.0, 0.1, 0.0), (0.97, 0.0, -0.1), None, (0.1, -0.96, 0.95), (0.0, 0.2, 0.1)]}
 
 
-def compact_curl_drift(g, radius):
-    """A FieldDrift of curls of compact bumps moving along BUMP_PATHS."""
+def compact_curl_drift(g, radius, amp=1.0):
+    """A FieldDrift of amp times curls of compact bumps moving along BUMP_PATHS."""
     slices = []
     for c in BUMP_PATHS[g.n]:
         bump = np.zeros(g.shape) if c is None else seam_bump(g, c, radius)
-        slices.append(curl(bump if g.n == 2 else (bump, -0.5 * bump, 0.25 * bump), g))
+        slices.append(amp * curl(bump if g.n == 2 else (bump, -0.5 * bump, 0.25 * bump), g))
     return FieldDrift(SpaceTimeField(g, np.stack(slices), g.n))
 
 
@@ -1321,18 +1329,15 @@ def gradient_slice(g, scale):
 
 @pytest.mark.parametrize("bc", ["periodic", "zero"])
 def test_slice_at_the_round_off_bound(monkeypatch, bc):
-    import driftlab.solver as solver
     g = Grid(2, (-1.0, -1.0), (1.0, 1.0), (32, 28), 0.0, 1.0, 2, bc)
     calls = counting_transforms(monkeypatch)
-    # just above the bound: projected as on the whole grid, then cut to the box
+    # just above the bound: projected as on the whole grid, and kept on it
     cells, ratio = gradient_slice(g, 6e-16)
     assert 1.0 < ratio < 1.5
     faces = FieldDrift(slice_field(g, [cells, cells])).face_velocities(g, 0.0)
     assert calls
-    nonzero = np.argwhere((cells != 0).any(axis=-1))
-    box = tuple(slice(lo - 1, hi + 2) for lo, hi in zip(nonzero.min(0), nonzero.max(0)))
-    want = solver._support_box(g, box, whole_grid_projection(g, whole_grid_averages(g, cells)))
-    assert faces.box == want.box == box
+    want = whole_grid_projection(g, whole_grid_averages(g, cells))
+    assert faces.box == tuple(slice(0, N) for N in g.shape)
     for got, u in zip(faces, want):
         assert got.tobytes() == u.tobytes()
     # just below it: the face averages as they are
@@ -1454,3 +1459,92 @@ def test_step_transforms_only_the_rows_it_changed(monkeypatch, moving):
         assert 0 < min(spans) < 32 and max(spans) == 64
     else:
         assert spans == [0] * len(steps)
+
+
+class FreshFaces:
+    """A drift that hands the solver copies of another drift's faces in a new
+    list at every request, so _Upwind builds its views and peaks at every step."""
+
+    def __init__(self, drift):
+        self.drift, self.boxes = drift, []
+
+    def face_velocities(self, grid, t):
+        f = self.drift.face_velocities(grid, t)
+        self.boxes.append(tuple((s.start, s.stop) for s in f.box))
+        return _Faces([u.copy() for u in f], f.box)
+
+
+@pytest.mark.parametrize("shape,bc", [((32, 28), "periodic"), ((12, 14, 12), "periodic"),
+                                      ((32, 28), "zero")])
+@pytest.mark.parametrize("kind", ["compact-curl", "steady", "zero-drift"])
+def test_kept_views_solve_as_fresh_views(shape, bc, kind):
+    n = len(shape)
+    g = Grid(n, (-1.0,) * n, (1.0,) * n, shape, 0.0, 0.004, len(BUMP_PATHS[n]), bc)
+    run_grid = g.with_times(g.t0, g.t1, 3)
+    theta0 = gaussian_blob(run_grid, (0.1,) * n, 0.3)
+
+    def drift():  # fast enough that the advective bound sets dt
+        if kind == "compact-curl":
+            return compact_curl_drift(g, 0.4, 100.0)
+        if kind == "steady":
+            cells = 100.0 * curl_slice(g, (0.2,) * n)
+            return FieldDrift(SpaceTimeField(g, np.stack([cells] * g.nt), n))
+        return ZeroDrift()
+
+    fresh = FreshFaces(drift())
+    kept, again = solve(theta0, drift(), run_grid), solve(theta0, fresh, run_grid)
+    assert len(kept.step_times) > 50
+    for name in ("step_times", "mass", "minimum", "maximum"):
+        assert getattr(kept, name).tobytes() == getattr(again, name).tobytes(), name
+    assert kept.trajectory.samples.tobytes() == again.trajectory.samples.tobytes()
+    boxes = set(fresh.boxes)
+    if kind == "compact-curl":  # the union box changes between brackets
+        assert len(boxes) > 3
+        if bc == "periodic":  # and one spans a periodic axis
+            assert any(hi - lo == N for box in boxes for (lo, hi), N in zip(box, shape))
+    else:
+        assert len(boxes) == 1
+
+
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+def test_interpolated_faces_are_the_brackets_arrays(bc):
+    g = Grid(2, (-1.0, -1.0), (1.0, 1.0), (32, 28), 0.0, 3.0, 4, bc)  # slices at 0, 1, 2, 3
+    drift = FieldDrift(slice_field(g, [curl_slice(g, x) for x in
+                                       ((-0.4, 0.1), (0.0, 0.0), (0.9, -0.3), (0.2, 0.6))]))
+    single = {j: embedded(drift.face_velocities(g, float(j)), g.shape, bc) for j in range(4)}
+    arrays = {}
+    for t in (0.25, 0.5, 0.75, 1.5, 1.25, 2.5):
+        faces = drift.face_velocities(g, t)
+        s = (t - g.t0) / (g.t1 - g.t0) * (g.nt - 1)  # as FieldDrift._bracket
+        j0, w = math.floor(s), s - math.floor(s)
+        for u, u0, u1 in zip(embedded(faces, g.shape, bc), single[j0], single[j0 + 1]):
+            assert u.tobytes() == (u0 * (1 - w) + u1 * w).tobytes(), t
+        # a new list at each request, over the arrays its bracket owns
+        if j0 in arrays:
+            assert faces is not arrays[j0][0]
+            assert all(u is v for u, v in zip(faces, arrays[j0][1]))
+        else:
+            assert not any(u is v for f in arrays.values() for u, v in zip(faces, f[1]))
+        arrays[j0] = faces, list(faces)
+
+
+def test_steady_drift_peaks_found_once():
+    # a steady FieldDrift hands the solver one faces list, whose peaks split()
+    # finds once: a max and a min per axis
+    g = Grid(2, (-1.0, -1.0), (1.0, 1.0), (32, 28), 0.0, 0.02, 3, "periodic")
+    drift = FieldDrift(slice_field(g, [curl_slice(g, (0.2, -0.1))] * 3))
+    faces, calls = drift.face_velocities(g, 0.0), []
+
+    class Counted(np.ndarray):
+        def max(self, *args, **kwargs):
+            calls.append("max")
+            return super().max(*args, **kwargs)
+
+        def min(self, *args, **kwargs):
+            calls.append("min")
+            return super().min(*args, **kwargs)
+
+    faces[:] = [u.view(Counted) for u in faces]
+    run = solve(gaussian_blob(g, (0.1, 0.0), 0.3), drift, g)
+    assert len(run.step_times) > 20
+    assert sorted(calls) == ["max", "max", "min", "min"]
