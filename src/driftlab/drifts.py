@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (Grid, SpaceTimeField, ZERO, _box, _component_sum, _curl_components, _ddx,
-                     curl, divergence)
+from .fields import (Grid, SpaceTimeField, ZERO, _box, _box_bc, _component_sum,
+                     _curl_components, _ddx, curl, divergence)
 
 E_CONST = float(np.e)
 C0_DEFAULT = float(np.exp(-np.e))  # largest time with logloglog(1/t) >= 0
@@ -502,8 +502,7 @@ class DriftAssembly:
                 lo = np.floor((np.min([p - r for p, r in caps], 0) - grid.lo) / grid.h - 0.5)
                 hi = np.ceil((np.max([p + r for p, r in caps], 0) - grid.lo) / grid.h - 0.5)
                 box = _box(grid, lo.astype(int) - 1, hi.astype(int) + 2)
-                # the curl wraps only along an axis the box spans on a periodic grid
-                bc = [grid.bc if s.stop - s.start == N else ZERO for s, N in zip(box, grid.shape)]
+                bc = _box_bc(grid, box)
                 out[box] = np.stack(_curl_components(
                     self.potential(t, [x[box] for x in X]), grid.n,
                     lambda a, axis: _ddx(a, axis, grid.h[axis], bc[axis])), axis=-1)

@@ -163,6 +163,13 @@ def _box(grid, lo, hi):
                  for l, h, N in zip(lo, hi, grid.shape))
 
 
+def _box_bc(grid, box):
+    """The boundary mode of a box along each axis: a box that spans a periodic axis
+    wraps along it, and takes the zero mode along every other."""
+    return [PERIODIC if grid.bc == PERIODIC and s.stop - s.start == N else ZERO
+            for s, N in zip(box, grid.shape)]
+
+
 def _ddx(a, axis, h, bc):
     p = _extend(a, axis, bc)
     return (_slab(p, axis, 2, None) - _slab(p, axis, None, -2)) / (2.0 * h)

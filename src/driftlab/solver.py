@@ -18,9 +18,9 @@ Advection velocities live on cell faces.  Face data produced from a stream
 function (2D) or edge-sampled vector potential (3D) has exactly zero discrete
 divergence by telescoping, which is what makes the conservation and
 monotonicity ledgers hold to round-off.  Cell-sampled drift fields are
-interpolated to faces, which are projected onto the divergence-free constraint
-only when their divergence is more than round-off: the face averages of a
-centered curl, as every drift the lab builds is, are used as they are.
+interpolated to faces, made divergence-free by one real-FFT Poisson solve (on
+the odd extension of zero grids) when their divergence is more than round-off;
+the face averages of a centered curl, as every drift the lab builds is, are kept.
 
 Faces live on a support box (``_Faces.box``, else the whole grid): a block of
 cells outside which every face is exactly 0, as are the box's end faces inside
@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (PERIODIC, ZERO, SpaceTimeField, _box, _component_sum, _curl_components,
-                     _interpolate, _require_finite, _slab, _sq_distance, cell_to_face,
-                     divergence, face_diff, face_to_cell, grid_laplacian)
+from .fields import (PERIODIC, ZERO, SpaceTimeField, _box, _box_bc, _component_sum,
+                     _curl_components, _interpolate, _require_finite, _slab, _sq_distance,
+                     cell_to_face, divergence, face_diff, face_to_cell, grid_laplacian)
 
 BUFFER_CELLS = 3
 _EPS = np.finfo(float).eps
@@ -154,9 +154,8 @@ class _Faces(list):
 def _face_block(grid, box, a):
     """The faces along axis a of the box's cells, as a slice per axis of the
     grid's faces: both end faces, unless the box wraps (spans a periodic axis)."""
-    s = box[a]
-    wrap = grid.bc == PERIODIC and s.stop - s.start == grid.shape[a]
-    return box[:a] + (slice(s.start, s.stop + (not wrap)),) + box[a + 1:]
+    wrap = _box_bc(grid, box)[a] == PERIODIC
+    return box[:a] + (slice(box[a].start, box[a].stop + (not wrap)),) + box[a + 1:]
 
 
 def _face_shape(grid, box, a):
@@ -208,8 +207,8 @@ class FieldDrift:
     A slice's faces are midpoint averages of the adjacent cells on its support
     box (see ``_nonzero_box``), made discretely divergence-free by
     ``_project_faces``, which restores exact telescoping conservation: a Poisson
-    solve runs only for a slice whose face divergence is more than round-off,
-    and its faces cover the whole grid.
+    solve (``_poisson``, one real FFT in either mode) runs only for a slice whose
+    face divergence is more than round-off, and its faces cover the whole grid.
     Linear interpolation in time between the stored slices, on the union of
     their boxes.  Equal consecutive slices share one set of faces and are not
     interpolated between, so a steady field's faces are made once.
@@ -265,9 +264,8 @@ class FieldDrift:
             g, cells = self.grid, self._slice(j)
             box = _nonzero_box(g, cells)
             on_box, faces = cells[box], _Faces((), box)
-            for a in range(g.n):  # the cells beyond the box are 0, or wrap where it spans
-                wrap = g.bc == PERIODIC and box[a].stop - box[a].start == g.shape[a]
-                lo, hi = cell_to_face(on_box[..., a], a, PERIODIC if wrap else ZERO)
+            for a, bc in enumerate(_box_bc(g, box)):  # the cells beyond the box are 0
+                lo, hi = cell_to_face(on_box[..., a], a, bc)
                 faces.append(0.5 * (lo + hi))
             faces = self._cache[j] = _project_faces(g, faces)
         return faces
@@ -334,74 +332,42 @@ def _face_div(grid, faces):
     return out
 
 
-def _fd_symbol(grid):
-    """Eigenvalues of the finite-difference Laplacian in the basis of the
-    grid's boundary mode: the periodic FFT basis on the half spectrum that
-    ``_rfftn`` keeps (last axis 0..N//2), or the DST-I basis on zero grids."""
-    sym = np.zeros(grid.shape)
-    for a, (N, h) in enumerate(zip(grid.shape, grid.h)):
-        if grid.bc == PERIODIC:
-            m = np.fft.fftfreq(N) * N
-            lam = -(2.0 - 2.0 * np.cos(2.0 * np.pi * m / N)) / h**2
-        else:
-            lam = -(4.0 / h**2) * np.sin(np.pi * np.arange(1, N + 1) / (2 * (N + 1))) ** 2
-        shape = [1] * grid.n
-        shape[a] = N
-        sym = sym + lam.reshape(shape)
-    if grid.bc == PERIODIC:
-        sym = np.ascontiguousarray(sym[..., : grid.shape[-1] // 2 + 1])
-    return sym
+def _fd_symbol(shape, h):
+    """Eigenvalues of the periodic finite-difference Laplacian on a grid of this
+    shape and spacing h, on the half spectrum ``np.fft.rfftn`` keeps (last axis 0..N//2)."""
+    sym = np.zeros(shape)
+    for a, (N, ha) in enumerate(zip(shape, h)):
+        m = np.fft.fftfreq(N) * N
+        lam = -(2.0 - 2.0 * np.cos(2.0 * np.pi * m / N)) / ha**2
+        sym = sym + lam.reshape([N if i == a else 1 for i in range(len(shape))])
+    return np.ascontiguousarray(sym[..., : shape[-1] // 2 + 1])
 
 
-def _half_spectrum(shape):
-    """Complex buffer for the half spectrum of a real array of this shape."""
-    return np.empty(tuple(shape[:-1]) + (shape[-1] // 2 + 1,), dtype=complex)
-
-
-def _rfftn(x, spec):
-    """Half-spectrum DFT of x into spec, for ``_project_faces`` only: a real FFT along
-    the last axis, then complex FFTs in place along the others in ascending order,
-    as ``scipy.fft.rfftn`` does them, so the result is bit-equal to it."""
-    np.fft.rfft(x, axis=-1, out=spec)
-    for a in range(x.ndim - 1):
-        np.fft.fft(spec, axis=a, out=spec)
-    return spec
-
-
-def _irfftn(spec, out):
-    """Inverse of ``_rfftn`` into the real array out, overwriting spec (``_project_faces`` only).
-
-    Bit-equal to ``scipy.fft.irfftn``: the same passes in the same order, then
-    one scaling by 1/prod(shape) rounded from long double, as pocketfft does.
-    """
-    for a in range(out.ndim - 1):
-        np.fft.ifft(spec, axis=a, norm="forward", out=spec)
-    np.fft.irfft(spec, n=out.shape[-1], axis=-1, norm="forward", out=out)
-    out *= float(1 / np.longdouble(math.prod(out.shape)))
-    return out
-
-
-def _dstn(x, inverse=False):
-    """DST-I along each axis in turn, bit-equal to ``scipy.fft.dstn(x, type=1)``
-    (``idstn`` with ``inverse``): −Im of terms 1..N of the real FFT of the odd
-    extension [0, x, 0, −x reversed].  The inverse scales by 1/prod 2(N+1),
-    rounded from long double, after the first axis, as pocketfft does."""
-    scale = float(1 / np.longdouble(math.prod(2 * (N + 1) for N in x.shape)))
-    for a, N in enumerate(x.shape):
-        ext = np.zeros(x.shape[:a] + (2 * (N + 1),) + x.shape[a + 1:])
-        _slab(ext, a, 1, N + 1)[...] = x
-        np.negative(np.flip(x, a), out=_slab(ext, a, N + 2, 2 * N + 2))
-        x = -_slab(np.fft.rfft(ext, axis=a).imag, a, 1, N + 1)
-        if inverse and a == 0:
-            x *= scale
-    return x
+def _poisson(grid, div):
+    """φ with ``grid_laplacian(φ) = div`` (less div's mean on periodic grids) by one
+    real FFT.  On a zero grid, of div's odd extension [0, div, 0, −div reversed] to
+    2(N + 1) cells along every axis: its solution is odd, so 0 on the two zero cells,
+    as the zero grid's boundary data are, and its cells 1..N are the zero grid's."""
+    axes = tuple(range(grid.n))
+    if grid.bc == ZERO:
+        for a in axes:
+            pad = np.zeros_like(_slab(div, a, 0, 1))
+            div = np.concatenate([pad, div, pad, -np.flip(div, a)], axis=a)
+    sym = _fd_symbol(div.shape, grid.h)
+    # the symbol vanishes only at the zero mode, whose correction is 0
+    sym[(0,) * grid.n] = 1.0
+    dh = np.fft.rfftn(div, axes=axes)
+    dh[(0,) * grid.n] = 0.0
+    dh /= sym
+    phi = np.fft.irfftn(dh, s=div.shape, axes=axes)
+    return phi if grid.bc == PERIODIC else phi[tuple(slice(1, N + 1) for N in grid.shape)]
 
 
 def _project_faces(grid, faces):
     """Faces on their box (``_Faces.box``, else the whole grid) made discretely
     divergence-free, as a _Faces: as they are if max|div|·min(h) ≤ 2n·ε·max|u|,
-    round-off (the face averages of a centered curl do), else by a discrete
-    Poisson correction on the whole grid, whose faces it keeps."""
+    round-off (the face averages of a centered curl do), else by the whole grid's
+    ``_poisson`` correction, in either mode, whose faces it keeps."""
     whole = tuple(slice(0, N) for N in grid.shape)
     box = getattr(faces, "box", None) or whole
     peak = max(np.abs(u).max(initial=0.0) for u in faces)
@@ -409,17 +375,7 @@ def _project_faces(grid, faces):
     if np.abs(div).max(initial=0.0) * min(grid.h) <= 2 * grid.n * _EPS * peak:
         return _Faces(faces, box)
     faces = _embed(grid, whole, _Faces(faces, box))
-    div = _face_div(grid, faces)
-    sym = _fd_symbol(grid)
-    if grid.bc == PERIODIC:
-        # the symbol vanishes only at the zero mode, whose correction is 0
-        sym[(0,) * grid.n] = 1.0
-        dh = _rfftn(div, _half_spectrum(div.shape))
-        dh[(0,) * grid.n] = 0.0
-        dh /= sym
-        phi = _irfftn(dh, div)
-    else:
-        phi = _dstn(_dstn(div) / sym, inverse=True)
+    phi = _poisson(grid, _face_div(grid, faces))
     out = []
     for a in range(grid.n):
         lo, hi = cell_to_face(phi, a, grid.bc)
@@ -498,6 +454,8 @@ class _Upwind:
             box = getattr(faces, "box", self.whole)
             if box != self.box or len(faces) != len(self.axes) or any(
                     u is not v for u, (_, v) in zip(faces, self.axes)):
+                if len(faces) != self.grid.n:
+                    raise ValueError(f"{len(faces)} face arrays, but the grid needs {self.grid.n}")
                 axes = []  # per axis: whether the box wraps, and its faces
                 for a, (u, s) in enumerate(zip(faces, box)):
                     want = _face_shape(self.grid, box, a)
@@ -677,7 +635,7 @@ def solve(theta0, b, grid, config=None):
     drift = as_drift(b, grid)
 
     if not explicit:
-        sym, scaled_dt = _fd_symbol(grid), None
+        sym, scaled_dt = _fd_symbol(grid.shape, grid.h), None
         den = np.empty_like(sym)
         rows = np.fft.rfft(theta, axis=-1, norm="forward")  # θ's row spectra, kept
     upwind = _Upwind(grid)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from driftlab.analysis import subsolution_residual
 from driftlab.cli import trig_stream_field
 from driftlab.drifts import assemble_selfsimilar
-from driftlab.fields import Grid, SpaceTimeField, cell_to_face, curl
+from driftlab.fields import Grid, SpaceTimeField, cell_to_face, curl, grid_laplacian
 from driftlab.solver import (
     FieldDrift,
     PotentialDrift,
@@ -17,10 +17,8 @@ from driftlab.solver import (
     _Faces,
     _face_div,
     _fd_symbol,
-    _half_spectrum,
-    _irfftn,
+    _poisson,
     _project_faces,
-    _rfftn,
     _Upwind,
     dynamic_rescale,
     fundamental_solution,
@@ -543,7 +541,7 @@ def test_half_spectrum_projection_matches_complex_fft(shape):
     for a in range(n):
         np.testing.assert_allclose(got[a], want[a], rtol=0, atol=1e-13 * scale)
     assert np.abs(_face_div(g, got)).max() < 1e-10
-    assert _fd_symbol(g).shape == shape[:-1] + (shape[-1] // 2 + 1,)
+    assert _fd_symbol(g.shape, g.h).shape == shape[:-1] + (shape[-1] // 2 + 1,)
 
 
 @pytest.mark.parametrize("scheme,grid", [
@@ -614,20 +612,20 @@ def test_upwind_div_matches_ghost_pad_reference(shape, bc):
         assert np.isnan(want).any() == (bc == "zero")
 
 
-@pytest.mark.parametrize("shape", [(15, 17), (24, 17), (8, 8, 9), (10, 13, 8), (67, 69)])
-def test_fft_helpers_match_scipy(shape):
-    sfft = pytest.importorskip("scipy.fft")
-    # 67 x 69 = 4623 is a size where 1/prod rounded in double and in long
-    # double differ in the last bit
-    rng = np.random.default_rng(sum(shape))
-    x = rng.standard_normal(shape)
-    spec = _rfftn(x, _half_spectrum(shape))
-    assert np.array_equal(spec, sfft.rfftn(x))
-    spec *= 1.0 + rng.standard_normal(spec.shape)
-    want = sfft.irfftn(spec, s=shape)
-    out = np.empty(shape)
-    assert _irfftn(spec, out) is out
-    assert np.array_equal(out, want)
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+@pytest.mark.parametrize("shape", [(2, 7), (15, 17), (24, 17), (31, 64), (67, 69), (128, 96),
+                                   (2, 5, 3), (8, 8, 9), (10, 13, 8), (17, 6, 11)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_poisson_inverts_the_laplacian(shape, bc):
+    # even and odd sizes, without scipy; a zero grid solves on its odd extension
+    n = len(shape)
+    g = Grid(n, (-1.0,) * n, (1.5,) * n, shape, 0.0, 1.0, 2, bc)
+    div = np.random.default_rng(sum(shape)).standard_normal(shape)
+    phi = _poisson(g, div)
+    assert phi.shape == shape
+    want = div - div.mean() if bc == "periodic" else div
+    np.testing.assert_allclose(grid_laplacian(phi, g), want, rtol=0,
+                               atol=1e-12 * np.abs(div).max())
 
 
 @pytest.mark.parametrize("data", ["uniform", "checkerboard"])
@@ -927,16 +925,6 @@ def test_nonfinite_drift_slice_refused_before_projection(monkeypatch, n, N):
         stored.face_velocities(g, g.times[k])
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (2, 7), (15, 17), (31, 64), (67, 69), (128, 96),
-                                   (1, 5, 2), (8, 8, 9), (10, 13, 8), (17, 6, 11)])
-def test_dstn_matches_scipy(shape):
-    sfft = pytest.importorskip("scipy.fft")
-    from driftlab.solver import _dstn
-    x = np.random.default_rng(sum(shape)).standard_normal(shape)
-    assert np.array_equal(_dstn(x), sfft.dstn(x, type=1))
-    assert np.array_equal(_dstn(x, inverse=True), sfft.idstn(x, type=1))
-
-
 def test_max_outflow_one_pass_per_faces_object(monkeypatch):
     # a steady FieldDrift hands the solver one cached faces list, so the
     # per-cell bound needs one pass over it, not one per step
@@ -1229,6 +1217,14 @@ def test_faces_off_their_box_refused(bad):
         _Upwind(g).split(boxed)
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_face_list_of_the_wrong_length_refused(count):
+    g = pgrid(16, t1=0.01)
+    faces = [np.zeros((16, 16))] * count
+    with pytest.raises(ValueError, match=rf"^{count} face arrays, but the grid needs 2$"):
+        solve(gaussian_blob(g, (0.0, 0.0), 0.5), FixedFaces(faces), g)
+
+
 def test_drift_on_another_space_refused():
     g = Grid(2, (-4.0, -4.0), (4.0, 4.0), (16, 16), 0.0, 1.0, 3, "periodic")
     d = FieldDrift(slice_field(g, [random_slice(np.random.default_rng(8))] * 3))
@@ -1253,17 +1249,7 @@ def whole_grid_averages(g, cells):
 def whole_grid_projection(g, faces):
     """The Poisson projection of whole-grid faces, run whatever their divergence:
     the reference for faces that _project_faces projects."""
-    import driftlab.solver as solver
-    div = _face_div(g, faces)
-    sym = _fd_symbol(g)
-    if g.bc == "periodic":
-        sym[(0,) * g.n] = 1.0
-        dh = _rfftn(div, _half_spectrum(div.shape))
-        dh[(0,) * g.n] = 0.0
-        dh /= sym
-        phi = _irfftn(dh, div)
-    else:
-        phi = solver._dstn(solver._dstn(div) / sym, inverse=True)
+    phi = _poisson(g, _face_div(g, faces))
     out = []
     for a in range(g.n):
         lo, hi = cell_to_face(phi, a, g.bc)
@@ -1272,14 +1258,15 @@ def whole_grid_projection(g, faces):
 
 
 def counting_transforms(monkeypatch):
-    """The names of the FFT and DST calls the solver makes from now on."""
+    """The grid shapes of the Poisson solves the solver makes from now on."""
     import driftlab.solver as solver
-    calls = []
-    for name in ("_rfftn", "_dstn"):
-        def counted(*args, _name=name, _fn=getattr(solver, name), **kw):
-            calls.append(_name)
-            return _fn(*args, **kw)
-        monkeypatch.setattr(solver, name, counted)
+    calls, poisson = [], solver._poisson
+
+    def counted(grid, div):
+        calls.append(div.shape)
+        return poisson(grid, div)
+
+    monkeypatch.setattr(solver, "_poisson", counted)
     return calls
 
 

@@ -22,7 +22,7 @@ when there are any, the last ``STDERR_TAIL`` characters of that run's stderr as
 ``wall_raw_s`` and speed probe ``probe_s`` as ``<side>_raw``), and per metric
 each side's median and quartiles, the wins of the change, and whether the
 change stays within the bound that ``BENCHMARK.json`` sets; the unscaled
-medians over the pairs are printed beside ``wall_s``.  A
+metrics are summarised and printed the same way, with no bound.  A
 metric counts as a claimable gain when the change wins at least nine pairs in
 ten (ties count for neither side) and the medians differ by more than the
 base's interquartile range, over at least ten pairs.  Uses the standard
@@ -48,7 +48,8 @@ ROOT = Path.cwd()
 STDERR_TAIL = 2000  # characters of a failing run's stderr that are kept
 # unscaled run metrics kept beside wall_s, which perfbench scales by its speed
 # probe: a probe that runs slower beside one side moves wall_s and not these
-RAW = ("wall_raw_s", "probe_s")
+RAW = [{"name": "wall_raw_s", "unit": "s", "better": "lower"},
+       {"name": "probe_s", "unit": "s", "better": "lower"}]
 
 
 def _git(*args, cwd=ROOT):
@@ -79,7 +80,7 @@ def run_bench(root, workload, seed, seconds):
               if line.startswith('{"failed_op"')]
     runs = [r for r in map(json.loads, lines[:-2])
             if r.get("mode") == "run" and "wall_raw_s" in r]
-    raw = {k: statistics.median(r[k] for r in runs) for k in RAW} if runs else {}
+    raw = {m["name"]: statistics.median(r[m["name"]] for r in runs) for m in RAW} if runs else {}
     return json.loads(lines[-1]), json.loads(lines[-2])["env"], failed, \
         proc.stderr[-STDERR_TAIL:], raw
 
@@ -119,30 +120,34 @@ def _quartiles(values):
     return q1, q3
 
 
-def summarize(pairs, spec):
+def summarize(pairs, metrics, suffix=""):
+    """Per metric, over the pairs whose sides both have it in ``<side><suffix>``:
+    each side's median and quartiles, the wins of the change and, for a metric
+    with a bound, whether the change stays within it."""
     out = {}
-    for m in spec["end_to_end"]:
+    for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
-        if name not in pairs[0]["base"]:
+        rows = [(p["base" + suffix][name], p["change" + suffix][name]) for p in pairs
+                if name in p["base" + suffix] and name in p["change" + suffix]]
+        if not rows:
             continue
         sides = {}
-        for side in ("base", "change"):
-            vals = [p[side][name] for p in pairs]
+        for side, vals in zip(("base", "change"), zip(*rows)):
             q1, q3 = _quartiles(vals)
             sides[side] = {"median": statistics.median(vals), "q1": q1, "q3": q3,
                            "iqr": q3 - q1}
         sign = 1 if lower else -1
-        diffs = [sign * (p["base"][name] - p["change"][name]) for p in pairs]
+        diffs = [sign * (b - c) for b, c in rows]
         wins, losses = sum(d > 0 for d in diffs), sum(d < 0 for d in diffs)
         base, change = sides["base"]["median"], sides["change"]["median"]
         gain = sign * (base - change)
         worse_rel = -gain / abs(base) if base else 0.0
         out[name] = {
-            "unit": m["unit"], "better": m["better"], "bound": m["bound"], **sides,
+            "unit": m["unit"], "better": m["better"], "bound": m.get("bound"), **sides,
             "change_rel": (change - base) / abs(base) if base else 0.0,
-            "wins": wins, "losses": losses, "ties": len(pairs) - wins - losses,
-            "within_bound": worse_rel <= m["bound"],
-            "claimable_gain": (len(pairs) >= 10 and wins >= 0.9 * len(pairs)
+            "wins": wins, "losses": losses, "ties": len(rows) - wins - losses,
+            "within_bound": worse_rel <= m["bound"] if "bound" in m else None,
+            "claimable_gain": (len(rows) >= 10 and wins >= 0.9 * len(rows)
                                and gain > sides["base"]["iqr"]),
         }
     return out
@@ -218,27 +223,17 @@ def main():
                     pair[side], pair[side + "_correct"] = metrics, correct
                 pairs.append(pair)
                 print(json.dumps({"workload": workload, **pair}), flush=True)
-            record["workloads"][workload] = {"pairs": pairs,
-                                             "metrics": summarize(pairs, spec)}
-            if not args.command:  # each side's median over the pairs
-                record["workloads"][workload]["raw"] = {
-                    side: {k: statistics.median(p[side + "_raw"][k] for p in pairs
-                                                if k in p[side + "_raw"]) for k in RAW}
-                    for side in roots}
+            record["workloads"][workload] = {
+                "pairs": pairs, "metrics": summarize(pairs, spec["end_to_end"]),
+                "raw": {} if args.command else summarize(pairs, RAW, "_raw")}
     out_path.write_text(json.dumps(record, indent=1) + "\n")
     for workload, w in record["workloads"].items():
-        for name, m in w["metrics"].items():
+        for name, m in {**w["metrics"], **w["raw"]}.items():
+            n = m["wins"] + m["losses"] + m["ties"]
             print(f"{workload:9s} {name:12s} {m['base']['median']:.4g} -> "
                   f"{m['change']['median']:.4g} {m['unit']} ({100 * m['change_rel']:+.1f}%, "
-                  f"wins {m['wins']}/{len(w['pairs'])}, base IQR {m['base']['iqr']:.3g}, "
+                  f"wins {m['wins']}/{n}, base IQR {m['base']['iqr']:.3g}, "
                   f"within bound {m['within_bound']}, claimable gain {m['claimable_gain']})")
-        raw = w.get("raw")
-        if raw:
-            b, c = raw["base"], raw["change"]
-            print(f"{workload:9s} unscaled     wall_raw_s {b['wall_raw_s']:.4g} -> "
-                  f"{c['wall_raw_s']:.4g} s "
-                  f"({100 * (c['wall_raw_s'] - b['wall_raw_s']) / b['wall_raw_s']:+.1f}%), "
-                  f"probe_s {b['probe_s']:.4g} -> {c['probe_s']:.4g} s")
     print(f"wrote {out_path}")
     return 0
 
