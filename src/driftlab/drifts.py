@@ -274,14 +274,6 @@ class SpeedSchedule:
     def total_speed(self):
         return sum(b.integral() for b in self.blocks)
 
-    def sample(self, t):
-        """Sum of block speeds at representable times t."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for b in self.blocks:
-            out = out + b.speed(t)
-        return out
-
 
 def borderline_schedule(K, c0=C0_DEFAULT, M=None, n=2, ramp_frac=0.1, gap_frac=0.02):
     """K disjoint blocks drawing mass M (default 20 n) from the envelope.

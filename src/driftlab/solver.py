@@ -3,8 +3,7 @@
 Solves ∂_t θ − Δθ + b·∇θ = 0 with unit diffusivity by first-order upwind
 flux-form advection, one kernel for both boundary modes (the mode, and the
 support box below, set only the fluxes through two end faces per axis), and
-one timestep rule.
-The grid's boundary mode picks the diffusion step:
+one timestep rule.  The grid's boundary mode picks the diffusion step:
 
 * ``zero`` grids — forward Euler diffusion on a bounded box with
   zero-extension (Dirichlet) boundary data, enforced on a three-cell buffer
@@ -26,12 +25,12 @@ Faces live on a support box (``_Faces.box``, else the whole grid): a block of
 cells outside which every face is exactly 0, as are the box's end faces inside
 the grid.  A drift slice's faces are formed on the bounding box of its nonzero
 cells widened by one cell; a projected slice takes the whole grid.  Only the
-box's faces are stored, and the step advects on the box alone.
+box's faces are stored, and the step advects on the box alone.  A ``FieldDrift``
+holds the faces of one bracket of slices, in one record with no weak references.
 """
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,10 +140,10 @@ class PotentialDrift:
 
 
 class _Faces(list):
-    """The faces on their support ``box`` (``_face_block`` per axis), in a
-    list the face cache can refer to weakly; a plain list is the whole grid's."""
+    """The faces on their support ``box`` (``_face_block`` per axis), held strongly
+    by a FieldDrift's bracket record; a plain list is the whole grid's."""
 
-    __slots__ = ("__weakref__", "box")
+    __slots__ = ("box",)
 
     def __init__(self, faces=(), box=None):
         super().__init__(faces)
@@ -216,11 +215,11 @@ class FieldDrift:
     The slices are a stored field's, ``FieldDrift(b)``, or a function's,
     ``FieldDrift.from_function``, each read when first needed, refused if not
     finite and compared with the one before.  The drift holds the last slice
-    read and the projected faces of its last ``face_velocities`` request, and
-    refers to other faces weakly: a forward march keeps at most two cell and
-    two projected slices alive, and reads and projects each slice once.  It
-    also holds its last bracket's embedded and interpolated faces for as long
-    as it lives (a finished ``SimRun`` keeps its drift).
+    read and one record of its last request's bracket: its runs' projected
+    faces, and the last two runs' embedded and interpolated faces, kept across
+    one-run requests.  Faces outside the record are formed again, so a forward
+    march keeps at most two cell and two projected slices alive, and reads and
+    projects each slice once.  The record lives as long as the drift.
     """
 
     def __init__(self, b):
@@ -239,10 +238,10 @@ class FieldDrift:
     def _set_source(self, grid, slice_at, whole):  # slice j is slice_at(j); whole() is all
         self.grid, self._slice_at, self._whole = grid, slice_at, whole
         self._last, self._run_start = (None, None), []  # the last slice read; run starts
-        self._cache, self._held = weakref.WeakValueDictionary(), ()
-        # the run starts of the last two slices interpolated, their box, their
-        # embedded faces and the interpolated ones; the last request's bracket
-        self._pair, self._at = (None,), None
+        # the bracket record: the last request's slices (j0, j1), the faces of their
+        # one or two runs by run start, and of the last two runs interpolated between
+        # their starts, union box, embedded faces and interpolated arrays
+        self._at, self._runs, self._pair = None, {}, (None,)
 
     def _slice(self, j):
         if self._last[0] != j:
@@ -257,9 +256,9 @@ class FieldDrift:
             starts.append(starts[-1] if same else i)
         return starts[j]
 
-    def _faces_at_slice(self, j):
+    def _faces_at_slice(self, j, runs):  # j's run's faces, from runs or the record, or formed
         j = self._start(j)
-        faces = self._cache.get(j)
+        faces = runs.get(j, self._runs.get(j))
         if faces is None:
             g, cells = self.grid, self._slice(j)
             box = _nonzero_box(g, cells)
@@ -267,7 +266,8 @@ class FieldDrift:
             for a, bc in enumerate(_box_bc(g, box)):  # the cells beyond the box are 0
                 lo, hi = cell_to_face(on_box[..., a], a, bc)
                 faces.append(0.5 * (lo + hi))
-            faces = self._cache[j] = _project_faces(g, faces)
+            faces = _project_faces(g, faces)
+        runs[j] = faces
         return faces
 
     def _bracket(self, grid, t):
@@ -290,20 +290,19 @@ class FieldDrift:
         slices, on the union of their boxes.  Interpolated faces are written
         into arrays the bracket owns and stay valid until the next request."""
         j0, j1, w = self._bracket(grid, t)
-        if w == 0.0 or self._at != (j0, j1):  # else straight to the last request's bracket
-            # the last request's slices stay held until both of this one's are
-            # found, so a march that moves on by one slice projects only the new one
-            f0 = self._faces_at_slice(j0)
-            if w == 0.0 or self._start(j0) == self._start(j1):
-                self._held, self._at = (f0,), None
-                return f0
-            f1 = self._faces_at_slice(j1)
-            self._held, self._at = (f0, f1), (j0, j1)
-            runs = (self._start(j0), self._start(j1))
-            if self._pair[0] != runs:  # both slices' faces on their union, once per bracket
+        at = (j0, j0) if w == 0.0 else (j0, j1)  # at w = 0, slice j0's faces alone
+        if self._at != at:  # else straight to the record's faces or interpolation
+            # the old record is replaced once both runs' faces are found, so a march
+            # that moves on by one slice projects only the new one
+            runs = {}
+            f0, f1 = (self._faces_at_slice(j, runs) for j in at)
+            self._at, self._runs = at, runs
+            if len(runs) == 2 and self._pair[0] != tuple(runs):  # embedded once per pair
                 box = _box_union(f0.box, f1.box)
                 e0, e1 = _embed(self.grid, box, f0), _embed(self.grid, box, f1)
-                self._pair = runs, box, e0, e1, [np.empty_like(u) for u in e0]
+                self._pair = tuple(runs), box, e0, e1, [np.empty_like(u) for u in e0]
+        if len(self._runs) == 1:
+            return next(iter(self._runs.values()))
         _, box, e0, e1, out = self._pair
         for r, u0, u1 in zip(out, e0, e1):
             np.multiply(u0, 1 - w, out=r)

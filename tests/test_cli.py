@@ -105,6 +105,23 @@ def test_diffusion_scenario_deterministic(tmp_path, monkeypatch):
     assert run_cli("report", str(tmp_path)) == 0
 
 
+def test_diffusion_max_principle_sees_a_falling_min(tmp_path, monkeypatch, capsys):
+    import driftlab.cli as cli
+    solve_fundamental = cli.fundamental_solution
+
+    def falling_min(*args, **kwargs):  # the last step's min falls by 1e-6 of the max
+        run = solve_fundamental(*args, **kwargs)
+        run.minimum[-1] -= 1e-6 * run.maximum[0]
+        return run
+
+    monkeypatch.setattr(cli, "fundamental_solution", falling_min)
+    monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
+    assert run_cli("run", f"{CONFIGS}/heat-2d.cfg") == 1
+    rows = (tmp_path / "out" / "heat-2d" / "summary.csv").read_text().splitlines()
+    row = next(r for r in rows if r.startswith("max_principle,")).split(",")
+    assert float(row[1]) > 1e-7 and row[-1] == "0"
+
+
 def test_cfl_precondition_exit_code(tmp_path, monkeypatch):
     monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))
     cfg = tmp_path / "cfl.cfg"

@@ -431,16 +431,19 @@ def test_field_drift_shares_faces_inside_a_run(monkeypatch):
     rng = np.random.default_rng(4)
     g = pgrid(16, t0=0.0, t1=1.0, nt=6)  # slices at t = 0, 0.2, ..., 1
     s0, s1, s4, s5 = (random_slice(rng) for _ in range(4))
-    d = FieldDrift(slice_field(g, [s0, s1, s1.copy(), s1.copy(), s4, s5]))
-    f = {j: d.face_velocities(g, 0.2 * j) for j in (0, 1, 4, 5)}
-    assert len(calls) == 4
-    # inside the run of equal slices 1..3: the faces of slice 1, unchanged
-    for t in (0.2, 0.25, 0.4, 0.5, 0.6):
-        for got, want in zip(d.face_velocities(g, t), f[1]):
-            assert np.array_equal(got, want)
-    # outside it: linear interpolation between the neighbouring slices
-    for t, lo, hi, w in ((0.1, 0, 1, 0.5), (0.75, 1, 4, 0.75), (0.9, 4, 5, 0.5)):
+    field = slice_field(g, [s0, s1, s1.copy(), s1.copy(), s4, s5])
+    f = {j: FieldDrift(field).face_velocities(g, 0.2 * j) for j in (0, 1, 4, 5)}
+    # a forward pass of one drift: one projection per run of equal slices
+    d, between = FieldDrift(field), {0.1: (0, 1, 0.5), 0.75: (1, 4, 0.75), 0.9: (4, 5, 0.5)}
+    calls.clear()
+    for t in (0.1, 0.2, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9):
         got = d.face_velocities(g, t)
+        if t not in between:  # inside the run of equal slices 1..3: the faces of slice 1
+            for u, want in zip(got, f[1]):
+                assert np.array_equal(u, want)
+            continue
+        # outside it: linear interpolation between the neighbouring slices
+        lo, hi, w = between[t]
         for a in range(2):
             np.testing.assert_allclose(got[a], f[lo][a] * (1 - w) + f[hi][a] * w,
                                        rtol=1e-12, atol=1e-12)
@@ -472,19 +475,25 @@ def blob_at_centre(g):
 
 @pytest.mark.parametrize("bc,n", [("periodic", 2), ("zero", 3)])
 def test_field_drift_march_keeps_two_slices_alive(monkeypatch, bc, n):
+    import weakref
+
     import driftlab.solver as solver
     g, d = marching_drift(bc, n, range(17))
-    alive = []
+    projected, alive = [], []
 
     def project(grid, faces):
-        alive.append(len(d._cache))  # the projected slices alive before this one
-        return _project_faces(grid, faces)
+        # the runs in the bracket record, and the projected slices alive, before this one
+        alive.append((len(d._runs), sum(ref() is not None for ref in projected)))
+        out = _project_faces(grid, faces)
+        projected.append(weakref.ref(out[0]))
+        return out
 
     monkeypatch.setattr(solver, "_project_faces", project)
     solve(blob_at_centre(g), d, g)
     assert len(alive) == 17
-    assert max(alive) <= 2
-    assert len(d._cache) <= 2
+    assert max(max(a) for a in alive) <= 2
+    assert len(d._runs) <= 2
+    assert sum(ref() is not None for ref in projected) <= 2
 
 
 def test_field_drift_march_projects_each_run_once(monkeypatch):
@@ -887,6 +896,43 @@ def test_streamed_drift_march_reads_each_slice_once(monkeypatch, n, N):
           run_grid)
     assert reads == list(g.times)
     assert len(calls) == g.nt  # no two consecutive slices are equal here
+
+
+class RecordedDrift:
+    """A FieldDrift's faces, recording after each request its bracket and the
+    number of runs whose faces its record holds."""
+
+    def __init__(self, drift):
+        self.drift, self.brackets, self.held = drift, [], []
+
+    def face_velocities(self, grid, t):
+        faces = self.drift.face_velocities(grid, t)
+        self.brackets.append(self.drift._at)
+        self.held.append(len(self.drift._runs))
+        return faces
+
+
+def test_steps_longer_than_the_slice_spacing_read_each_slice_once(monkeypatch):
+    calls = counting_projection(monkeypatch)
+    g = pgrid(16, t0=0.0, t1=1.0, nt=65)  # slice spacing 1/64
+    base = 0.1 * random_slice(np.random.default_rng(11))
+    # slices 0..19 in equal pairs, then each its own: 10 + 45 runs
+    run_of = [k // 2 if k < 20 else k for k in range(g.nt)]
+    reads = []
+
+    def slow(t, *X):  # slow enough that the automatic step is the run's span/50
+        reads.append(t)
+        return base * (1.0 + 0.01 * run_of[round(t * (g.nt - 1))])
+
+    drift = RecordedDrift(FieldDrift.from_function(g, slow))
+    run_grid = g.with_times(0.0, 1.1, 3)  # steps of 0.022, past the drift's last slice
+    run = solve(gaussian_blob(run_grid, (0.0, 0.0), 0.5), drift, run_grid)
+    assert np.allclose(np.diff(run.step_times)[:20], 1.1 / 50, rtol=1e-12)
+    starts = [j0 for j0, _ in drift.brackets]
+    assert any(b - a == 2 for a, b in zip(starts, starts[1:]))  # skipped brackets
+    assert reads == list(g.times)
+    assert len(calls) == len(set(run_of))
+    assert max(drift.held) <= 2
 
 
 @STREAMED
