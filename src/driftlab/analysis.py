@@ -372,11 +372,17 @@ class TailReport:
     margins: np.ndarray
 
 
-def _tail_shape(r, tau, c, params, n):
+def _tail_shape(r, tau, params, n):
+    """The majorant's shape(c), with r², r^p0, (τM₀)^{1/(1+α₀)} and τ^{−n/2} taken once."""
     p0 = 1.0 + 1.0 / (1.0 + params.alpha0)
-    gauss = np.exp(-c * r**2 / tau)
-    stretched = np.exp(-c * r**p0 / (tau * params.M0) ** (1.0 / (1.0 + params.alpha0)))
-    return tau ** (-n / 2.0) * (gauss + stretched), gauss >= stretched
+    r2, rp = r**2, r**p0
+    scale, decay = (tau * params.M0) ** (1.0 / (1.0 + params.alpha0)), tau ** (-n / 2.0)
+
+    def shape(c):
+        gauss = np.exp(-c * r2 / tau)
+        stretched = np.exp(-c * rp / scale)
+        return decay * (gauss + stretched), gauss >= stretched
+    return shape
 
 
 def tail_check(run, params, source, s):
@@ -406,16 +412,16 @@ def tail_check(run, params, source, s):
     vals = sel[m]
 
     c_sweep = np.geomspace(1e-3, 1.0, 60)
+    tail_shape = _tail_shape(rs, ts, params, g.n)
     Cs = np.empty(len(c_sweep))
     for i, c in enumerate(c_sweep):
-        shape, _ = _tail_shape(rs, ts, c, params, g.n)
-        Cs[i] = (vals / shape).max()
+        Cs[i] = (vals / tail_shape(c)[0]).max()
     best = Cs.min()
     admissible = np.where(Cs <= 4.0 * best)[0]
     i_star = admissible.max()
     c_star = float(c_sweep[i_star])
     C_star = float(Cs[i_star])
-    shape, gauss = _tail_shape(rs, ts, c_star, params, g.n)
+    shape, gauss = tail_shape(c_star)
     margins = C_star * shape / np.maximum(vals, 1e-300)
     if params.alpha0 > 0:
         outer = params.M0 ** (1.0 / params.alpha0) * rs / ts >= 16.0

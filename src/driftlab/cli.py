@@ -7,6 +7,7 @@ precondition (CFL, total-speed bound) violated.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -553,6 +554,7 @@ def _positive_int(s):
     raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {s!r}")
 
 
+@functools.cache  # built at the first main() call, then shared by every later one
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="driftlab",

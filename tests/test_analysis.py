@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -302,6 +303,54 @@ def test_tail_rescaling_invariance():
         fits.append(tail_check(run, drift_free_params(), (0.0, 0.0), 0.0))
     assert abs(fits[0].c - fits[1].c) / fits[0].c < 0.05
     assert abs(fits[0].C - fits[1].C) / fits[0].C < 0.05
+
+
+def _tail_check_per_rate(run, params, source, s):
+    """tail_check as it was before its powers were hoisted out of the sweep:
+    every power of r and τ taken again at each of the 60 rates."""
+    from driftlab.analysis import TailReport, _trajectory
+    from driftlab.fields import _sq_distance
+
+    def shape_at(r, tau, c):
+        p0 = 1.0 + 1.0 / (1.0 + params.alpha0)
+        gauss = np.exp(-c * r**2 / tau)
+        stretched = np.exp(-c * r**p0 / (tau * params.M0) ** (1.0 / (1.0 + params.alpha0)))
+        return tau ** (-g.n / 2.0) * (gauss + stretched), gauss >= stretched
+
+    field = _trajectory(run)
+    g = field.grid
+    tau_min = 40.0 * min(g.h) ** 2
+    rmax = 0.4 * min(g.hi[i] - g.lo[i] for i in range(g.n))
+    r = np.sqrt(_sq_distance(g.meshgrid(), np.asarray(source, dtype=float)))
+    taus = g.times - s
+    sel_t = taus >= tau_min
+    sel = field.samples[sel_t]
+    m = (r <= rmax) & (sel > 1e-10 * sel.max())
+    rs = np.broadcast_to(r, sel.shape)[m]
+    ts = np.broadcast_to(taus[sel_t].reshape((-1,) + (1,) * g.n), sel.shape)[m]
+    vals = sel[m]
+    c_sweep = np.geomspace(1e-3, 1.0, 60)
+    Cs = np.array([(vals / shape_at(rs, ts, c)[0]).max() for c in c_sweep])
+    i_star = np.where(Cs <= 4.0 * Cs.min())[0].max()
+    shape, gauss = shape_at(rs, ts, c_sweep[i_star])
+    margins = Cs[i_star] * shape / np.maximum(vals, 1e-300)
+    if params.alpha0 > 0:
+        outer = params.M0 ** (1.0 / params.alpha0) * rs / ts >= 16.0
+    else:
+        outer = rs >= 16.0 * np.sqrt(ts)
+    return TailReport(float(Cs[i_star]), float(c_sweep[i_star]), rs, ts, vals, gauss,
+                      outer, margins)
+
+
+@pytest.mark.parametrize("params", [drift_free_params(), FundSolBoundParams(0.7, 2.5, 1.0, 0.5)],
+                         ids=["drift-free", "alpha0-0.7"])
+def test_tail_check_bit_equal_to_per_rate_loop(params):
+    g = Grid(2, (-2.0, -2.0), (2.0, 2.0), (64, 64), 0.0, 0.4, 5, "periodic")
+    run = fundamental_solution((0.1, -0.2), 0.0, None, g, SolverConfig(dt=4e-3))
+    rep = tail_check(run, params, (0.1, -0.2), 0.0)
+    ref = _tail_check_per_rate(run, params, (0.1, -0.2), 0.0)
+    for f in dataclasses.fields(rep):
+        assert np.array_equal(getattr(rep, f.name), getattr(ref, f.name)), f.name
 
 
 def test_tail_resolution_floor():

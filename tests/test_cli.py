@@ -1,5 +1,8 @@
+import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -319,6 +322,36 @@ def test_decompose_3d_assembly(tmp_path, capsys):
     assert run_cli("decompose", str(dump)) == 0
     err = float(capsys.readouterr().out.split("reconstruction_error = ")[1])
     assert err < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_decompose_nonfinite_dump_exit_code(tmp_path, capsys, bad):
+    g = Grid(2, (-1.0,) * 2, (1.0,) * 2, (16,) * 2, 0.0, 1.0, 2, "periodic")
+    samples = np.ones((2, 16, 16, 2))
+    samples[1, 4, 9, 1] = bad
+    dump = tmp_path / "bad.dlf1"
+    write_field(dump, SpaceTimeField(g, samples, 2, allow_nonfinite=True))
+    assert run_cli("decompose", str(dump)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"the drift has a non-finite sample ({bad}) at index (1, 4, 9, 1)" in captured.err
+
+
+def test_main_builds_its_parser_once(capsys):
+    import driftlab.cli as cli
+
+    parser = cli.build_parser()
+    built = cli.build_parser.cache_info().misses
+    assert run_cli("classify", "--order", "tq", "--q", "inf", "--p", "3", "--n", "3") == 0
+    assert run_cli("classify", "--order", "tq", "--q", "inf", "--p", "3", "--n", "1") == 2
+    assert cli.build_parser() is parser
+    assert cli.build_parser.cache_info().misses == built
+    # importing the CLI builds no parser: the first main() call does
+    probe = "import driftlab.cli as c; print(c.build_parser.cache_info().currsize)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+    assert out.strip() == "0"
 
 
 def _drop_blocks_line(text):

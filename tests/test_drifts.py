@@ -483,6 +483,135 @@ def test_hminus1_proxy_unit_mode():
     assert hminus1_proxy(f) == pytest.approx(l2, rel=1e-10)
 
 
+# The complex-FFT decomposition that the half-spectrum one replaced, kept as an
+# oracle: full-spectrum wavenumbers, with np.real dropping the odd Nyquist terms.
+def _oracle_wavenumbers(grid):
+    ks = []
+    for i in range(grid.n):
+        L = grid.hi[i] - grid.lo[i]
+        ks.append(2.0 * np.pi * np.fft.fftfreq(grid.shape[i], d=L / grid.shape[i]))
+    return np.meshgrid(*ks, indexing="ij")
+
+
+def _oracle_minus_div(a, K):
+    n = len(K)
+    out = np.empty(a.shape[:-1])
+    for i in range(n):
+        tot = np.zeros(a.shape[:n], dtype=complex)
+        for l in range(n):
+            if l != i:
+                tot += 1j * K[l] * np.fft.fftn(a[..., i, l])
+        out[..., i] = np.real(np.fft.ifftn(-tot))
+    return out
+
+
+def _oracle_hodge(b):
+    """(a, b2, residual, a_l2, reconstruction) by the complex-FFT formulas."""
+    g = b.grid
+    K = _oracle_wavenumbers(g)
+    k2 = sum(k**2 for k in K)
+    inv = np.zeros_like(k2)
+    nz = k2 > 0
+    inv[nz] = 1.0 / k2[nz]
+    n = g.n
+    a = np.zeros((g.nt,) + tuple(g.shape) + (n, n))
+    b1 = np.zeros_like(b.samples)
+    denom = 0.0
+    for j in range(g.nt):
+        bh = [np.fft.fftn(b.samples[j, ..., c]) for c in range(n)]
+        for c in range(n):
+            denom += (np.abs(bh[c]) ** 2).sum()
+        for i in range(n):
+            for l in range(i + 1, n):
+                arr = np.real(np.fft.ifftn(-(1j * K[i] * bh[l] - 1j * K[l] * bh[i]) * inv))
+                a[j, ..., i, l] = arr
+                a[j, ..., l, i] = -arr
+        b1[j] = _oracle_minus_div(a[j], K)
+    rem = b.samples - b1
+    leak = 0.0
+    for j in range(g.nt):
+        rh = [np.fft.fftn(rem[j, ..., c]) for c in range(n)]
+        div = sum(1j * K[c] * rh[c] for c in range(n))
+        for c in range(n):
+            sol = rh[c] - 1j * K[c] * div * inv
+            sol[tuple(0 for _ in range(g.n))] = 0.0
+            leak += float((np.abs(sol) ** 2).sum())
+    res = 0.0 if denom == 0 else float(np.sqrt(leak / denom))
+    a_l2 = float(np.sqrt((a**2).sum() * g.cell_volume * (g.dt if g.nt > 1 else 1.0)))
+    recon = np.array(rem)
+    for j in range(g.nt):
+        recon[j] += _oracle_minus_div(a[j], K)
+    return a, rem, res, a_l2, recon
+
+
+def _oracle_hminus1(b):
+    g = b.grid
+    k2 = sum(k**2 for k in _oracle_wavenumbers(g))
+    wgt = np.where(k2 > 0, 1.0 / np.maximum(k2, 1e-300), 1.0)
+    npts = float(np.prod(g.shape))
+    tw = g.dt if g.nt > 1 else 1.0
+    total = sum(((np.abs(np.fft.fftn(b.samples[j, ..., c]) / npts) ** 2) * wgt).sum() * tw
+                for j in range(g.nt) for c in range(g.n))
+    return float(np.sqrt(total * np.prod([g.hi[i] - g.lo[i] for i in range(g.n)])))
+
+
+def _gradient_plus_solenoidal(g, rng):
+    """grad phi plus the Leray projection of a random field, every mode present
+    (the Nyquist entries too), so both parts and the Nyquist rule are probed."""
+    K = _oracle_wavenumbers(g)
+    k2 = sum(k**2 for k in K)
+    inv = np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
+    b = np.empty((g.nt,) + tuple(g.shape) + (g.n,))
+    for j in range(g.nt):
+        ph = np.fft.fftn(rng.standard_normal(g.shape))
+        vh = [np.fft.fftn(rng.standard_normal(g.shape)) for _ in range(g.n)]
+        kv = sum(k * v for k, v in zip(K, vh))
+        for c in range(g.n):
+            b[j, ..., c] = np.real(np.fft.ifftn(1j * K[c] * ph + vh[c] - K[c] * kv * inv))
+    return SpaceTimeField(g, b, g.n)
+
+
+@pytest.mark.parametrize("shape,nt", [((16, 16), 2), ((15, 17), 3), ((12, 9), 2),
+                                      ((8, 6, 7), 2), ((7, 9, 5), 2), ((6, 6, 6), 1)],
+                         ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"nt{v}")
+@pytest.mark.parametrize("kind", ["random", "gradient_plus_solenoidal"])
+def test_hodge_half_spectrum_matches_complex_fft_oracle(shape, nt, kind):
+    """The real-FFT decomposition gives the complex-FFT one's a, b2, residual,
+    a_l2, reconstruction and H^-1 proxy to 1e-12, with every mode populated."""
+    n = len(shape)
+    g = Grid(n, (-1.0,) * n, (1.5,) * n, shape, 0.0, 0.5, nt)
+    rng = np.random.default_rng(sum(shape) + nt)
+    if kind == "random":
+        b = SpaceTimeField(g, rng.standard_normal((nt,) + shape + (n,)), n)
+    else:
+        b = _gradient_plus_solenoidal(g, rng)
+    a, b2, res, a_l2, recon = _oracle_hodge(b)
+    dec = hodge_decompose(b)
+
+    def close(x, y):
+        return np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
+
+    assert close(dec.a, a)
+    assert close(dec.b2.samples, b2)
+    assert close(dec.reconstruct().samples, recon)
+    assert dec.residual == pytest.approx(res, rel=1e-12, abs=0.0)
+    assert dec.a_l2() == pytest.approx(a_l2, rel=1e-12, abs=0.0)
+    assert hminus1_proxy(b) == pytest.approx(_oracle_hminus1(b), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hodge_and_hminus1_refuse_nonfinite_samples(bad):
+    g = _pgrid(16, nt=2)
+    b = np.ones((2, 16, 16, 2))
+    b[1, 3, 5, 0] = bad
+    f = SpaceTimeField(g, b, 2, allow_nonfinite=True)
+    msg = rf"non-finite sample \({bad}\) at index \(1, 3, 5, 0\)"
+    with pytest.raises(ValueError, match="the drift has a " + msg):
+        hodge_decompose(f)
+    with pytest.raises(ValueError, match="the field has a " + msg):
+        hminus1_proxy(f)
+
+
 @pytest.mark.parametrize("bc", ["periodic", "zero"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_samplers_bit_equal_to_per_slice_loop(n, bc):
