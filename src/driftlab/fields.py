@@ -13,6 +13,7 @@ Two boundary modes are supported:
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import struct
@@ -150,9 +151,11 @@ def _slab(arr, axis, i, j):
 def _extend(a, axis, bc, width=(1, 1)):
     """a extended along axis by (before, after) cells from beyond the box: the
     wrapped cells on periodic grids, zeros on zero grids."""
-    pad = [(0, 0)] * a.ndim
-    pad[axis] = width
-    return np.pad(a, pad, mode="wrap" if bc == PERIODIC else "constant")
+    if bc == PERIODIC:
+        ends = _slab(a, axis, a.shape[axis] - width[0], None), _slab(a, axis, 0, width[1])
+    else:
+        ends = [np.zeros(a.shape[:axis] + (w,) + a.shape[axis + 1:], a.dtype) for w in width]
+    return np.concatenate([ends[0], a, ends[1]], axis=axis)
 
 
 def _box(grid, lo, hi):
@@ -282,12 +285,11 @@ def _sq_distance(X, center):
     return out
 
 
-def _interpolate(grid, samples, pts):
-    """Linear interpolation in space of m slices (m, *grid.shape, *comp) at
-    points (npts, n), giving (m, npts, *comp): one bilinear (2D) or trilinear
-    (3D) multiply-add per cell corner serves every slice and component.
-    Periodic grids wrap; on zero grids a point beyond the outermost cell
-    centers on any axis samples 0."""
+def _stencil(grid, pts):
+    """The linear interpolation stencil of points (npts, n) on the grid: per cell
+    corner, each point's flat cell index; per axis, its fraction past the cell
+    below; and the points that sample 0 (on zero grids, those beyond the
+    outermost cell centers on any axis; periodic grids wrap)."""
     # cell index below each point and the fraction past it, per axis
     base, frac = [], []
     inside = np.ones(len(pts), dtype=bool)
@@ -298,21 +300,33 @@ def _interpolate(grid, samples, pts):
         frac.append(x - i0)
         inside &= (x >= 0) & (x <= grid.shape[i] - 1)
     mode = "wrap" if grid.bc == PERIODIC else "clip"
+    # 4-byte indices halve the stencil's largest array wherever they can address the grid
+    index = np.int32 if math.prod(grid.shape) <= np.iinfo(np.int32).max else np.intp
+    cells = np.array([np.ravel_multi_index([b + c for b, c in zip(base, corner)], grid.shape,
+                                           mode=mode)
+                      for corner in itertools.product((0, 1), repeat=grid.n)], index)
+    outside = np.flatnonzero(~inside) if grid.bc != PERIODIC else np.empty(0, np.intp)
+    return cells, np.array(frac), outside
+
+
+def _interpolate(grid, stencil, samples):
+    """Linear interpolation in space of m slices (m, *grid.shape, *comp) through
+    a `_stencil` of npts points, giving (m, npts, *comp): one bilinear (2D) or
+    trilinear (3D) multiply-add per cell corner serves every slice and component."""
+    cells, frac, outside = stencil
     comp = samples.shape[1 + grid.n:]
     ncomp = math.prod(comp)
     flat = samples.reshape((len(samples), -1, ncomp))
+    below = [1.0 - fr for fr in frac]
     # components stay innermost, so each corner is one contiguous multiply-add
-    vals = np.zeros((len(samples), len(pts) * ncomp))
-    for corner in itertools.product((0, 1), repeat=grid.n):
-        cell = np.ravel_multi_index([b + c for b, c in zip(base, corner)], grid.shape,
-                                    mode=mode)
-        w = math.prod(fr if c else 1.0 - fr for fr, c in zip(frac, corner))
+    vals = np.zeros((len(samples), cells.shape[1] * ncomp))
+    for cell, corner in zip(cells, itertools.product((0, 1), repeat=grid.n)):
+        w = math.prod(fr if c else fb for fr, fb, c in zip(frac, below, corner))
         term = np.take(flat, cell, axis=1).reshape(vals.shape)
         term *= np.repeat(w, ncomp)
         vals += term
-    vals = vals.reshape((len(samples), len(pts)) + comp)
-    if grid.bc != PERIODIC and not inside.all():
-        vals[:, ~inside] = 0.0
+    vals = vals.reshape((len(samples), cells.shape[1]) + comp)
+    vals[:, outside] = 0.0
     return vals
 
 
@@ -388,12 +402,28 @@ class ShellSamples:
         return [self.point_weights[s:e] for s, e in self.spans]
 
 
+@functools.lru_cache(maxsize=8)
+def _shell_geometry(n, lo, hi, shape, bc, center, radii):
+    """Normals, weights, ends and interpolation stencil of the shells of the given
+    radii around center on a grid's spatial geometry, all read-only: a function of
+    floats and tuples alone, so it holds no samples and cannot go stale."""
+    g = Grid(n, lo, hi, shape, bc=bc)
+    counts = [default_shell_points(n, r, min(g.h)) for r in radii]
+    pts, normals, weights = _sphere_nodes(n, radii, counts)
+    arrays = normals, weights, np.cumsum(counts, dtype=np.intp), *_stencil(g, pts + center)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def shell_restrict(f, center, radii):
     """Linear-interpolate f onto spheres around center, with quadrature weights.
 
     Each sphere takes `default_shell_points` points.  The nodes of all radii
     are built in one pass, and share one `_interpolate` call over every time
-    slice and component.
+    slice and component.  The nodes, weights and stencil of the last 8
+    (grid geometry, center, radii) sets are kept, read-only (`_shell_geometry`);
+    the samples are read afresh on every call.
     """
     g = f.grid
     center = np.asarray(center, dtype=float)
@@ -401,12 +431,12 @@ def shell_restrict(f, center, radii):
         for r in radii:
             if np.any(center - r < g.lo) or np.any(center + r > g.hi):
                 raise ValueError(f"shell r={r} exits the domain")
-    hmin = min(g.h)
-    counts = [default_shell_points(g.n, r, hmin) for r in radii]
-    pts, normals, weights = _sphere_nodes(g.n, radii, counts)
-    vals = _interpolate(g, f.samples, pts + center)
+    normals, weights, ends, *stencil = _shell_geometry(
+        g.n, tuple(map(float, g.lo)), tuple(map(float, g.hi)), tuple(g.shape), g.bc,
+        tuple(map(float, center)), tuple(map(float, radii)))
+    vals = _interpolate(g, stencil, f.samples)
     return ShellSamples(tuple(center), np.asarray(radii, dtype=float), vals, normals,
-                        weights, np.cumsum(counts, dtype=np.intp))
+                        weights, ends)
 
 
 # ---------------------------------------------------------------------------

@@ -137,13 +137,13 @@ def _magnitude(samples, scalar):
 
 def _sphere_norms(sh, tidx, p):
     """Table of ||f(., t)||_{L^p_sigma(dB_r)} from f's shell samples: one row per
-    radius, one column per selected time.  The magnitude and its power are taken
-    over the points of all radii at once."""
+    radius, one column per selected time.  Each is one reduction over the points
+    of all radii at once, split at the spheres' starts."""
     a = _magnitude(sh.values[tidx], sh.values.ndim == 2)
+    starts = [s for s, _ in sh.spans]
     if np.isinf(p):
-        return np.array([a[:, s:e].max(axis=-1) for s, e in sh.spans])
-    a, w = a**p, sh.point_weights
-    return np.array([(a[:, s:e] @ w[s:e]) ** (1.0 / p) for s, e in sh.spans])
+        return np.maximum.reduceat(a, starts, axis=-1).T
+    return (np.add.reduceat(a**p * sh.point_weights, starts, axis=-1) ** (1.0 / p)).T
 
 
 def _spatial_mask(grid, region):
@@ -286,8 +286,10 @@ def good_slices(b, center, rho, R, t0, t1, q=INF, p=INF, kappa=1.0):
 
     Tests the SLICE_RADII cell midpoints of (rho, R) and keeps the radii whose
     slice norm^kappa is at most twice the kappa-average, which guarantees
-    measure(A) >= (R - rho)/2.
+    measure(A) >= (R - rho)/2.  A NaN or infinite sample of b is refused with a
+    ValueError naming its index.
     """
+    _require_finite(b.samples, "b")
     return _good_slices(b, center, rho, R, t0, t1, q, p, kappa)[0]
 
 
@@ -298,7 +300,7 @@ def _good_slices(b, center, rho, R, t0, t1, q=INF, p=INF, kappa=1.0):
     tidx, tw = _time_selection(b.grid, t0, t1)
     shells = shell_restrict(b, center, radii)
     per_rt = _sphere_norms(shells, tidx, p)
-    norms = np.array([_pnorm(per_t, tw, q) for per_t in per_rt])
+    norms = _pnorm(per_rt, tw, q)
     powered = norms**kappa
     threshold = 2.0 * powered.mean()
     mask = powered <= threshold + 1e-300

@@ -37,7 +37,8 @@ import numpy as np
 
 from .fields import (PERIODIC, ZERO, SpaceTimeField, _box, _box_bc, _component_sum,
                      _curl_components, _interpolate, _require_finite, _slab, _sq_distance,
-                     cell_to_face, divergence, face_diff, face_to_cell, grid_laplacian)
+                     _stencil, cell_to_face, divergence, face_diff, face_to_cell,
+                     grid_laplacian)
 
 BUFFER_CELLS = 3
 _EPS = np.finfo(float).eps
@@ -786,9 +787,9 @@ def dynamic_rescale(run):
     Y = g.meshgrid()
     y = np.stack(Y, axis=-1)
     for j in range(g.nt):
-        pts = (lam[j] * y).reshape(-1, g.n)
-        theta_t[j] = _interpolate(g, run.trajectory.samples[j:j + 1], pts).reshape(g.shape)
-        drift_t[j] = _interpolate(g, bfield.samples[j:j + 1], pts).reshape(y.shape)
+        stencil = _stencil(g, (lam[j] * y).reshape(-1, g.n))
+        theta_t[j] = _interpolate(g, stencil, run.trajectory.samples[j:j + 1]).reshape(g.shape)
+        drift_t[j] = _interpolate(g, stencil, bfield.samples[j:j + 1]).reshape(y.shape)
         drift_t[j] -= lam_dot[j] * y
 
     r = np.sqrt(_sq_distance(Y, (0.0,) * g.n))

@@ -9,6 +9,8 @@ from driftlab.fields import (
     Grid,
     SpaceTimeField,
     _ddx,
+    _extend,
+    _shell_geometry,
     _sphere_nodes,
     cell_to_face,
     default_shell_points,
@@ -264,6 +266,88 @@ def test_sphere_nodes_batch_matches_per_radius(n):
     f = gaussian_field(box(n, 16))
     sh = shell_restrict(f, (0,) * n, [])
     assert sh.values.shape == (1, 0) and sh.samples == [] and sh.weights == []
+
+
+@pytest.mark.parametrize("bc,mode", [("periodic", "wrap"), ("zero", "constant")])
+@pytest.mark.parametrize("width", [(1, 1), (1, 0), (0, 1)])
+# 2D and 3D, and arrays with a zero-length axis: the faces of an empty support box
+@pytest.mark.parametrize("shape", [(5, 4), (3, 4, 5), (1, 6), (0, 3), (3, 0), (2, 0, 4)])
+def test_extend_bit_equal_to_np_pad(shape, width, bc, mode):
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    a = rng.standard_normal(shape)
+    a.reshape(-1)[::3] = -0.0
+    for axis in range(a.ndim):
+        if bc == "periodic" and shape[axis] == 0:
+            continue  # np.pad cannot wrap an empty axis; a periodic box spans its axis
+        pad = [(0, 0)] * a.ndim
+        pad[axis] = width
+        want = np.pad(a, pad, mode=mode)
+        got = _extend(a, axis, bc, width)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def _shell_case(bc="zero", lo=(-1.0, -0.6), hi=(1.2, 0.8)):
+    """A vector field on an anisotropic 2D box and shells around its middle, the
+    outer one within a fifth of a cell of the box on the narrow axis."""
+    g = Grid(2, lo, hi, (24, 17), 0.0, 1.0, 3, bc)
+    rng = np.random.default_rng(9)
+    f = SpaceTimeField(g, rng.standard_normal((3, 24, 17, 2)), 2)
+    center = (np.asarray(lo, dtype=float) + np.asarray(hi, dtype=float)) / 2
+    radii = [0.25, (hi[1] - lo[1]) / 2 - 0.2 * g.h[1]]
+    return f, center, radii
+
+
+def _shell_arrays(sh):
+    return sh.values, sh.point_weights, sh.point_normals, sh.ends
+
+
+def test_shell_geometry_cache_reuses_only_geometry():
+    _shell_geometry.cache_clear()
+    f, center, radii = _shell_case()
+    cold = shell_restrict(f, center, radii)
+    warm = shell_restrict(f, center, radii)
+    info = _shell_geometry.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    for a, b in zip(_shell_arrays(cold), _shell_arrays(warm)):
+        assert np.array_equal(a, b)
+    # the geometry is read-only; the samples are read afresh on every call
+    for a in _shell_arrays(warm)[1:]:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    f.samples *= 2.0
+    assert np.array_equal(shell_restrict(f, center, radii).values, 2.0 * cold.values)
+    assert _shell_geometry.cache_info().hits == 2
+
+
+def test_shell_geometry_cache_keys_on_extent_and_boundary_mode():
+    _shell_geometry.cache_clear()
+    f, center, radii = _shell_case()
+    base = shell_restrict(f, center, radii)
+    wider, _, _ = _shell_case(lo=(-1.1, -0.6), hi=(1.3, 0.8))  # same center, same shape
+    periodic, _, _ = _shell_case(bc="periodic")
+    for g in (wider, periodic):
+        sh = shell_restrict(SpaceTimeField(g.grid, f.samples, 2), center, radii)
+        assert not np.array_equal(sh.values, base.values)
+    assert _shell_geometry.cache_info().misses == 3
+    # list and ndarray bounds hash to the tuple grid's key and give its values
+    for lo, hi in (([-1, -0.6], [1.2, 0.8]), (np.array([-1.0, -0.6]), np.array([1.2, 0.8]))):
+        g = Grid(2, lo, hi, (24, 17), 0.0, 1.0, 3, "zero")
+        sh = shell_restrict(SpaceTimeField(g, f.samples, 2), list(center), np.array(radii))
+        for a, b in zip(_shell_arrays(sh), _shell_arrays(base)):
+            assert np.array_equal(a, b)
+    assert _shell_geometry.cache_info().misses == 3
+
+
+def test_shell_exits_domain_with_cached_geometry():
+    g = box(2, 32, bc="zero")
+    f = SpaceTimeField(g, np.zeros((1, 32, 32)))
+    # the geometry of a shell beyond the box, cached as if a call had built it
+    _shell_geometry(2, g.lo, g.hi, g.shape, "zero", (0.8, 0.0), (0.5,))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="exits the domain"):
+            shell_restrict(f, (0.8, 0.0), [0.5])
 
 
 def _map_coordinates_shells(f, center, sh):

@@ -432,3 +432,16 @@ def test_fbc_refuses_a_non_finite_sample(bad):
     zero = SpaceTimeField(g, np.zeros_like(samples), 2)
     with pytest.raises(ValueError, match=rf"u has a non-finite sample \({bad}\) at index \(2, 3, 4\)"):
         fbc_test(zero, u, params, (0, 0), 0.45, 0.9, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_good_slices_refuses_a_non_finite_sample(bad):
+    # a NaN made every slice bad with a NaN threshold, and +inf every slice
+    # good with an infinite one
+    g = grid2(32, nt=3, L=1.0, bc="periodic")
+    samples = np.zeros((g.nt,) + tuple(g.shape) + (2,))
+    samples[1, 26, 16, 0] = bad
+    b = SpaceTimeField(g, samples, 2, allow_nonfinite=True)
+    where = rf"b has a non-finite sample \({bad}\) at index \(1, 26, 16, 0\)"
+    with pytest.raises(ValueError, match=where):
+        good_slices(b, (0, 0), 0.45, 0.9, 0.0, 1.0)

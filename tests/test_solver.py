@@ -1581,3 +1581,21 @@ def test_steady_drift_peaks_found_once():
     run = solve(gaussian_blob(g, (0.1, 0.0), 0.3), drift, g)
     assert len(run.step_times) > 20
     assert sorted(calls) == ["max", "max", "min", "min"]
+
+
+def test_dynamic_rescale_builds_one_stencil_per_slice(monkeypatch):
+    # θ and b are sampled at the same points λ(t)y, so they share a stencil
+    import driftlab.solver as solver
+    from driftlab.fields import _stencil
+
+    g = pgrid(32, t1=0.02, nt=4)
+    run = solve(gaussian_blob(g, (0.0, 0.0), 0.3, normalize=False), None, g)
+    built = []
+
+    def counting_stencil(grid, pts):
+        built.append(pts)
+        return _stencil(grid, pts)
+
+    monkeypatch.setattr(solver, "_stencil", counting_stencil)
+    dynamic_rescale(run)
+    assert len(built) == g.nt
