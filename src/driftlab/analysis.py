@@ -160,12 +160,14 @@ def _cyl_masks(grid, cyl):
 
 
 def local_boundedness_quotient(run, inner, outer, gamma=1.0):
-    """sup_{Q'} |θ| divided by ∥θ∥_{L^γ(Q \\ Q')} for nested cylinders."""
+    """sup_{Q'} |θ| divided by ∥θ∥_{L^γ(Q \\ Q')} for nested cylinders; refuses a
+    non-finite θ, naming its first bad index."""
     if not 0 < gamma <= 2:
         raise ValueError("gamma must lie in (0, 2]")
     if not outer.contains(inner):
         raise ValueError("inner cylinder is not nested in the outer one")
     field = _trajectory(run)
+    _require_finite(field.samples, "theta")
     g = field.grid
     si, ti = _cyl_masks(g, inner)
     so, to = _cyl_masks(g, outer)
@@ -188,10 +190,11 @@ class HarnackReport:
 
 def harnack_quotient(run, center, radius, I1, I2):
     """sup over B×I₁ divided by inf over B×I₂ (with the θ + κ device,
-    κ = 10⁻¹² max θ)."""
+    κ = 10⁻¹² max θ); refuses a non-finite θ, naming its first bad index."""
     if not I1[1] <= I2[0]:
         raise ValueError("I1 must end before I2 begins")
     field = _trajectory(run)
+    _require_finite(field.samples, "theta")
     g = field.grid
     space = np.sqrt(_sq_distance(g.meshgrid(), center)) <= radius
     m1, m2 = _time_window(g, *I1), _time_window(g, *I2)
@@ -234,9 +237,11 @@ def moser_trace(run, center, rho, R, T, tau, t_end, fbc, kmax=8):
 
     Cylinder k is B_{ϱ_k} × (τ_k, t_end] with ϱ_k = ϱ + 2^{−k}(R − ϱ) and
     τ_k = τ − 2^{−k}(τ − T); norms are taken in the normalized (probability)
-    measure, so M_k increases towards (sup over the inner cylinder)².
+    measure, so M_k increases towards (sup over the inner cylinder)².  A
+    non-finite θ is refused, naming its first bad index.
     """
     field = _trajectory(run)
+    _require_finite(field.samples, "theta")
     g = field.grid
     if not (rho < R and T < tau < t_end):
         raise ValueError("ladder geometry must be nested")
@@ -322,9 +327,11 @@ def davies_energy(run, probe, params=None):
     """J(t) = ½∫ e^{2ψ} θ² and the smallest C making the Gronwall bound hold.
 
     Checks J(t) ≤ C J(0) exp((Cγ² + C M₀ γ^{2+α₀} + |x₀|⁻²) t − t₀) and
-    reports the minimal C bisected on [0, 10⁶] (C = ∞ if 10⁶ fails).
+    reports the minimal C bisected on [0, 10⁶] (C = ∞ if 10⁶ fails).  A
+    non-finite θ is refused, naming its first bad index.
     """
     field = _trajectory(run)
+    _require_finite(field.samples, "theta")
     g = field.grid
     r = np.sqrt(_sq_distance(g.meshgrid(), (0.0,) * g.n))
     w = np.exp(2.0 * probe.psi(r))
@@ -394,9 +401,11 @@ def tail_check(run, params, source, s):
     majorizes every sample; the reported c is the largest one whose C(c) stays
     within 4 times the best achievable C.  Also classifies each sample by
     active branch (Gaussian vs stretched-exponential) and by inner/outer
-    regime (outer: M₀^{1/α₀} r/τ ≥ 16, or r ≥ 16√τ when α₀ = 0).
+    regime (outer: M₀^{1/α₀} r/τ ≥ 16, or r ≥ 16√τ when α₀ = 0).  A
+    non-finite θ is refused, naming its first bad index.
     """
     field = _trajectory(run)
+    _require_finite(field.samples, "theta")
     g = field.grid
     tau_min = 40.0 * min(g.h) ** 2
     rmax = 0.4 * min(g.hi[i] - g.lo[i] for i in range(g.n))

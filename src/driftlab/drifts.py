@@ -767,17 +767,14 @@ def _wavenumbers(grid):
     return d, k2, nyq
 
 
-def _minus_div(a, d):
-    """-div a for one time slice of the stream matrix, (-div a)_i = -d_l a_il, on
-    real FFTs: each a_il with i < l is transformed once, and a_li = -a_il."""
-    n = len(d)
-    tot = [0.0] * n
-    for i in range(n):
-        for l in range(i + 1, n):
-            ah = np.fft.rfftn(a[..., i, l], axes=tuple(range(n)))
-            tot[i] = tot[i] - d[l] * ah
-            tot[l] = tot[l] + d[i] * ah
-    return np.stack([np.fft.irfftn(t, s=a.shape[:n], axes=tuple(range(n))) for t in tot], axis=-1)
+def _minus_div(ah, d):
+    """The spectra of -div a for one time slice, (-div a)_i = -d_l a_il, from the
+    spectra ah[i, l] of a's entries with i < l (a_li = -a_il)."""
+    tot = [0.0] * len(d)
+    for (i, l), h in ah.items():
+        tot[i] = tot[i] - d[l] * h
+        tot[l] = tot[l] + d[i] * h
+    return tot
 
 
 def _half_weights(m):
@@ -788,10 +785,13 @@ def _half_weights(m):
 
 @dataclass
 class HodgeDecomposition:
+    """b = -div a + b2, per time slice, on real FFTs (see ``hodge_decompose``)."""
+
     a: np.ndarray          # (nt, *shape, n, n), antisymmetric stream matrix
     b2: SpaceTimeField     # remainder (constant mode + non-solenoidal part)
     grid: Grid
-    residual: float        # relative reconstruction error
+    residual: float        # solenoidal share of b2 (ROADMAP item 6's sign)
+    reconstruction_error: float  # max|(b2 - div a) - b| / max|b|, formed with b2
 
     def a_l2(self):
         return float(np.sqrt((self.a**2).sum() * self.grid.cell_volume
@@ -799,11 +799,14 @@ class HodgeDecomposition:
 
     def reconstruct(self):
         """-div a (spectral) plus b2; reproduces the input field."""
-        g = self.grid
+        g, axes = self.grid, tuple(range(self.grid.n))
         d = _wavenumbers(g)[0]
         out = np.array(self.b2.samples)
         for j in range(g.nt):
-            out[j] += _minus_div(self.a[j], d)
+            ah = {(i, l): np.fft.rfftn(self.a[j, ..., i, l], axes=axes)
+                  for i in range(g.n) for l in range(i + 1, g.n)}
+            out[j] += np.stack([np.fft.irfftn(t, s=g.shape, axes=axes)
+                                for t in _minus_div(ah, d)], axis=-1)
         return SpaceTimeField(g, out, g.n)
 
 
@@ -812,9 +815,10 @@ def hodge_decompose(b):
 
     a_ij = inverse-Laplacian of (d_i b_j - d_j b_i), per time slice on the half
     spectrum of real FFTs: one ``rfftn`` per component, one ``irfftn`` per a_il
-    with i < l, and a derivative of 0 at an even axis's Nyquist entry.  For
-    divergence-free mean-zero b this reproduces b exactly, the constant Fourier
-    mode is routed to b2, and a non-finite sample is refused by name.
+    with i < l and one per component of -div a, whose spectrum is formed from
+    a's (5 in 2D, 9 in 3D), and a derivative of 0 at an even axis's Nyquist
+    entry.  For divergence-free mean-zero b this reproduces b exactly, the
+    constant Fourier mode is routed to b2, and a non-finite sample is refused.
     """
     g = b.grid
     if g.bc != "periodic":
@@ -827,28 +831,29 @@ def hodge_decompose(b):
     w = _half_weights(g.shape[-1])
     n, axes = g.n, tuple(range(g.n))
     a = np.zeros((g.nt,) + tuple(g.shape) + (n, n))
-    b1 = np.zeros_like(b.samples)
-    denom = 0.0
+    # b2 carries whatever -div a missed, including the constant Fourier mode
+    rem = np.empty_like(b.samples)
+    denom = leak = err = scale = 0.0
     for j in range(g.nt):
+        scale = max(scale, np.abs(b.samples[j]).max())  # no temporary the size of b
         bh = [np.fft.rfftn(b.samples[j, ..., c], axes=axes) for c in range(n)]
         for c in range(n):
             denom += (w * np.abs(bh[c]) ** 2).sum()
-        for i in range(n):
-            for l in range(i + 1, n):
-                # a_il solves Lap a_il = d_i b_l - d_l b_i
-                arr = np.fft.irfftn(-(d[i] * bh[l] - d[l] * bh[i]) * inv, s=g.shape, axes=axes)
-                a[j, ..., i, l] = arr
-                a[j, ..., l, i] = -arr
-        # b1 from the stored real a, exactly as reconstruct() forms it
-        b1[j] = _minus_div(a[j], d)
-    # b2 carries whatever -div a missed, including the constant Fourier mode.
-    # The residual measures the mean-zero solenoidal content of b2, which is
-    # exactly what the antisymmetric potential is supposed to absorb.
-    rem = b.samples - b1
-    b2 = SpaceTimeField(g, rem, n)
-    leak = 0.0
-    for j in range(g.nt):
-        rh = [np.fft.rfftn(rem[j, ..., c], axes=axes) for c in range(n)]
+        # a_il solves Lap a_il = d_i b_l - d_l b_i
+        ah = {(i, l): -(d[i] * bh[l] - d[l] * bh[i]) * inv
+              for i in range(n) for l in range(i + 1, n)}
+        for (i, l), h in ah.items():
+            arr = np.fft.irfftn(h, s=g.shape, axes=axes)
+            a[j, ..., i, l] = arr
+            a[j, ..., l, i] = -arr
+        tot = _minus_div(ah, d)  # the spectra of b1 = -div a, from a's
+        for c in range(n):
+            b1 = np.fft.irfftn(tot[c], s=g.shape, axes=axes)
+            rem[j, ..., c] = b.samples[j, ..., c] - b1
+            err = max(err, np.abs(rem[j, ..., c] + b1 - b.samples[j, ..., c]).max())
+        # The residual measures the mean-zero solenoidal content of b2, which
+        # is exactly what the antisymmetric potential is supposed to absorb.
+        rh = [bh[c] - tot[c] for c in range(n)]  # b2's spectra
         # sol = rh - ik div/|k|² with div = ik·rh, summed over the full spectrum:
         # |sol|² = |rh|² + 3|k·rh|²/|k|² (the sign is ROADMAP item 6's defect).
         # Over a conjugate pair |k·rh|² sums to 2(|d·rh|² + |nyq·rh|²).
@@ -858,7 +863,7 @@ def hodge_decompose(b):
         sol2[(0,) * n] = 0.0
         leak += float((w * sol2).sum())
     res = 0.0 if denom == 0 else float(np.sqrt(leak / denom))
-    return HodgeDecomposition(a, b2, g, res)
+    return HodgeDecomposition(a, SpaceTimeField(g, rem, n), g, res, float(err / max(scale, 1e-300)))
 
 
 def hminus1_proxy(b):

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (_component_sum, _refuse_nan, _require_finite, _sq_distance, gradient,
-                     shell_restrict)
+from .fields import (_box, _component_sum, _ddx, _refuse_nan, _require_finite,
+                     _sq_distance, shell_restrict)
 
 INF = np.inf
 SLICE_RADII = 33  # radii that good_slices tests on an annulus
@@ -402,14 +402,19 @@ def _flux_average(b_shells, u, center, slices, t0, t1):
 
 
 def _energy_terms(u, center, rho, R, t0, t1):
+    """u's FBC energy terms on B_R and B_R \\ B_rho, taken on B_R's box (``fields._box``) with
+    one cell of margin and one of halo, whose own derivatives fall outside B_R."""
     g = u.grid
     tidx, tw = _time_selection(g, t0, t1)
-    X = g.meshgrid()
-    r = np.sqrt(_sq_distance(X, center))
+    x, span = (np.asarray(center, dtype=float) - g.lo) / g.h - 0.5, R / np.array(g.h)
+    box = _box(g, np.floor(x - span).astype(int) - 1, np.ceil(x + span).astype(int) + 2)
+    r = np.sqrt(_sq_distance(np.meshgrid(*[g.axis(i)[s] for i, s in enumerate(box)],
+                                         indexing="ij"), center))
     ann = (r >= rho) & (r <= R)
     ballm = r <= R
-    u2 = u.samples[tidx] ** 2
-    g2 = _component_sum(gradient(u).samples[tidx] ** 2)
+    on_box = u.samples[(tidx,) + box]
+    u2 = on_box**2
+    g2 = sum(_ddx(on_box, 1 + i, g.h[i], g.bc) ** 2 for i in range(g.n))  # _component_sum's order
     vol = g.cell_volume
 
     def integral(a, mask):

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlab.analysis import (
     Cylinder,
@@ -20,6 +22,7 @@ from driftlab.analysis import (
 )
 from driftlab.drifts import (
     build_elliptic,
+    heat_kernel,
     heat_subsolution,
     hodge_decompose,
     subsolution_level,
@@ -416,3 +419,37 @@ def test_dilate_matches_ndimage(ndim):
     # a read-only broadcast mask, as a steady kink set over all stored times
     mask = np.broadcast_to(rng.random((1, 9, 7)) < 0.1, (4, 9, 7))
     assert np.array_equal(_dilate(mask), ndimage.binary_dilation(mask, iterations=2))
+
+
+# ---------------------------------------------------------------------------
+# non-finite trajectories
+
+
+# Each diagnostic on a heat-kernel trajectory Γ(x, t), t in [0.01, 0.15], 64²
+# cells on [-1, 1]².  One bad sample must be refused by name, not turned into a
+# NaN, an inf, a -0.0 or numpy's zero-size reduction error.
+TRAJECTORY_DIAGNOSTICS = {
+    "tail_check": lambda th: tail_check(th, drift_free_params(), (0.0, 0.0), 0.0),
+    "moser_trace": lambda th: moser_trace(th, (0.0, 0.0), 0.4, 0.8, 0.01, 0.05, 0.15, FBC),
+    "davies_energy": lambda th: davies_energy(th, davies_probe(None, (0.6, 0.3), 1.0),
+                                              drift_free_params()),
+    "local_boundedness_quotient": lambda th: local_boundedness_quotient(
+        th, Cylinder((0.0, 0.0), 0.3, 0.05, 0.1), Cylinder((0.0, 0.0), 0.6, 0.01, 0.15)),
+    "harnack_quotient": lambda th: harnack_quotient(th, (0.0, 0.0), 0.5, (0.01, 0.05),
+                                                    (0.08, 0.15)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_DIAGNOSTICS))
+@settings(max_examples=10, deadline=None)
+@given(idx=st.tuples(st.integers(0, 7), st.integers(0, 63), st.integers(0, 63)))
+def test_trajectory_diagnostics_refuse_a_non_finite_sample(name, bad, idx):
+    g = Grid(2, (-1.0, -1.0), (1.0, 1.0), (64, 64), 0.01, 0.15, 8, "periodic")
+    pts = np.stack(g.meshgrid(), axis=-1)
+    samples = np.stack([heat_kernel(pts, t, 2) for t in g.times])
+    samples[idx] = bad
+    th = SpaceTimeField(g, samples, allow_nonfinite=True)
+    with pytest.raises(ValueError, match=re.escape(
+            f"theta has a non-finite sample ({bad}) at index {idx}")):
+        TRAJECTORY_DIAGNOSTICS[name](th)

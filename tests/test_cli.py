@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from driftlab.cli import (BLOWUP, DIFFUSION, NASH, ConfigError, main, parse_config,
                           trig_stream_field)
-from driftlab.drifts import DriftAssembly, assemble_selfsimilar
+from driftlab.drifts import DriftAssembly, HodgeDecomposition, assemble_selfsimilar
 from driftlab.fields import Grid, SpaceTimeField, write_field
 
 from pathlib import Path
@@ -322,6 +322,23 @@ def test_decompose_3d_assembly(tmp_path, capsys):
     assert run_cli("decompose", str(dump)) == 0
     err = float(capsys.readouterr().out.split("reconstruction_error = ")[1])
     assert err < 1e-12
+
+
+def test_decompose_takes_its_error_from_the_decomposition(tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("decompose forms -div a again")
+
+    monkeypatch.setattr(HodgeDecomposition, "reconstruct", refuse)
+    g = Grid(2, (-1.0,) * 2, (1.0,) * 2, (32,) * 2, 0.0, 1.0, 2, "periodic")
+    dump = tmp_path / "b.dlf1"
+    write_field(dump, trig_stream_field(g, seed=6, amplitude=1.0))
+    assert run_cli("decompose", str(dump)) == 0
+    err = float(capsys.readouterr().out.split("reconstruction_error = ")[1])
+    assert err <= 1e-15
+    zero = Grid(2, (-1.0,) * 2, (1.0,) * 2, (32,) * 2, 0.0, 1.0, 2, "zero")
+    write_field(dump, trig_stream_field(zero, seed=6, amplitude=1.0))
+    assert run_cli("decompose", str(dump)) == 2
+    assert "periodic grid" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

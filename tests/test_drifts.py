@@ -30,7 +30,9 @@ from driftlab.drifts import (
     subsolution_radius,
     t_of_u,
     u_of_t,
+    _half_weights,
     _radial_mollify,
+    _wavenumbers,
 )
 from driftlab.cli import trig_stream_field
 from driftlab.fields import Grid, SpaceTimeField, curl, divergence, face_to_cell
@@ -597,6 +599,93 @@ def test_hodge_half_spectrum_matches_complex_fft_oracle(shape, nt, kind):
     assert dec.residual == pytest.approx(res, rel=1e-12, abs=0.0)
     assert dec.a_l2() == pytest.approx(a_l2, rel=1e-12, abs=0.0)
     assert hminus1_proxy(b) == pytest.approx(_oracle_hminus1(b), rel=1e-12, abs=0.0)
+
+
+# The two-pass decomposition that the one-pass one replaced, kept as its
+# reference: b1 from the real samples of a, transformed again, the residual
+# from the spectra of b2, and the CLI's error from reconstruct().
+def _two_pass_minus_div(a, d):
+    n = len(d)
+    tot = [0.0] * n
+    for i in range(n):
+        for l in range(i + 1, n):
+            ah = np.fft.rfftn(a[..., i, l], axes=tuple(range(n)))
+            tot[i] = tot[i] - d[l] * ah
+            tot[l] = tot[l] + d[i] * ah
+    return np.stack([np.fft.irfftn(t, s=a.shape[:n], axes=tuple(range(n))) for t in tot], axis=-1)
+
+
+def _two_pass_hodge(b):
+    """(a, b2, residual, reconstruction_error) by the two-pass formulas."""
+    g = b.grid
+    d, k2, nyq = _wavenumbers(g)
+    inv = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
+    w = _half_weights(g.shape[-1])
+    n, axes = g.n, tuple(range(g.n))
+    a = np.zeros((g.nt,) + tuple(g.shape) + (n, n))
+    b1 = np.zeros_like(b.samples)
+    denom = 0.0
+    for j in range(g.nt):
+        bh = [np.fft.rfftn(b.samples[j, ..., c], axes=axes) for c in range(n)]
+        for c in range(n):
+            denom += (w * np.abs(bh[c]) ** 2).sum()
+        for i in range(n):
+            for l in range(i + 1, n):
+                arr = np.fft.irfftn(-(d[i] * bh[l] - d[l] * bh[i]) * inv, s=g.shape, axes=axes)
+                a[j, ..., i, l] = arr
+                a[j, ..., l, i] = -arr
+        b1[j] = _two_pass_minus_div(a[j], d)
+    rem = b.samples - b1
+    leak = 0.0
+    for j in range(g.nt):
+        rh = [np.fft.rfftn(rem[j, ..., c], axes=axes) for c in range(n)]
+        div = sum(d[c] * rh[c] for c in range(n))
+        top = sum(nyq[c] * rh[c] for c in range(n))
+        sol2 = sum(np.abs(r) ** 2 for r in rh) + 3.0 * (np.abs(div) ** 2 + np.abs(top) ** 2) * inv
+        sol2[(0,) * n] = 0.0
+        leak += float((w * sol2).sum())
+    res = 0.0 if denom == 0 else float(np.sqrt(leak / denom))
+    recon = np.array(rem)
+    for j in range(g.nt):
+        recon[j] += _two_pass_minus_div(a[j], d)
+    err = np.abs(recon - b.samples).max() / max(np.abs(b.samples).max(), 1e-300)
+    return a, rem, res, err
+
+
+@pytest.mark.parametrize("shape,nt", [((16, 16), 1), ((15, 17), 3), ((12, 9), 2),
+                                      ((8, 6, 7), 2), ((7, 9, 5), 3), ((6, 6, 6), 1)],
+                         ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"nt{v}")
+@pytest.mark.parametrize("kind", ["random", "gradient_plus_solenoidal"])
+def test_hodge_one_pass_matches_two_pass(shape, nt, kind):
+    """b1's spectrum taken from a's, not from a's samples, leaves a bit-identical,
+    moves b2 and the residual by round-off only, and gives the CLI's error."""
+    n = len(shape)
+    g = Grid(n, (-1.0,) * n, (1.5,) * n, shape, 0.0, 0.5, nt)
+    rng = np.random.default_rng(3 * sum(shape) + nt)
+    if kind == "random":
+        b = SpaceTimeField(g, rng.standard_normal((nt,) + shape + (n,)), n)
+    else:
+        b = _gradient_plus_solenoidal(g, rng)
+    a, b2, res, err = _two_pass_hodge(b)
+    dec = hodge_decompose(b)
+    scale = np.abs(b.samples).max()
+    assert np.array_equal(dec.a, a)
+    assert np.abs(dec.b2.samples - b2).max() <= 1e-15 * scale
+    assert abs(dec.residual - res) <= max(1e-12 * res, 1e-15)
+    assert dec.reconstruction_error <= 1e-15 and err <= 1e-15
+    assert not hasattr(dec, "b1")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
+def test_hodge_residual_of_a_gradient_is_round_off():
+    # b = grad(sin x cos 2y) has no solenoidal part, so b2 = b; the residual
+    # measures rh + K(K·rh)/|K|², not the solenoidal part, and reads 2.0
+    g = _pgrid(64)
+    X, Y = g.meshgrid()
+    b = np.stack([np.cos(X) * np.cos(2 * Y), -2.0 * np.sin(X) * np.sin(2 * Y)], axis=-1)[None]
+    dec = hodge_decompose(SpaceTimeField(g, b, 2))
+    assert np.abs(dec.b2.samples - b).max() <= 1e-14
+    assert dec.residual <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -6,7 +6,8 @@ import pytest
 
 from driftlab import norms
 from driftlab.analysis import drift_free_params, fbc_tilde_test
-from driftlab.fields import Grid, SpaceTimeField, _component_sum, shell_restrict, sphere_points
+from driftlab.fields import (Grid, SpaceTimeField, _component_sum, _sq_distance, gradient,
+                             shell_restrict, sphere_points)
 from driftlab.norms import (
     Annulus,
     Box,
@@ -445,3 +446,52 @@ def test_good_slices_refuses_a_non_finite_sample(bad):
     where = rf"b has a non-finite sample \({bad}\) at index \(1, 26, 16, 0\)"
     with pytest.raises(ValueError, match=where):
         good_slices(b, (0, 0), 0.45, 0.9, 0.0, 1.0)
+
+
+# The whole-grid energy terms that the box ones replaced, kept as their
+# reference: u and |grad u|² on every cell, then the ball's cells kept.
+def _whole_grid_energy_terms(u, center, rho, R, t0, t1):
+    g = u.grid
+    tidx, tw = _time_selection(g, t0, t1)
+    r = np.sqrt(_sq_distance(g.meshgrid(), center))
+    ann = (r >= rho) & (r <= R)
+    ballm = r <= R
+    u2 = u.samples[tidx] ** 2
+    g2 = _component_sum(gradient(u).samples[tidx] ** 2)
+    vol = g.cell_volume
+
+    def integral(a, mask):
+        return float((a[:, mask].sum(axis=1) * vol * tw).sum())
+
+    return dict(bulk_annulus=integral(u2, ann), bulk_ball=integral(u2, ballm),
+                grad_annulus=integral(g2, ann), grad_ball=integral(g2, ballm),
+                sup_ball=float((u2[:, ballm].sum(axis=1) * vol).max()))
+
+
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+@pytest.mark.parametrize("case", [
+    # (lo, hi, shape, center, rho, R, t0, t1)
+    ((-2.0, -2.0), (2.0, 2.0), (64, 64), (0.0, 0.0), 0.45, 0.9, 0.0, 1.0),
+    ((-2.0, -2.0), (2.0, 2.0), (48, 40), (1.7, -0.3), 0.45, 0.9, 0.25, 0.75),
+    ((-2.0, -2.0), (2.0, 2.0), (40, 40), (1.1, -1.1), 0.45, 0.9, 0.0, 1.0),
+    ((-2.0, -1.0), (2.0, 1.0), (24, 20), (-1.9, 0.95), 1.2, 1.5, 0.0, 1.0),
+    ((-1.0, -1.0), (1.0, 1.0), (16, 18), (0.2, 0.1), 0.5, 5.0, 0.0, 1.0),
+    ((-2.0, -2.0), (2.0, 2.0), (32, 32), (0.3, 0.2), 0.9 - 1e-9, 0.9, 0.0, 1.0),
+    ((0.0, 0.0), (1.0, 1.0), (16, 16), (0.53125, 0.40625), 0.125, 0.25, 0.0, 1.0),
+    ((0.0, 0.0), (1.0, 1.0), (16, 16), (0.03125, 0.96875), 0.125, 0.25, 0.0, 1.0),
+    ((-1.0,) * 3, (1.0,) * 3, (12, 10, 14), (0.1, -0.2, 0.3), 0.3, 0.6, 0.0, 1.0),
+    ((-1.0,) * 3, (1.0,) * 3, (12, 10, 14), (0.8, -0.9, 0.0), 0.3, 0.6, 0.5, 1.0),
+], ids=["diagnose", "crosses-edge", "touches-edge", "crosses-corner", "larger-than-grid",
+        "empty-annulus", "on-cell-centers", "on-cell-centers-at-corner", "3d", "3d-crosses-edge"])
+def test_energy_terms_on_the_ball_box_equal_whole_grid(case, bc):
+    """The box of the ball, its margin and its halo gives every term bit for bit,
+    with the halo wrapping where the ball crosses a periodic edge."""
+    lo, hi, shape, center, rho, R, t0, t1 = case
+    n = len(shape)
+    g = Grid(n, lo, hi, shape, 0.0, 1.0, 5, bc)
+    rng = np.random.default_rng(sum(shape))
+    u = SpaceTimeField(g, rng.standard_normal((5,) + shape))
+    e = norms._energy_terms(u, center, rho, R, t0, t1)
+    want = _whole_grid_energy_terms(u, center, rho, R, t0, t1)
+    assert e == want
+    assert (want["bulk_annulus"] == 0.0) == (rho > R - 1e-6)
