@@ -457,7 +457,9 @@ def fbc_tilde_test(b, u, params, center, R, t0, t1):
     lhs = +(1/|A|) ∬_{∂B_A×I} (u²/2)(b·n) with A good slices in (R/2, R);
     rhs(ε) = M₀/(ε^{α₀+1} R^{α₀+2}) ∬_{B_R×I} u²
              + ε (R⁻² ∬_{B_R×I} u² + ∬ |∇u|² + sup_t ∫_{B_R} u²).
-    Satisfied iff the inequality holds for every ε in the sweep.
+    Satisfied iff the inequality holds for every ε in the sweep.  Checks b and u
+    as `norms.fbc_test` does, and shares its kept shells, good slices and energy
+    terms (`norms._kept`).
     """
     _fbc_inputs(b, u)
     slices, b_shells = _good_slices(b, center, R / 2.0, R, t0, t1)

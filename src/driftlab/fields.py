@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ PERIODIC = "periodic"
 ZERO = "zero"
 
 _MAGIC = b"DLF1"
+_HEADER_MAX = 28 + 8 * 3 + 16 + 16 * 3 + 8  # bytes of a 3D dump's header
 
 
 @dataclass(frozen=True)
@@ -467,10 +469,10 @@ def write_field(path, f):
         fh.write(np.ascontiguousarray(f.samples, dtype="<f8").tobytes())
 
 
-def read_field(path):
-    """Read a DLF1 dump; a malformed or truncated file raises ValueError."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def _dump_header(raw, size):
+    """(grid, ncomp, header bytes) of a DLF1 dump from its first bytes and its
+    size; a malformed header, or a size other than the one it declares, raises
+    ValueError."""
     if raw[:4] != _MAGIC:
         raise ValueError("not a DLF1 field dump")
     if len(raw) < 28:
@@ -491,10 +493,24 @@ def read_field(path):
     if bmode not in (0, 1):
         raise ValueError(f"DLF1 boundary mode {bmode} is not 0 or 1")
     count = nt * math.prod(shape) * ncomp
-    if len(raw) != header + 8 * count:
-        raise ValueError(f"DLF1 dump has {len(raw)} bytes, header says {header + 8 * count}")
+    if size != header + 8 * count:
+        raise ValueError(f"DLF1 dump has {size} bytes, header says {header + 8 * count}")
     grid = Grid(n, tuple(bounds[0::2]), tuple(bounds[1::2]), tuple(shape), t0, t1, nt,
                 PERIODIC if bmode == 0 else ZERO)
-    data = np.frombuffer(raw, dtype="<f8", offset=header).astype(float)
-    full = (nt,) + tuple(shape) + (() if ncomp == 1 else (ncomp,))
-    return SpaceTimeField(grid, data.reshape(full), ncomp, allow_nonfinite=True)
+    return grid, ncomp, header
+
+
+def read_field(path):
+    """Read a DLF1 dump; a malformed or truncated file raises ValueError.
+
+    The header is read and checked first, against the file's size
+    (``os.fstat``); only then is the body read, once, straight into the
+    float64 sample array, so no sample is held twice while a dump is read.
+    """
+    with open(path, "rb") as fh:
+        grid, ncomp, header = _dump_header(fh.read(_HEADER_MAX), os.fstat(fh.fileno()).st_size)
+        data = np.empty((grid.nt,) + grid.shape + (() if ncomp == 1 else (ncomp,)), "<f8")
+        fh.seek(header)
+        if fh.readinto(data) != data.nbytes:
+            raise ValueError(f"DLF1 dump has fewer than {header + data.nbytes} bytes")
+    return SpaceTimeField(grid, data, ncomp, allow_nonfinite=True)

@@ -22,6 +22,7 @@ zeta0 = 3/q + (n-1)/p. zeta0 is the criticality index.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -287,24 +288,74 @@ def good_slices(b, center, rho, R, t0, t1, q=INF, p=INF, kappa=1.0):
     Tests the SLICE_RADII cell midpoints of (rho, R) and keeps the radii whose
     slice norm^kappa is at most twice the kappa-average, which guarantees
     measure(A) >= (R - rho)/2.  A NaN or infinite sample of b is refused with a
-    ValueError naming its index.
+    ValueError naming its index.  The result is kept as `fbc_test`'s is, and its
+    arrays are read-only.
     """
     _require_finite(b.samples, "b")
     return _good_slices(b, center, rho, R, t0, t1, q, p, kappa)[0]
 
 
 def _good_slices(b, center, rho, R, t0, t1, q=INF, p=INF, kappa=1.0):
-    """`good_slices`, and b's shells on all of its radii."""
+    """`good_slices`, and b's shells on all of its radii, both kept (`_kept`)."""
     radii = rho + (R - rho) * (np.arange(SLICE_RADII) + 0.5) / SLICE_RADII
     dr = (R - rho) / SLICE_RADII
-    tidx, tw = _time_selection(b.grid, t0, t1)
-    shells = shell_restrict(b, center, radii)
-    per_rt = _sphere_norms(shells, tidx, p)
-    norms = _pnorm(per_rt, tw, q)
-    powered = norms**kappa
-    threshold = 2.0 * powered.mean()
-    mask = powered <= threshold + 1e-300
-    return GoodSlices(radii, norms, mask, float(threshold), dr), shells
+    shells = _shells(b, center, radii)
+
+    def select():
+        tidx, tw = _time_selection(b.grid, t0, t1)
+        norms = _pnorm(_sphere_norms(shells, tidx, p), tw, q)
+        powered = norms**kappa
+        threshold = 2.0 * powered.mean()
+        mask = powered <= threshold + 1e-300
+        norms.flags.writeable = mask.flags.writeable = False
+        return shells.radii, norms, mask, float(threshold), dr
+
+    key = ("slices", _point(center), rho, R, t0, t1, q, p, kappa)
+    return GoodSlices(*_kept(b, key, select)), shells
+
+
+# The FBC tests' per-field inputs: b's shells and good slices, u's shells on
+# the good radii and u's energy terms.  For each of the last _KEPT_FIELDS
+# fields (held by weak reference, so an entry goes with its field) up to
+# _KEPT_KEYS values are kept, with the field's grid and a copy of its samples.
+_KEPT = weakref.WeakKeyDictionary()  # field -> (grid, samples copy, {key: value})
+_KEPT_FIELDS = 4
+_KEPT_KEYS = 4
+
+
+def _kept(f, key, compute):
+    """compute(), or the value it gave for key on the same field object and grid
+    while f's samples still equal, dtype and all, the copy kept with them.
+    compute() hands back read-only arrays or values no caller changes."""
+    entry = _KEPT.pop(f, None)
+    samples = f.samples
+    if (entry is None or entry[0] is not f.grid or entry[1].dtype != samples.dtype
+            or not np.array_equal(entry[1], samples)):
+        entry = (f.grid, np.array(samples), {})
+    _KEPT[f] = entry  # the most recently used last
+    if len(_KEPT) > _KEPT_FIELDS:
+        del _KEPT[next(iter(_KEPT))]
+    values = entry[2]
+    if key not in values:
+        values[key] = compute()
+        if len(values) > _KEPT_KEYS:
+            del values[next(iter(values))]
+    return values[key]
+
+
+def _point(center):
+    return tuple(map(float, center))
+
+
+def _shells(f, center, radii):
+    """`shell_restrict(f, center, radii)`, kept (`_kept`), with read-only arrays."""
+    def restrict():
+        sh = shell_restrict(f, center, radii)
+        sh.radii.flags.writeable = sh.values.flags.writeable = False
+        return sh
+
+    return _kept(f, ("shells", _point(center), np.asarray(radii, dtype=float).tobytes()),
+                 restrict)
 
 
 @dataclass(frozen=True)
@@ -390,7 +441,7 @@ def _flux_average(b_shells, u, center, slices, t0, t1):
     flux; `fbc_test` negates it for its lhs.
     """
     tidx, tw = _time_selection(u.grid, t0, t1)
-    shu = shell_restrict(u, center, slices.radii[slices.mask])
+    shu = _shells(u, center, slices.radii[slices.mask])
     good = np.repeat(slices.mask, np.diff(b_shells.ends, prepend=0))
     bn = _component_sum(b_shells.values[tidx].compress(good, axis=1)
                         * b_shells.point_normals.compress(good, axis=0))
@@ -402,8 +453,15 @@ def _flux_average(b_shells, u, center, slices, t0, t1):
 
 
 def _energy_terms(u, center, rho, R, t0, t1):
-    """u's FBC energy terms on B_R and B_R \\ B_rho, taken on B_R's box (``fields._box``) with
-    one cell of margin and one of halo, whose own derivatives fall outside B_R."""
+    """u's FBC energy terms on B_R and B_R \\ B_rho, kept (`_kept`): a new dict
+    on every call."""
+    key = ("energy", _point(center), rho, R, t0, t1)
+    return dict(_kept(u, key, lambda: _box_energy_terms(u, center, rho, R, t0, t1)))
+
+
+def _box_energy_terms(u, center, rho, R, t0, t1):
+    """`_energy_terms`, taken on B_R's box (``fields._box``) with one cell of margin
+    and one of halo, whose own derivatives fall outside B_R."""
     g = u.grid
     tidx, tw = _time_selection(g, t0, t1)
     x, span = (np.asarray(center, dtype=float) - g.lo) / g.h - 0.5, R / np.array(g.h)
@@ -431,6 +489,13 @@ def fbc_test(b, u, params, center, rho, R, t0, t1, slice_q=INF, slice_p=INF, kap
     lhs = -(1/|A|) iint_{B_A x I} (u^2/2)(b.n), with A from good_slices;
     rhs = M R0^a/(d^a R0^2 (R-rho)^a) * iint_{(B_R\\B_rho) x I} u^2
           + N iint |grad u|^2 + eps sup_t int_{B_R} u^2, with R0 = R.
+
+    b and u must be stored at the same times, with finite samples, checked on
+    every call.  b's shells and good slices, u's shells on the good radii and
+    u's energy terms are then kept (`_kept`) for the same field objects, grids
+    and parameters while the samples are unchanged: `analysis.fbc_tilde_test` on
+    the same (b, u) samples b no more, and u only on other good radii.  The
+    report's slice arrays are read-only.
     """
     _fbc_inputs(b, u)
     slices, b_shells = _good_slices(b, center, rho, R, t0, t1, slice_q, slice_p, kappa)

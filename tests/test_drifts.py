@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -695,6 +696,22 @@ def test_hodge_and_hminus1_refuse_nonfinite_samples(bad):
     b[1, 3, 5, 0] = bad
     f = SpaceTimeField(g, b, 2, allow_nonfinite=True)
     msg = rf"non-finite sample \({bad}\) at index \(1, 3, 5, 0\)"
+    with pytest.raises(ValueError, match="the drift has a " + msg):
+        hodge_decompose(f)
+    with pytest.raises(ValueError, match="the field has a " + msg):
+        hminus1_proxy(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_hodge_and_hminus1_name_a_drawn_non_finite_index(data):
+    g = _pgrid(8, nt=2)
+    b = np.ones((2, 8, 8, 2))
+    idx = tuple(data.draw(st.integers(0, s - 1), label="index") for s in b.shape)
+    bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="bad")
+    b[idx] = bad
+    f = SpaceTimeField(g, b, 2, allow_nonfinite=True)
+    msg = re.escape(f"non-finite sample ({bad}) at index {idx}")
     with pytest.raises(ValueError, match="the drift has a " + msg):
         hodge_decompose(f)
     with pytest.raises(ValueError, match="the field has a " + msg):

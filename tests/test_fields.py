@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -432,6 +433,43 @@ def test_dump_roundtrip(tmp_path):
         fh.write(b"NOPE")
     with pytest.raises(ValueError):
         read_field(tmp_path / "junk.bin")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("ncomp", ["scalar", "vector"])
+def test_read_field_returns_one_writable_float64_copy(tmp_path, n, ncomp):
+    rng = np.random.default_rng(n)
+    g = Grid(n, (-1.0,) * n, (1.0, 2.0, 3.0)[:n], (5, 4, 3)[:n], 0.0, 0.5, 3, "periodic")
+    k = 1 if ncomp == "scalar" else n
+    f = SpaceTimeField(g, rng.standard_normal((3,) + g.shape + ((k,) if k > 1 else ())), k)
+    write_field(tmp_path / "f.dlf1", f)
+    back = read_field(tmp_path / "f.dlf1").samples
+    assert back.dtype == np.float64 and back.flags.c_contiguous and back.flags.writeable
+    assert back.tobytes() == f.samples.tobytes()
+    assert (tmp_path / "f.dlf1").read_bytes().endswith(back.tobytes())
+
+
+def test_read_field_refuses_trailing_bytes(tmp_path):
+    raw = _dump_bytes(tmp_path)
+    (tmp_path / "long.dlf1").write_bytes(raw + b"\0" * 8)
+    with pytest.raises(ValueError, match="DLF1 dump has 876 bytes, header says 868"):
+        read_field(tmp_path / "long.dlf1")
+
+
+def test_read_field_refuses_a_huge_header_without_allocating(tmp_path):
+    # 10^6 x 10^6 cells at one time: 8 TB of samples declared by a 868-byte file
+    raw = bytearray(_dump_bytes(tmp_path))
+    raw[12:28] = struct.pack("<2q", 1, 1)
+    raw[28:44] = struct.pack("<2q", 10**6, 10**6)
+    (tmp_path / "huge.dlf1").write_bytes(bytes(raw))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"has 868 bytes, header says {100 + 8 * 10**12}"):
+            read_field(tmp_path / "huge.dlf1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _dump_bytes(tmp_path):

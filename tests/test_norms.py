@@ -1,8 +1,14 @@
+import copy
+import gc
 import math
 import re
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlab import norms
 from driftlab.analysis import drift_free_params, fbc_tilde_test
@@ -376,6 +382,8 @@ def test_fbc_flux_matches_resampled_reference(n):
 
 
 def test_fbc_samples_b_once(monkeypatch):
+    # fbc_test, then fbc_tilde_test, on one (b, u) sample b once and u once; an
+    # in-place edit of either field's samples makes the next call sample it again
     rng = np.random.default_rng(32)
     g = grid2(64, nt=5)
     b, u = smooth_random_vector(g, rng, modes=2), smooth_random_scalar(g, rng, modes=2)
@@ -387,11 +395,102 @@ def test_fbc_samples_b_once(monkeypatch):
 
     monkeypatch.setattr(norms, "shell_restrict", counting_shell_restrict)
     params = FbcParams(M=1.0, N=0.25, alpha=2.0, delta=1.0, epsilon=0.25, theta2=0.5)
-    fbc_test(b, u, params, (0, 0), 0.45, 0.9, 0.0, 1.0)
-    assert len(sampled) == 2 and sampled[0] is b and sampled[1] is u
-    sampled.clear()
-    fbc_tilde_test(b, u, drift_free_params(), (0, 0), 0.9, 0.0, 1.0)
-    assert len(sampled) == 2 and sampled[0] is b and sampled[1] is u
+
+    def both():
+        sampled.clear()
+        fbc_test(b, u, params, (0, 0), 0.45, 0.9, 0.0, 1.0)
+        fbc_tilde_test(b, u, drift_free_params(), (0, 0), 0.9, 0.0, 1.0)
+        return [f is b for f in sampled], [f is u for f in sampled]
+
+    assert both() == ([True, False], [False, True])
+    assert both() == ([], [])
+    b.samples[2, 40, 20, 1] += 0.5
+    is_b, _ = both()
+    assert is_b[0] and sum(is_b) == 1
+    u.samples[3, 20, 40] += 0.5
+    assert both() == ([False], [True])
+
+
+def _fbc_reports(b, u, rho, slice_params):
+    params = FbcParams(M=1.0, N=0.25, alpha=2.0, delta=1.0, epsilon=0.25, theta2=0.5)
+    rep = fbc_test(b, u, params, (0, 0), rho, 0.9, 0.0, 1.0, *slice_params)
+    trep = fbc_tilde_test(b, u, drift_free_params(), (0, 0), 0.9, 0.0, 1.0)
+    return [(r.lhs, r.rhs, r.slices.radii, r.slices.slice_norms, r.slices.mask,
+             r.slices.threshold, r.slices.dr) for r in (rep, trep)] + [rep.terms]
+
+
+def _same_reports(got, want):
+    for g, w in zip(got[:2], want[:2]):
+        assert g[:2] == w[:2] and g[5:] == w[5:]
+        assert all(np.array_equal(a, c) for a, c in zip(g[2:5], w[2:5]))
+    assert got[2] == want[2]
+
+
+def _change(fields, name, change, data):
+    f = fields[name]
+    if change == "edit":
+        idx = tuple(data.draw(st.integers(0, s - 1), label="index") for s in f.samples.shape)
+        f.samples[idx] += data.draw(st.sampled_from([0.0, 1e-12, -0.5, 2.0]), label="by")
+    elif change == "samples":
+        f.samples = f.samples * data.draw(st.sampled_from([1.0, 0.5]), label="factor")
+    elif change == "grid":
+        f.grid = grid2(32, nt=3, L=data.draw(st.sampled_from([1.0, 1.25]), label="L"))
+    elif change == "equal":
+        fields[name] = SpaceTimeField(f.grid, f.samples.copy(), f.ncomp)
+    elif change == "single":  # equal values, another dtype
+        f.samples = f.samples.astype(np.float32)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_fbc_kept_inputs_match_fresh_runs(data):
+    # FBC calls interleaved with changes to their inputs give what the same
+    # calls give on deep copies with no kept entries
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    g = grid2(32, nt=3, L=1.0)
+
+    def single_exact(f):
+        return SpaceTimeField(f.grid, f.samples.astype(np.float32), f.ncomp)
+
+    made = {"b": lambda: single_exact(smooth_random_vector(g, rng, modes=2)),
+            "u": lambda: single_exact(smooth_random_scalar(g, rng, modes=2))}
+    fields = {k: make() for k, make in made.items()}
+    for _ in range(data.draw(st.integers(1, 6), label="steps")):
+        name = data.draw(st.sampled_from(["b", "u"]), label="field")
+        change = data.draw(st.sampled_from(["none", "edit", "samples", "grid", "equal",
+                                            "single", "delete"]), label="change")
+        if change == "delete":
+            gone = weakref.ref(fields.pop(name))
+            gc.collect()
+            assert gone() is None
+            fields[name] = made[name]()
+        else:
+            _change(fields, name, change, data)
+        if fields["b"].grid.lo != fields["u"].grid.lo:
+            fields["b"].grid = fields["u"].grid
+        rho = data.draw(st.sampled_from([0.45, 0.3]), label="rho")
+        slice_params = data.draw(st.sampled_from([(), (3, 2, 2)]), label="slice q, p, kappa")
+        got = _fbc_reports(fields["b"], fields["u"], rho, slice_params)
+        with mock.patch.object(norms, "_KEPT", weakref.WeakKeyDictionary()):
+            want = _fbc_reports(*copy.deepcopy([fields["b"], fields["u"]]), rho, slice_params)
+        _same_reports(got, want)
+        assert len(norms._KEPT) <= norms._KEPT_FIELDS
+        assert all(len(v) <= norms._KEPT_KEYS for _, _, v in norms._KEPT.values())
+
+
+def test_fbc_kept_inputs_are_bounded():
+    # the least recently used field, and a field's oldest key, go first
+    rng = np.random.default_rng(35)
+    g = grid2(32, nt=3, L=1.0)
+    us = [smooth_random_scalar(g, rng, modes=2) for _ in range(norms._KEPT_FIELDS + 2)]
+    radii = [0.5 + 0.05 * k for k in range(norms._KEPT_KEYS + 2)]
+    for u in us:
+        for R in radii:
+            norms._energy_terms(u, (0, 0), R / 2, R, 0.0, 1.0)
+    kept = list(norms._KEPT.items())
+    assert [f for f, _ in kept] == us[-norms._KEPT_FIELDS:]
+    for _, (_, _, values) in kept:
+        assert [key[3] for key in values] == radii[-norms._KEPT_KEYS:]
 
 
 @pytest.mark.parametrize("u_times", [(0.0, 1.0, 9), (0.5, 1.5, 5)])
@@ -435,6 +534,23 @@ def test_fbc_refuses_a_non_finite_sample(bad):
         fbc_test(zero, u, params, (0, 0), 0.45, 0.9, 0.0, 1.0)
 
 
+def test_fbc_refuses_a_non_finite_sample_of_kept_fields():
+    # the refusals run on every call, before any kept entry is looked up
+    rng = np.random.default_rng(36)
+    g = grid2(32, nt=3, L=1.0)
+    b, u = smooth_random_vector(g, rng, modes=2), smooth_random_scalar(g, rng, modes=2)
+    params = FbcParams(M=1.0, N=0.25, alpha=2.0, delta=1.0, epsilon=0.25, theta2=0.5)
+    fbc_test(b, u, params, (0, 0), 0.45, 0.9, 0.0, 1.0)
+    fbc_tilde_test(b, u, drift_free_params(), (0, 0), 0.9, 0.0, 1.0)
+    for f, name in ((u, "u"), (b, "b")):
+        f.samples[1, 3, 4] = np.inf
+        where = rf"{name} has a non-finite sample \(inf\) at index \(1, 3, 4"
+        with pytest.raises(ValueError, match=where):
+            fbc_test(b, u, params, (0, 0), 0.45, 0.9, 0.0, 1.0)
+        with pytest.raises(ValueError, match=where):
+            fbc_tilde_test(b, u, drift_free_params(), (0, 0), 0.9, 0.0, 1.0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_good_slices_refuses_a_non_finite_sample(bad):
     # a NaN made every slice bad with a NaN threshold, and +inf every slice
@@ -444,6 +560,20 @@ def test_good_slices_refuses_a_non_finite_sample(bad):
     samples[1, 26, 16, 0] = bad
     b = SpaceTimeField(g, samples, 2, allow_nonfinite=True)
     where = rf"b has a non-finite sample \({bad}\) at index \(1, 26, 16, 0\)"
+    with pytest.raises(ValueError, match=where):
+        good_slices(b, (0, 0), 0.45, 0.9, 0.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_good_slices_names_a_drawn_non_finite_index(data):
+    g = grid2(16, nt=3, L=1.0, bc=data.draw(st.sampled_from(["periodic", "zero"])))
+    samples = np.zeros((g.nt,) + tuple(g.shape) + (2,))
+    idx = tuple(data.draw(st.integers(0, s - 1), label="index") for s in samples.shape)
+    bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="bad")
+    samples[idx] = bad
+    b = SpaceTimeField(g, samples, 2, allow_nonfinite=True)
+    where = re.escape(f"b has a non-finite sample ({bad}) at index {idx}")
     with pytest.raises(ValueError, match=where):
         good_slices(b, (0, 0), 0.45, 0.9, 0.0, 1.0)
 
