@@ -42,6 +42,9 @@ class FundSolBoundParams:
     theta2: float
 
     def __post_init__(self):
+        for name in ("alpha0", "M0", "C0"):
+            if not np.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.alpha0 < 0 or self.M0 <= 0 or self.C0 <= 0:
             raise ValueError("need alpha0 >= 0 and positive M0, C0")
 
@@ -342,10 +345,10 @@ def davies_energy(run, probe, params=None):
     m0 = params.M0 if params is not None else 0.0
     a0 = params.alpha0 if params is not None else 0.0
 
+    lhs = np.log(np.maximum(J, 1e-300))  # compare in log space so huge rates cannot overflow
+
     def ok(C):
         rate = C * gam**2 + C * m0 * gam ** (2.0 + a0) + x0n**-2
-        # compare in log space so huge Gronwall rates cannot overflow
-        lhs = np.log(np.maximum(J, 1e-300))
         rhs = np.log(C * J[0] + 1e-300) + rate * ts
         return bool(np.all(lhs <= rhs + 1e-12))
 
@@ -396,12 +399,16 @@ def tail_check(run, params, source, s):
     """Constrained two-exponential majorization fit over all sampled Γ values.
 
     The samples are those with τ = t − s ≥ 40h², r ≤ 0.4 L (L the shortest
-    box side) and value above 10⁻¹⁰ of the largest.  For each decay rate c
-    of 60 geometric steps in [10⁻³, 1], C(c) is the smallest prefactor that
+    box side) and value above 10⁻¹⁰ of the largest.  Over the decay rates c of
+    60 geometric steps in [10⁻³, 1], C(c) is the smallest prefactor that
     majorizes every sample; the reported c is the largest one whose C(c) stays
-    within 4 times the best achievable C.  Also classifies each sample by
-    active branch (Gaussian vs stretched-exponential) and by inner/outer
-    regime (outer: M₀^{1/α₀} r/τ ≥ 16, or r ≥ 16√τ when α₀ = 0).  A
+    within 4 times the best C.  No sample's shape rises with c (at r > 0 the
+    rounded exponents of consecutive rates differ by 12.4%, far beyond exp's
+    rounding; at r = 0 every rate gives 1), so C(c) is non-decreasing: the best
+    C is C(10⁻³), the admissible rates are a prefix of the sweep, and bisection
+    finds its end from at most 7 values of C in place of 60.  Also classifies
+    each sample by active branch (Gaussian vs stretched-exponential) and by
+    inner/outer regime (outer: M₀^{1/α₀} r/τ ≥ 16, or r ≥ 16√τ when α₀ = 0).  A
     non-finite θ is refused, naming its first bad index.
     """
     field = _trajectory(run)
@@ -422,15 +429,13 @@ def tail_check(run, params, source, s):
 
     c_sweep = np.geomspace(1e-3, 1.0, 60)
     tail_shape = _tail_shape(rs, ts, params, g.n)
-    Cs = np.empty(len(c_sweep))
-    for i, c in enumerate(c_sweep):
-        Cs[i] = (vals / tail_shape(c)[0]).max()
-    best = Cs.min()
-    admissible = np.where(Cs <= 4.0 * best)[0]
-    i_star = admissible.max()
-    c_star = float(c_sweep[i_star])
-    C_star = float(Cs[i_star])
+    bound, lo, hi = 4.0 * (vals / tail_shape(c_sweep[0])[0]).max(), 0, len(c_sweep)
+    while hi - lo > 1:  # c_sweep[lo] admissible, c_sweep[hi] (if any) not
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if (vals / tail_shape(c_sweep[mid])[0]).max() <= bound else (lo, mid)
+    c_star = float(c_sweep[lo])
     shape, gauss = tail_shape(c_star)
+    C_star = float((vals / shape).max())
     margins = C_star * shape / np.maximum(vals, 1e-300)
     if params.alpha0 > 0:
         outer = params.M0 ** (1.0 / params.alpha0) * rs / ts >= 16.0
@@ -459,7 +464,7 @@ def fbc_tilde_test(b, u, params, center, R, t0, t1):
              + ε (R⁻² ∬_{B_R×I} u² + ∬ |∇u|² + sup_t ∫_{B_R} u²).
     Satisfied iff the inequality holds for every ε in the sweep.  Checks b and u
     as `norms.fbc_test` does, and shares its kept shells, good slices and energy
-    terms (`norms._kept`).
+    terms (`norms._kept`): after it on the same annulus, samples neither again.
     """
     _fbc_inputs(b, u)
     slices, b_shells = _good_slices(b, center, R / 2.0, R, t0, t1)

@@ -314,32 +314,45 @@ def _good_slices(b, center, rho, R, t0, t1, q=INF, p=INF, kappa=1.0):
     return GoodSlices(*_kept(b, key, select)), shells
 
 
-# The FBC tests' per-field inputs: b's shells and good slices, u's shells on
-# the good radii and u's energy terms.  For each of the last _KEPT_FIELDS
-# fields (held by weak reference, so an entry goes with its field) up to
-# _KEPT_KEYS values are kept, with the field's grid and a copy of its samples.
-_KEPT = weakref.WeakKeyDictionary()  # field -> (grid, samples copy, {key: value})
-_KEPT_FIELDS = 4
+# The FBC tests' per-field inputs: b's shells and good slices, u's shells and
+# energy terms.  Up to _KEPT_KEYS values are kept per field (held by weak
+# reference, so an entry goes with its field), with its grid and a copy of its
+# samples.  The copies and the values' arrays take at most _KEPT_BYTES; past it
+# the least recently used field goes first (a field count would miss on every
+# access of a loop over more fields), and an entry above it is not kept.
+_KEPT = weakref.WeakKeyDictionary()  # field -> [grid, samples copy, {key: value}, bytes]
+_KEPT_BYTES = 32 << 20
 _KEPT_KEYS = 4
+
+
+def _nbytes(value):
+    """Bytes of the arrays a kept value holds."""
+    parts = vars(value).values() if hasattr(value, "__dict__") else value
+    return sum(a.nbytes for a in parts if isinstance(a, np.ndarray))
 
 
 def _kept(f, key, compute):
     """compute(), or the value it gave for key on the same field object and grid
-    while f's samples still equal, dtype and all, the copy kept with them.
-    compute() hands back read-only arrays or values no caller changes."""
+    while f's samples still equal, dtype and all, the copy kept with them; the
+    table then sheds fields to fit _KEPT_BYTES.  compute() hands back read-only
+    arrays or values no caller changes."""
     entry = _KEPT.pop(f, None)
     samples = f.samples
+    if samples.nbytes > _KEPT_BYTES:  # never kept, so neither copied nor compared
+        return compute()
     if (entry is None or entry[0] is not f.grid or entry[1].dtype != samples.dtype
             or not np.array_equal(entry[1], samples)):
-        entry = (f.grid, np.array(samples), {})
-    _KEPT[f] = entry  # the most recently used last
-    if len(_KEPT) > _KEPT_FIELDS:
-        del _KEPT[next(iter(_KEPT))]
+        entry = [f.grid, np.array(samples), {}, 0]
     values = entry[2]
     if key not in values:
         values[key] = compute()
         if len(values) > _KEPT_KEYS:
             del values[next(iter(values))]
+        entry[3] = entry[1].nbytes + sum(map(_nbytes, values.values()))
+    if entry[3] <= _KEPT_BYTES:
+        _KEPT[f] = entry  # the most recently used last
+        while sum(e[3] for e in _KEPT.values()) > _KEPT_BYTES:
+            del _KEPT[next(iter(_KEPT))]
     return values[key]
 
 
@@ -437,18 +450,18 @@ def _flux_average(b_shells, u, center, slices, t0, t1):
     """(1/|A|) * integral over dB_A x I of (u^2/2)(b . n), A the good slices.
 
     b_shells are b's shells on all of slices.radii, as `_good_slices` returns
-    them; u is sampled on the good radii only.  The sign is that of the outward
-    flux; `fbc_test` negates it for its lhs.
+    them, and u is sampled on the same radii, so u has one kept shells entry per
+    annulus whatever b's good radii are; the sum runs over the good spheres only.
+    The sign is that of the outward flux; `fbc_test` negates it for its lhs.
     """
     tidx, tw = _time_selection(u.grid, t0, t1)
-    shu = _shells(u, center, slices.radii[slices.mask])
-    good = np.repeat(slices.mask, np.diff(b_shells.ends, prepend=0))
-    bn = _component_sum(b_shells.values[tidx].compress(good, axis=1)
-                        * b_shells.point_normals.compress(good, axis=0))
+    shu = _shells(u, center, slices.radii)
+    bn = _component_sum(b_shells.values[tidx] * b_shells.point_normals)
     flux = (shu.values[tidx] ** 2 / 2.0) * bn * shu.point_weights
     total = 0.0
-    for s, e in shu.spans:
-        total += (flux[:, s:e].sum(axis=-1) * tw).sum() * slices.dr
+    for (s, e), good in zip(shu.spans, slices.mask):
+        if good:
+            total += (flux[:, s:e].sum(axis=-1) * tw).sum() * slices.dr
     return total / slices.measure
 
 
@@ -491,10 +504,10 @@ def fbc_test(b, u, params, center, rho, R, t0, t1, slice_q=INF, slice_p=INF, kap
           + N iint |grad u|^2 + eps sup_t int_{B_R} u^2, with R0 = R.
 
     b and u must be stored at the same times, with finite samples, checked on
-    every call.  b's shells and good slices, u's shells on the good radii and
-    u's energy terms are then kept (`_kept`) for the same field objects, grids
-    and parameters while the samples are unchanged: `analysis.fbc_tilde_test` on
-    the same (b, u) samples b no more, and u only on other good radii.  The
+    every call.  b's shells and good slices, and u's shells and energy terms,
+    are then kept (`_kept`) for the same field objects, grids and parameters
+    while the samples are unchanged: `analysis.fbc_tilde_test` on the same
+    annulus samples neither b nor u again, whatever the good radii.  The
     report's slice arrays are read-only.
     """
     _fbc_inputs(b, u)

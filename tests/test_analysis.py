@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftlab import analysis
 from driftlab.analysis import (
     Cylinder,
     FundSolBoundParams,
@@ -56,6 +57,15 @@ def test_fundsol_params():
         fundsol_params(MixedNormSpec("time_outer", 2, p=1.0, q=1.0), 1.0)
     with pytest.raises(ValueError):
         FundSolBoundParams(-1.0, 1.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["alpha0", "M0", "C0"])
+def test_fundsol_params_refuse_a_non_finite_constant(name, bad):
+    # M0 = nan passed M0 <= 0 and made every C(c) of tail_check NaN
+    consts = dict(alpha0=0.5, M0=1.0, C0=1.0, theta2=0.5) | {name: bad}
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be finite, got {bad}")):
+        FundSolBoundParams(**consts)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +364,61 @@ def test_tail_check_bit_equal_to_per_rate_loop(params):
     ref = _tail_check_per_rate(run, params, (0.1, -0.2), 0.0)
     for f in dataclasses.fields(rep):
         assert np.array_equal(getattr(rep, f.name), getattr(ref, f.name)), f.name
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_tail_check_bisection_equals_the_rate_scan(data):
+    # analytic heat kernels from a random source, one on a cell center (so one
+    # sample has r = 0) or within 1e-9 of one, at random stored times
+    g0 = Grid(2, (-1.0, -1.0), (1.0, 1.0), (64, 64), 0.0, 1.0, 2, "periodic")
+    where = data.draw(st.sampled_from(["random", "center", "near-center"]), label="source")
+    if where == "random":
+        source = np.array(data.draw(st.tuples(*[st.floats(-0.3, 0.3)] * 2), label="at"))
+    else:
+        cell = data.draw(st.tuples(*[st.integers(22, 41)] * 2), label="cell")
+        source = np.array([g0.axis(i)[c] for i, c in enumerate(cell)])
+        if where == "near-center":
+            source += data.draw(st.tuples(*[st.floats(-1e-9, 1e-9)] * 2), label="offset")
+    t1 = data.draw(st.floats(0.05, 0.3), label="t1")
+    t0 = data.draw(st.floats(0.005, t1), label="t0")
+    nt = 1 if t0 == t1 else data.draw(st.integers(2, 8), label="nt")
+    g = Grid(2, g0.lo, g0.hi, g0.shape, t0, t1, nt, "periodic")
+    pts = np.stack(g.meshgrid(), axis=-1) - source
+    run = SpaceTimeField(g, np.stack([heat_kernel(pts, t, 2) for t in g.times]))
+    params = data.draw(st.sampled_from([drift_free_params(), None]), label="params") or \
+        FundSolBoundParams(data.draw(st.floats(0.05, 2.0), label="alpha0"),
+                           data.draw(st.floats(0.25, 5.0), label="M0"), 1.0, 0.5)
+    rep = tail_check(run, params, source, 0.0)
+    ref = _tail_check_per_rate(run, params, source, 0.0)
+    for f in dataclasses.fields(rep):
+        assert np.array_equal(getattr(rep, f.name), getattr(ref, f.name)), f.name
+
+
+def _stand_in_tail_shape(rates, last):
+    """A `_tail_shape` stand-in whose C(c) is C(10⁻³) at the first rate, exactly
+    4 times that up to rates[last], and 8 times it beyond."""
+    def tail_shape(r, tau, params, n):
+        def shape(c):
+            i = int(np.flatnonzero(rates == c)[0])
+            return np.full(r.shape, 1.0 if i == 0 else 0.25 if i <= last else 0.125), \
+                np.ones(r.shape, bool)
+        return shape
+    return tail_shape
+
+
+def test_tail_check_ends_the_fit_at_every_rate(monkeypatch):
+    # wherever the admissible prefix ends, the bisection finds that end, a C
+    # of exactly 4 times the best included
+    rates = np.geomspace(1e-3, 1.0, 60)
+    g = Grid(2, (-1.0, -1.0), (1.0, 1.0), (32, 32), 0.05, 0.2, 3, "periodic")
+    pts = np.stack(g.meshgrid(), axis=-1)
+    run = SpaceTimeField(g, np.stack([heat_kernel(pts, t, 2) for t in g.times]))
+    for last in range(len(rates)):
+        monkeypatch.setattr(analysis, "_tail_shape", _stand_in_tail_shape(rates, last))
+        rep = tail_check(run, drift_free_params(), (0.0, 0.0), 0.0)
+        assert rep.c == rates[last]
+        assert rep.C == (4.0 if last else 1.0) * rep.values.max()
 
 
 def test_tail_resolution_floor():

@@ -2,6 +2,7 @@ import copy
 import gc
 import math
 import re
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -474,23 +475,115 @@ def test_fbc_kept_inputs_match_fresh_runs(data):
         with mock.patch.object(norms, "_KEPT", weakref.WeakKeyDictionary()):
             want = _fbc_reports(*copy.deepcopy([fields["b"], fields["u"]]), rho, slice_params)
         _same_reports(got, want)
-        assert len(norms._KEPT) <= norms._KEPT_FIELDS
-        assert all(len(v) <= norms._KEPT_KEYS for _, _, v in norms._KEPT.values())
+        assert _kept_table_bytes() <= norms._KEPT_BYTES
+        assert all(len(v) <= norms._KEPT_KEYS for _, _, v, _ in norms._KEPT.values())
 
 
-def test_fbc_kept_inputs_are_bounded():
-    # the least recently used field, and a field's oldest key, go first
+def _kept_table_bytes():
+    """The kept table's bytes counted afresh, each entry's equal to the count it
+    keeps: its samples copy and its values' arrays."""
+    total = 0
+    for _, copy, values, nbytes in norms._KEPT.values():
+        parts = [vars(v).values() if hasattr(v, "__dict__") else v for v in values.values()]
+        counted = copy.nbytes + sum(a.nbytes for part in parts for a in part
+                                    if isinstance(a, np.ndarray))
+        assert counted == nbytes
+        total += counted
+    return total
+
+
+def test_fbc_kept_inputs_stay_within_the_byte_budget(monkeypatch):
+    # with room for three fields' copies, the least recently used field goes
+    # first, a field's oldest key goes first, and an entry larger than the whole
+    # budget is not kept (its value is still handed back)
     rng = np.random.default_rng(35)
     g = grid2(32, nt=3, L=1.0)
-    us = [smooth_random_scalar(g, rng, modes=2) for _ in range(norms._KEPT_FIELDS + 2)]
+    us = [smooth_random_scalar(g, rng, modes=2) for _ in range(5)]
+    monkeypatch.setattr(norms, "_KEPT", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(norms, "_KEPT_BYTES", 3 * us[0].samples.nbytes + 100)
     radii = [0.5 + 0.05 * k for k in range(norms._KEPT_KEYS + 2)]
-    for u in us:
+    for u in us[:3]:
         for R in radii:
             norms._energy_terms(u, (0, 0), R / 2, R, 0.0, 1.0)
-    kept = list(norms._KEPT.items())
-    assert [f for f, _ in kept] == us[-norms._KEPT_FIELDS:]
-    for _, (_, _, values) in kept:
+    assert list(norms._KEPT) == us[:3]
+    for _, _, values, _ in norms._KEPT.values():
         assert [key[3] for key in values] == radii[-norms._KEPT_KEYS:]
+    norms._energy_terms(us[0], (0, 0), 0.25, 0.5, 0.0, 1.0)
+    norms._energy_terms(us[3], (0, 0), 0.25, 0.5, 0.0, 1.0)
+    assert list(norms._KEPT) == [us[2], us[0], us[3]]
+    big = smooth_random_scalar(grid2(64, nt=3, L=1.0), rng, modes=2)
+    norms._energy_terms(big, (0, 0), 0.05, 0.1, 0.0, 1.0)  # numpy's first-call set-up
+    tracemalloc.start()
+    e = norms._energy_terms(big, (0, 0), 0.05, 0.1, 0.0, 1.0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < big.samples.nbytes / 4  # its samples were not copied
+    assert e == norms._box_energy_terms(big, (0, 0), 0.05, 0.1, 0.0, 1.0)
+    assert list(norms._KEPT) == [us[2], us[0], us[3]]
+    # a field that grows past the budget leaves the table
+    us[0].grid = grid2(32, nt=12, L=1.0)
+    us[0].samples = smooth_random_scalar(us[0].grid, rng, modes=2).samples
+    norms._energy_terms(us[0], (0, 0), 0.25, 0.5, 0.0, 1.0)
+    assert list(norms._KEPT) == [us[2], us[3]]
+    # a kept value's arrays count too: u's shells push out two fields
+    sh = norms._shells(us[4], (0, 0), [0.5, 0.6])
+    assert norms._KEPT[us[4]][3] == (us[4].samples.nbytes + sh.values.nbytes + sh.radii.nbytes
+                                     + sh.point_normals.nbytes + sh.point_weights.nbytes
+                                     + sh.ends.nbytes)
+    assert list(norms._KEPT) == [us[3], us[4]]
+    # an entry whose samples fit but whose values take it past the budget is
+    # not kept, and the fields kept before it stay
+    wide = smooth_random_scalar(grid2(32, nt=8, L=1.0), rng, modes=2)
+    sh = norms._shells(wide, (0, 0), [0.3, 0.4, 0.5, 0.6])
+    assert wide.samples.nbytes <= norms._KEPT_BYTES < wide.samples.nbytes + sh.values.nbytes
+    assert list(norms._KEPT) == [us[3], us[4]]
+    assert _kept_table_bytes() <= norms._KEPT_BYTES
+
+
+def test_fbc_kept_inputs_serve_a_nested_loop(monkeypatch):
+    # 2 drifts x 6 scalars, more fields than the 4 a field count once kept:
+    # fbc_test, then fbc_tilde_test, on every pair sample each field once and
+    # form each u's energy terms once, though the two tests' good radii differ
+    g = grid2(32, nt=3, L=1.0)
+    bs = [smooth_random_vector(g, np.random.default_rng(seed), modes=2) for seed in (13, 37)]
+    us = [smooth_random_scalar(g, np.random.default_rng(seed), modes=2) for seed in range(6)]
+    sampled, formed = [], []
+    box_energy_terms = norms._box_energy_terms
+    monkeypatch.setattr(norms, "_KEPT", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(norms, "shell_restrict",
+                        lambda f, center, radii: sampled.append(f) or shell_restrict(f, center, radii))
+    monkeypatch.setattr(norms, "_box_energy_terms",
+                        lambda u, *args: formed.append(u) or box_energy_terms(u, *args))
+    params = FbcParams(M=1.0, N=0.25, alpha=2.0, delta=1.0, epsilon=0.25, theta2=0.5)
+    masks_differ = False
+    for b in bs:
+        for u in us:
+            rep = fbc_test(b, u, params, (0, 0), 0.45, 0.9, 0.0, 1.0, 3, 2, 2)
+            trep = fbc_tilde_test(b, u, drift_free_params(), (0, 0), 0.9, 0.0, 1.0)
+            masks_differ |= not np.array_equal(rep.slices.mask, trep.slices.mask)
+    assert masks_differ
+    assert sorted(map(id, sampled)) == sorted(map(id, bs + us))
+    assert list(map(id, formed)) == list(map(id, us))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_fbc_u_shells_cut_to_the_good_radii_equal_a_fresh_sampling(n):
+    # the flux term samples u on all slice radii and sums the good spheres only:
+    # their points are byte for byte a sampling on the good radii alone
+    rng = np.random.default_rng(38)
+    g = Grid(n, (-1.0,) * n, (1.0,) * n, (24,) * n, 0.0, 1.0, 3, "zero")
+    b, u = smooth_random_vector(g, rng, modes=2), smooth_random_scalar(g, rng, modes=2)
+    b.samples[..., 0] += 30.0 * (np.abs(np.sqrt(sum(x**2 for x in g.meshgrid())) - 0.55) < 0.05)
+    center = (0.05,) * n
+    slices, b_shells = norms._good_slices(b, center, 0.3, 0.8, 0.0, 1.0, 3, 2, 2)
+    assert 0 < slices.mask.sum() < len(slices.mask)
+    good_radii = slices.radii[slices.mask]
+    for f, shells in ((b, b_shells), (u, norms._shells(u, center, slices.radii))):
+        good = np.repeat(slices.mask, np.diff(shells.ends, prepend=0))
+        fresh = shell_restrict(f, center, good_radii)
+        assert shells.values.compress(good, axis=1).tobytes() == fresh.values.tobytes()
+        assert shells.point_weights.compress(good).tobytes() == fresh.point_weights.tobytes()
+        assert shells.point_normals.compress(good, axis=0).tobytes() == fresh.point_normals.tobytes()
 
 
 @pytest.mark.parametrize("u_times", [(0.0, 1.0, 9), (0.5, 1.5, 5)])
