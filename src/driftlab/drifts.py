@@ -6,16 +6,16 @@ Contents:
   vanishing outside B4), built exactly as a discrete curl of a cut-off
   potential, so the discrete divergence vanishes to round-off;
 * the heat-kernel subsolution E = (Gamma - c_n)_+ and its support radius;
-* speed schedules: the borderline envelope S(t) = (t log(1/t) loglog(1/t))^-1
-  whose time integral is logloglog(1/t), and rescaled unit-mass bump blocks.
-  Borderline blocks live in u = logloglog(1/t) coordinates, where the
-  schedule integrals are exact (dt * envelope = du); the times t_k themselves
-  collapse triple-exponentially and are not float-representable for the
-  canonical per-block speed, so all norm bookkeeping is done in u;
-* moving-block drift assemblies (blocks = cap * speed schedule along a
-  trajectory) together with their companion subsolutions, in both the
-  time-reversed "accumulating singular times" ordering and the self-similar
-  ordering with R_k^2 = |I_k|;
+* the borderline speed schedule: the envelope S(t) = (t log(1/t) loglog(1/t))^-1
+  whose time integral is logloglog(1/t).  Its blocks live in u =
+  logloglog(1/t) coordinates, where the schedule integrals are exact
+  (dt * envelope = du); the times t_k themselves collapse triple-exponentially
+  and are not float-representable for the canonical per-block speed, so all
+  norm bookkeeping is done in u;
+* moving-block drift assemblies (blocks = cap * rescaled unit-mass bump speed,
+  ``AssemblyBlock.speed``, along a trajectory) together with their companion
+  subsolutions, in both the time-reversed "accumulating singular times"
+  ordering and the self-similar ordering with R_k^2 = |I_k|;
 * the steady log-log shear counterexample on a slab (n >= 3);
 * the periodic Hodge-type decomposition b = -div a + b2 with antisymmetric a.
 """
@@ -240,33 +240,12 @@ class BorderlineBlock:
         return float(t_of_u(self.u_hi)), float(t_of_u(self.u_lo))
 
 
-@dataclass
-class RescaledBlock:
-    """Unit-mass bump block on a real time interval: S = (M/|I|) b((t-t0)/|I|)."""
-
-    t0: float
-    t1: float
-    M: float
-
-    def speed(self, t):
-        w = self.t1 - self.t0
-        return (self.M / w) * bump_unit((np.asarray(t, dtype=float) - self.t0) / w)
-
-    def integral(self):
-        return _quad(self.speed, self.t0, self.t1, limit=200)
-
-    @property
-    def t_interval(self):
-        return self.t0, self.t1
-
-
 BORDERLINE = "borderline"
 BLOCK_RESCALED = "block_rescaled"
 
 
 @dataclass
 class SpeedSchedule:
-    kind: str
     c0: float
     M: float
     blocks: list
@@ -300,21 +279,7 @@ def borderline_schedule(K, c0=C0_DEFAULT, M=None, n=2, ramp_frac=0.1, gap_frac=0
     for k in range(K):
         lo = u0 + k * (width + gap)
         blocks.append(BorderlineBlock(lo, lo + width, ramp))
-    return SpeedSchedule(BORDERLINE, c0, M, blocks)
-
-
-def rescaled_schedule(intervals, M):
-    """Unit-bump blocks on explicit disjoint real-time intervals."""
-    blocks = []
-    prev = -np.inf
-    for t0, t1 in intervals:
-        if not t1 > t0:
-            raise ValueError("degenerate schedule interval")
-        if t0 < prev:
-            raise ValueError("schedule intervals overlap")
-        prev = t1
-        blocks.append(RescaledBlock(float(t0), float(t1), float(M)))
-    return SpeedSchedule(BLOCK_RESCALED, blocks[0].t0 if blocks else 0.0, M, blocks)
+    return SpeedSchedule(c0, M, blocks)
 
 
 def envelope_integral(a, b):
@@ -794,7 +759,7 @@ class HodgeDecomposition:
     reconstruction_error: float  # max|(b2 - div a) - b| / max|b|, formed with b2
 
     def a_l2(self):
-        return float(np.sqrt((self.a**2).sum() * self.grid.cell_volume
+        return float(np.sqrt(np.vdot(self.a, self.a) * self.grid.cell_volume
                              * (self.grid.dt if self.grid.nt > 1 else 1.0)))
 
     def reconstruct(self):

@@ -268,6 +268,8 @@ class FieldDrift:
                 lo, hi = cell_to_face(on_box[..., a], a, bc)
                 faces.append(0.5 * (lo + hi))
             faces = _project_faces(g, faces)
+            for u in faces:  # read-only, so the solver keeps their peaks (``_Upwind``)
+                u.flags.writeable = False
         runs[j] = faces
         return faces
 
@@ -384,8 +386,7 @@ def _project_faces(grid, faces):
 
 
 def as_drift(b, grid):
-    """Normalize the drift argument: None, provider object, or SpaceTimeField.  A provider
-    may return a face list again only with its values unchanged (see ``_Upwind``)."""
+    """Normalize the drift argument: None, provider object, or SpaceTimeField."""
     if b is None:
         return ZeroDrift()
     if hasattr(b, "face_velocities"):
@@ -428,12 +429,12 @@ class _Upwind:
     buffers of the grid's size.
 
     ``split`` keeps a reference to the faces and stores no copy of their
-    split, so they must stay unchanged until ``div``.  Faces passed again as
-    the same list must hold the same values, since their peaks and
-    ``max_outflow`` are kept for them; a new list over the same arrays may
-    hold new values.  The views ``div`` slices are kept per box, set of face
-    arrays and θ, so a march that hands over the same arrays at each step, in
-    a new list or not, builds them once.
+    split, so they must stay unchanged until ``div``.  Their peaks and
+    ``max_outflow`` are kept only while the same arrays, in any list, come
+    back read-only (a ``FieldDrift`` run's faces, ``ZeroDrift``'s); arrays
+    that may be written are searched again at every split.  The views ``div``
+    slices are kept per box, set of face arrays and θ, so a march that hands
+    over the same arrays at each step, in a new list or not, builds them once.
     """
 
     def __init__(self, grid):
@@ -441,8 +442,8 @@ class _Upwind:
         self.flux, self.prod, self.cells, self.res = (
             np.empty(math.prod(grid.shape)) for _ in range(4))
         self.whole = tuple(slice(0, N) for N in grid.shape)
-        self.faces = self.outflow = self.box = None
-        self.axes, self.views = [], (None,)
+        self.outflow = self.box = None
+        self.frozen, self.axes, self.views = False, [], (None,)
 
     def split(self, faces):
         """Keep the face velocities for div(); return ``speed``, max |u|.
@@ -450,23 +451,25 @@ class _Upwind:
         Also sets ``outflow_bound``, Σ_a (max u⁺ − min u⁻)/h_a over the faces
         of each axis: no cell's outflow rate exceeds it.
         """
-        if faces is not self.faces:
-            box = getattr(faces, "box", self.whole)
-            if box != self.box or len(faces) != len(self.axes) or any(
-                    u is not v for u, (_, v) in zip(faces, self.axes)):
-                if len(faces) != self.grid.n:
-                    raise ValueError(f"{len(faces)} face arrays, but the grid needs {self.grid.n}")
-                axes = []  # per axis: whether the box wraps, and its faces
-                for a, (u, s) in enumerate(zip(faces, box)):
-                    want = _face_shape(self.grid, box, a)
-                    if u.shape != want:
-                        raise ValueError(f"faces along axis {a} have shape {u.shape}, "
-                                         f"but their box needs {want}")
-                    axes.append((u.shape[a] == s.stop - s.start, u))
-                self.box, self.axes, self.views = box, axes, (None,)
+        box = getattr(faces, "box", self.whole)
+        same = box == self.box and len(faces) == len(self.axes) and all(
+            u is v for u, (_, v) in zip(faces, self.axes))
+        if not same:
+            if len(faces) != self.grid.n:
+                raise ValueError(f"{len(faces)} face arrays, but the grid needs {self.grid.n}")
+            axes = []  # per axis: whether the box wraps, and its faces
+            for a, (u, s) in enumerate(zip(faces, box)):
+                want = _face_shape(self.grid, box, a)
+                if u.shape != want:
+                    raise ValueError(f"faces along axis {a} have shape {u.shape}, "
+                                     f"but their box needs {want}")
+                axes.append((u.shape[a] == s.stop - s.start, u))
+            self.box, self.axes, self.views = box, axes, (None,)
+        frozen = not any(u.flags.writeable for u in faces)
+        if not (same and frozen and self.frozen):  # else the kept peaks still hold
             peaks = [(max(u.max(), 0.0), -min(u.min(), 0.0)) if u.size else (0.0, 0.0)
                      for _, u in self.axes]
-            self.faces, self.outflow = faces, None
+            self.frozen, self.outflow = frozen, None
             self.speed = max(max(p) for p in peaks)
             self.outflow_bound = sum((p + m) / h for (p, m), h in zip(peaks, self.h))
         return self.speed
@@ -615,7 +618,7 @@ def solve(theta0, b, grid, config=None):
     """March theta0 from grid.t0 to grid.t1, storing at the grid's times.
 
     theta0 is an array on grid.shape (or a single-snapshot SpaceTimeField); b is None, a
-    vector SpaceTimeField, or a face-velocity provider (whose contract ``as_drift`` states).
+    vector SpaceTimeField, or a provider with ``face_velocities(grid, t)``.
     The stepper substeps between stored times with a CFL-admissible dt; an explicitly
     configured dt that violates the CFL or per-cell positivity bounds is refused, and so is
     any step that would need more than MAX_STEPS steps to reach grid.t1, however
@@ -742,13 +745,6 @@ def fundamental_solution(source, s, b, grid, config=None, width=None):
     run_grid = grid.with_times(s, grid.t1, grid.nt)
     theta0 = gaussian_blob(run_grid, source, width)
     return solve(theta0, b, run_grid, config)
-
-
-def gaussian_comparison(grid, center, width, t_elapsed, n):
-    """Analytic evolution of the discrete Gaussian source: width^2 -> width^2+2t."""
-    r2 = _sq_distance(grid.meshgrid(), center)
-    s2 = width**2 + 2.0 * t_elapsed
-    return (2.0 * np.pi * s2) ** (-n / 2.0) * np.exp(-r2 / (2.0 * s2))
 
 
 # ---------------------------------------------------------------------------

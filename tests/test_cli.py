@@ -386,6 +386,9 @@ def _drop_blocks_line(text):
                  id="one-x_start"),
     pytest.param(lambda text: text.replace("kind = block_rescaled", "kind = bogus"),
                  "'bogus'", id="kind-bogus"),
+    # block 1 starts at 0.02, before block 0 ends at 0.05
+    pytest.param(lambda text: re.sub(r"(block\.1 = t0:)\S+", r"\g<1>0.02", text), "overlap",
+                 id="blocks-overlap"),
 ])
 def test_manifest_missing_key_exit_code(tmp_path, monkeypatch, capsys, edit, message):
     monkeypatch.setenv("DRIFTLAB_OUT", str(tmp_path))

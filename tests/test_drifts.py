@@ -25,7 +25,6 @@ from driftlab.drifts import (
     hodge_decompose,
     loglog_laplacian,
     loglog_profile,
-    rescaled_schedule,
     speed_envelope,
     subsolution_level,
     subsolution_radius,
@@ -219,11 +218,6 @@ def test_schedule_validation():
         borderline_schedule(2, c0=0.5)
     with pytest.raises(ValueError):
         borderline_schedule(2, M=-1.0)
-    with pytest.raises(ValueError):
-        rescaled_schedule([(0.0, 0.5), (0.4, 0.8)], M=1.0)
-    sched = rescaled_schedule([(0.0, 0.5), (0.6, 0.8)], M=2.5)
-    for blk in sched.blocks:
-        assert blk.integral() == pytest.approx(2.5, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

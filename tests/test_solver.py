@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from driftlab.analysis import subsolution_residual
 from driftlab.cli import trig_stream_field
-from driftlab.drifts import assemble_selfsimilar
+from driftlab.drifts import assemble_selfsimilar, heat_kernel
 from driftlab.fields import Grid, SpaceTimeField, cell_to_face, curl, grid_laplacian
 from driftlab.solver import (
     FieldDrift,
@@ -23,7 +23,6 @@ from driftlab.solver import (
     dynamic_rescale,
     fundamental_solution,
     gaussian_blob,
-    gaussian_comparison,
     solve,
 )
 
@@ -102,7 +101,8 @@ def test_heat_kernel_oracle():
     cfg = SolverConfig(dt=1e-4)
     run = fundamental_solution((0.0, 0.0), 0.0, None, g, cfg)
     width = 2.0 * min(g.h)
-    truth = gaussian_comparison(g, (0.0, 0.0), width, 0.1, 2)
+    # the blob of width w is the heat kernel at time w²/2, so at t it is the kernel at (w² + 2t)/2
+    truth = heat_kernel(np.stack(g.meshgrid(), axis=-1), (width**2 + 2 * 0.1) / 2, 2)
     err = np.abs(run.trajectory.samples[-1] - truth).max()
     assert err / truth.max() < 0.02
     # unit mass throughout
@@ -1581,6 +1581,41 @@ def test_steady_drift_peaks_found_once():
     run = solve(gaussian_blob(g, (0.1, 0.0), 0.3), drift, g)
     assert len(run.step_times) > 20
     assert sorted(calls) == ["max", "max", "min", "min"]
+
+
+@pytest.mark.parametrize("refill", ["new-arrays", "in-place"])
+def test_refilled_face_list_steps_on_its_new_peaks(refill):
+    # a provider that hands back one list, refilled with new arrays or written in
+    # place, as the speed of u = e1 jumps from 1 to 400 at t = 0.01: split() must
+    # neither keep the peaks of speed 1, whose dt would step checkerboard data far
+    # past its max, nor advect with the arrays of the list's last split
+    g = pgrid(64, L=1.0, t1=0.05)
+    theta0 = np.indices(g.shape).sum(axis=0) % 2.0
+
+    def faces_at(t):
+        return [np.full(g.shape, 1.0 if t < 0.01 else 400.0), np.zeros(g.shape)]
+
+    class Refilled:
+        faces = faces_at(0.0)
+
+        def face_velocities(self, grid, t):
+            if refill == "new-arrays":
+                self.faces[:] = faces_at(t)
+            else:
+                for u, v in zip(self.faces, faces_at(t)):
+                    u[...] = v
+            return self.faces
+
+    class Fresh:
+        def face_velocities(self, grid, t):
+            return faces_at(t)
+
+    refilled, fresh = solve(theta0, Refilled(), g), solve(theta0, Fresh(), g)
+    assert len(fresh.step_times) > 2000 and fresh.maximum.max() <= 1.0
+    assert refilled.maximum.max() <= 1.0
+    for name in ("step_times", "mass", "minimum", "maximum"):
+        assert getattr(refilled, name).tobytes() == getattr(fresh, name).tobytes(), name
+    assert refilled.trajectory.samples.tobytes() == fresh.trajectory.samples.tobytes()
 
 
 def test_dynamic_rescale_builds_one_stencil_per_slice(monkeypatch):
