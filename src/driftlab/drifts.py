@@ -450,10 +450,11 @@ class DriftAssembly:
         (div-free exactly) at grid's cell centers X, evaluated only on the box of
         the cells within ramp[1]·R of an active block, where a cutoff is not 0,
         widened by one cell for the stencil (``fields._box``)."""
+        negated = np.signbit(_curl_components((0.0,) * 3, grid.n, lambda a, axis: 0.0))
         def fn(t, *X):
             # outside the box: the curl of a zero potential, with its signs of zero
-            out = np.full(tuple(grid.shape) + (grid.n,),
-                          _curl_components((0.0,) * 3, grid.n, lambda a, axis: 0.0))
+            out = np.zeros(tuple(grid.shape) + (grid.n,))
+            out[..., negated] = -0.0  # component 0 in 2D, none in 3D
             caps = [(b.position(float(t)), b.ramp[1] * b.R) for b in self.blocks if b.active(t)]
             if caps:
                 lo = np.floor((np.min([p - r for p, r in caps], 0) - grid.lo) / grid.h - 0.5)

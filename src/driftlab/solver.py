@@ -12,6 +12,7 @@ one timestep rule.  The grid's boundary mode picks the diffusion step:
   inverted exactly by FFT.  The implicit operator is an inverse-positive M-matrix, so
   discrete monotonicity (max principle, comparison) survives.  θ's row spectra are
   kept between steps, and a step re-transforms only the rows its advection changed.
+  The symbol is even along axis 0, bit for bit, so the multiplier is built on rows 0..N0//2.
 
 Advection velocities live on cell faces.  Face data produced from a stream
 function (2D) or edge-sampled vector potential (3D) has exactly zero discrete
@@ -26,7 +27,8 @@ cells outside which every face is exactly 0, as are the box's end faces inside
 the grid.  A drift slice's faces are formed on the bounding box of its nonzero
 cells widened by one cell; a projected slice takes the whole grid.  Only the
 box's faces are stored, and the step advects on the box alone.  A ``FieldDrift``
-holds the faces of one bracket of slices, in one record with no weak references.
+holds the faces of one bracket of slices, in one record with no weak references,
+until the solve that reads it ends.  Non-finite faces are refused before the step.
 """
 from __future__ import annotations
 
@@ -220,7 +222,7 @@ class FieldDrift:
     faces, and the last two runs' embedded and interpolated faces, kept across
     one-run requests.  Faces outside the record are formed again, so a forward
     march keeps at most two cell and two projected slices alive, and reads and
-    projects each slice once.  The record lives as long as the drift.
+    projects each slice once.  ``solve`` drops the record and the last slice as it ends.
     """
 
     def __init__(self, b):
@@ -237,12 +239,14 @@ class FieldDrift:
         return drift
 
     def _set_source(self, grid, slice_at, whole):  # slice j is slice_at(j); whole() is all
-        self.grid, self._slice_at, self._whole = grid, slice_at, whole
-        self._last, self._run_start = (None, None), []  # the last slice read; run starts
-        # the bracket record: the last request's slices (j0, j1), the faces of their
-        # one or two runs by run start, and of the last two runs interpolated between
-        # their starts, union box, embedded faces and interpolated arrays
-        self._at, self._runs, self._pair = None, {}, (None,)
+        self.grid, self._slice_at, self._whole, self._run_start = grid, slice_at, whole, []
+        self._forget()
+
+    def _forget(self):  # all but the run starts
+        # the last slice read; the bracket record: the last request's slices (j0, j1), the
+        # faces of their one or two runs by run start, and of the last two runs interpolated
+        # between their starts, union box, embedded faces, interpolated arrays and scratch
+        self._last, self._at, self._runs, self._pair = (None, None), None, {}, (None,)
 
     def _slice(self, j):
         if self._last[0] != j:
@@ -303,13 +307,15 @@ class FieldDrift:
             if len(runs) == 2 and self._pair[0] != tuple(runs):  # embedded once per pair
                 box = _box_union(f0.box, f1.box)
                 e0, e1 = _embed(self.grid, box, f0), _embed(self.grid, box, f1)
-                self._pair = tuple(runs), box, e0, e1, [np.empty_like(u) for u in e0]
+                tmp = np.empty(max(u.size for u in e0))  # u1·w, one axis at a time
+                self._pair = (tuple(runs), box, e0, e1, [np.empty_like(u) for u in e0],
+                              [tmp[:u.size].reshape(u.shape) for u in e0])
         if len(self._runs) == 1:
             return next(iter(self._runs.values()))
-        _, box, e0, e1, out = self._pair
-        for r, u0, u1 in zip(out, e0, e1):
+        _, box, e0, e1, out, tmp = self._pair
+        for r, u0, u1, s in zip(out, e0, e1, tmp):
             np.multiply(u0, 1 - w, out=r)
-            r += u1 * w
+            r += np.multiply(u1, w, out=s)
         return _Faces(out, box)
 
     def sample(self, grid):
@@ -343,6 +349,11 @@ def _fd_symbol(shape, h):
         lam = -(2.0 - 2.0 * np.cos(2.0 * np.pi * m / N)) / ha**2
         sym = sym + lam.reshape([N if i == a else 1 for i in range(len(shape))])
     return np.ascontiguousarray(sym[..., : shape[-1] // 2 + 1])
+
+
+def _mirror(half, n):
+    """Rows n//2 + 1..n − 1 of n rows even along axis 0, a reversed view of rows 0..n//2."""
+    return half[n - len(half):0:-1]
 
 
 def _poisson(grid, div):
@@ -622,9 +633,9 @@ def solve(theta0, b, grid, config=None):
     The stepper substeps between stored times with a CFL-admissible dt; an explicitly
     configured dt that violates the CFL or per-cell positivity bounds is refused, and so is
     any step that would need more than MAX_STEPS steps to reach grid.t1, however
-    admissible.  Diffusion is forward Euler on zero grids and backward Euler by FFT on
-    periodic ones, from θ's row spectra, kept between steps: a step re-transforms only the
-    rows its advection changed.
+    admissible, and so are non-finite faces.  Diffusion is forward Euler on zero grids and
+    backward Euler by FFT on periodic ones, from θ's row spectra, kept between steps: a step
+    re-transforms only the rows its advection changed.
     """
     config = config or SolverConfig()
     explicit = grid.bc == ZERO
@@ -637,8 +648,8 @@ def solve(theta0, b, grid, config=None):
         raise ValueError("initial data shape does not match the grid")
     drift = as_drift(b, grid)
 
-    if not explicit:
-        sym, scaled_dt = _fd_symbol(grid.shape, grid.h), None
+    if not explicit:  # the multiplier on its mirror-unique rows 0..N0//2 (``_mirror``)
+        sym, scaled_dt = _fd_symbol(grid.shape, grid.h)[:grid.shape[0] // 2 + 1].copy(), None
         den = np.empty_like(sym)
         rows = np.fft.rfft(theta, axis=-1, norm="forward")  # θ's row spectra, kept
     upwind = _Upwind(grid)
@@ -656,54 +667,62 @@ def solve(theta0, b, grid, config=None):
 
     out_times = grid.times
     step = 0
-    for j in range(1, grid.nt):
-        t = out_times[j - 1]
-        t_end = out_times[j]
-        while t < t_end - 1e-14 * max(1.0, abs(t_end)):
-            speed = upwind.split(drift.face_velocities(grid, t))
-            dt = _timestep(grid, config, upwind, speed)
-            if dt * MAX_STEPS < grid.t1 - t:
-                raise ValueError(f"timestep {dt:g} at t = {t:g} needs more than "
-                                 f"{MAX_STEPS} steps to reach t1 = {grid.t1:g} "
-                                 "(solver.MAX_STEPS caps the step count, not a CFL bound)")
-            dt = min(dt, t_end - t)
-            adv = upwind.div(theta)  # 0 outside upwind.box
-            if explicit:
-                lap = grid_laplacian(theta, grid)
-                lap[upwind.box] -= adv
-                lap *= dt
-                theta += lap  # in place, bit-equal to theta + dt * lap: div keeps its views
-                _apply_buffer(theta, grid)
-            else:
-                adv *= dt
-                theta[upwind.box] -= adv
-                span = _span(adv.any(axis=-1))  # the box's rows that advection changed
-                if span is not None:
-                    at = upwind.box[:-1]
-                    np.fft.rfft(theta[at][span], axis=-1, norm="forward", out=rows[at][span])
-                for a in range(grid.n - 1):
-                    np.fft.fft(rows, axis=a, out=rows)
-                # times a real reciprocal (no complex division) that also scales the
-                # fft, rebuilt when dt changes
-                if dt != scaled_dt:
-                    np.subtract(1.0, np.multiply(sym, dt, out=den), out=den)
-                    np.divide(1.0 / math.prod(grid.shape[:-1]), den, out=den)
-                    scaled_dt = dt
-                rows *= den
-                for a in range(grid.n - 1):
-                    np.fft.ifft(rows, axis=a, norm="forward", out=rows)
-                np.fft.irfft(rows, n=grid.shape[-1], axis=-1, norm="forward", out=theta)
-            t += dt
-            step += 1
-            # a NaN anywhere makes the sum non-finite, so the scan runs only then
-            m = theta.sum()
-            if not math.isfinite(m) and np.isnan(theta).any():
-                raise RuntimeError(f"NaN detected at step {step} (t = {t:g})")
-            times.append(t)
-            mass.append(m * vol)
-            mn.append(theta.min())
-            mx.append(theta.max())
-        traj[j] = theta
+    try:
+        for j in range(1, grid.nt):
+            t = out_times[j - 1]
+            t_end = out_times[j]
+            while t < t_end - 1e-14 * max(1.0, abs(t_end)):
+                speed = upwind.split(drift.face_velocities(grid, t))
+                if not math.isfinite(upwind.outflow_bound):  # peaks ≥ 0: NaN, ±inf reach it
+                    for a, (_, u) in enumerate(upwind.axes):
+                        _require_finite(u, f"faces along axis {a}")
+                dt = _timestep(grid, config, upwind, speed)
+                if dt * MAX_STEPS < grid.t1 - t:
+                    raise ValueError(f"timestep {dt:g} at t = {t:g} needs more than "
+                                     f"{MAX_STEPS} steps to reach t1 = {grid.t1:g} "
+                                     "(solver.MAX_STEPS caps the step count, not a CFL bound)")
+                dt = min(dt, t_end - t)
+                adv = upwind.div(theta)  # 0 outside upwind.box
+                if explicit:
+                    lap = grid_laplacian(theta, grid)
+                    lap[upwind.box] -= adv
+                    lap *= dt
+                    theta += lap  # in place, bit-equal to theta + dt * lap: div keeps its views
+                    _apply_buffer(theta, grid)
+                else:
+                    adv *= dt
+                    theta[upwind.box] -= adv
+                    span = _span(adv.any(axis=-1))  # the box's rows that advection changed
+                    if span is not None:
+                        at = upwind.box[:-1]
+                        np.fft.rfft(theta[at][span], axis=-1, norm="forward", out=rows[at][span])
+                    for a in range(grid.n - 1):
+                        np.fft.fft(rows, axis=a, out=rows)
+                    # times a real reciprocal (no complex division) that also scales the
+                    # fft, rebuilt when dt changes
+                    if dt != scaled_dt:
+                        np.subtract(1.0, np.multiply(sym, dt, out=den), out=den)
+                        np.divide(1.0 / math.prod(grid.shape[:-1]), den, out=den)
+                        scaled_dt = dt
+                    rows[:len(den)] *= den
+                    rows[len(den):] *= _mirror(den, grid.shape[0])
+                    for a in range(grid.n - 1):
+                        np.fft.ifft(rows, axis=a, norm="forward", out=rows)
+                    np.fft.irfft(rows, n=grid.shape[-1], axis=-1, norm="forward", out=theta)
+                t += dt
+                step += 1
+                # a NaN anywhere makes the sum non-finite, so the scan runs only then
+                m = theta.sum()
+                if not math.isfinite(m) and np.isnan(theta).any():
+                    raise RuntimeError(f"NaN detected at step {step} (t = {t:g})")
+                times.append(t)
+                mass.append(m * vol)
+                mn.append(theta.min())
+                mx.append(theta.max())
+            traj[j] = theta
+    finally:  # the drift outlives the run (SimRun.drift): keep no slice or faces
+        if isinstance(drift, FieldDrift):
+            drift._forget()
     return SimRun(SpaceTimeField(grid, traj), drift, config, np.asarray(times),
                   np.asarray(mass), np.asarray(mn), np.asarray(mx))
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +18,11 @@ from driftlab.solver import (
     _Faces,
     _face_div,
     _fd_symbol,
+    _mirror,
     _poisson,
     _project_faces,
+    _span,
+    _timestep,
     _Upwind,
     dynamic_rescale,
     fundamental_solution,
@@ -177,6 +181,23 @@ def test_diffusion_second_order():
         truth = (0.15**2 / s2) * np.exp(-(X**2 + Y**2) / (2 * s2))
         errs.append(np.abs(run.trajectory.samples[-1] - truth).max())
     assert np.log2(errs[0] / errs[1]) > 1.7
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: periodic backward Euler at the "
+                   "automatic step span/50 has an O(dt) error that does not fall with h")
+def test_periodic_diffusion_second_order():
+    errs = []
+    for N in (48, 96, 192):
+        g = pgrid(N, L=1.0, t1=0.01)
+        theta0 = gaussian_blob(g, (0.0, 0.0), 0.15, normalize=False)
+        run = solve(theta0, None, g, SolverConfig())
+        assert len(run.step_times) == 51
+        s2 = 0.15**2 + 2.0 * 0.01
+        X, Y = g.meshgrid()
+        truth = (0.15**2 / s2) * np.exp(-(X**2 + Y**2) / (2 * s2))
+        errs.append(np.abs(run.trajectory.samples[-1] - truth).max())
+    orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
+    assert all(o > 1.7 for o in orders), orders
 
 
 def test_cfl_refusal():
@@ -1634,3 +1655,123 @@ def test_dynamic_rescale_builds_one_stencil_per_slice(monkeypatch):
     monkeypatch.setattr(solver, "_stencil", counting_stencil)
     dynamic_rescale(run)
     assert len(built) == g.nt
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.lists(st.integers(2, 65), min_size=2, max_size=3),
+       h=st.lists(st.floats(1e-3, 10.0), min_size=3, max_size=3))
+def test_fd_symbol_is_even_along_axis_0(shape, h):
+    # row N0 − i of the symbol is row i, bit for bit, so the periodic step builds
+    # its multiplier on rows 0..N0//2 and reads the others through _mirror
+    sym, N0 = _fd_symbol(tuple(shape), h[:len(shape)]), shape[0]
+    for i in range(1, N0):
+        assert sym[i].tobytes() == sym[N0 - i].tobytes(), i
+    H0 = N0 // 2 + 1
+    assert _mirror(sym[:H0], N0).tobytes() == sym[H0:].tobytes()
+
+
+def full_multiplier_run(theta0, provider, grid):
+    """solve's periodic march, with the backward-Euler multiplier built on every
+    row of the half spectrum: (times, mass, min, max, trajectory)."""
+    theta, sym = np.array(theta0, dtype=float), _fd_symbol(grid.shape, grid.h)
+    rows, upwind, vol = np.fft.rfft(theta, axis=-1, norm="forward"), _Upwind(grid), grid.cell_volume
+    times, mass, mn, mx = [grid.t0], [theta.sum() * vol], [theta.min()], [theta.max()]
+    traj = [theta.copy()]
+    for j in range(1, grid.nt):
+        t, t_end = grid.times[j - 1], grid.times[j]
+        while t < t_end - 1e-14 * max(1.0, abs(t_end)):
+            speed = upwind.split(provider.face_velocities(grid, t))
+            dt = min(_timestep(grid, SolverConfig(), upwind, speed), t_end - t)
+            adv = upwind.div(theta) * dt
+            theta[upwind.box] -= adv
+            span = _span(adv.any(axis=-1))
+            if span is not None:
+                at = upwind.box[:-1]
+                np.fft.rfft(theta[at][span], axis=-1, norm="forward", out=rows[at][span])
+            for a in range(grid.n - 1):
+                np.fft.fft(rows, axis=a, out=rows)
+            rows *= (1.0 / math.prod(grid.shape[:-1])) / (1.0 - sym * dt)
+            for a in range(grid.n - 1):
+                np.fft.ifft(rows, axis=a, norm="forward", out=rows)
+            np.fft.irfft(rows, n=grid.shape[-1], axis=-1, norm="forward", out=theta)
+            t += dt
+            times.append(t)
+            mass.append(theta.sum() * vol)
+            mn.append(theta.min())
+            mx.append(theta.max())
+        traj.append(theta.copy())
+    return [np.asarray(v) for v in (times, mass, mn, mx, traj)]
+
+
+@pytest.mark.parametrize("shape", [(2, 12), (3, 16), (17, 9), (64, 20), (9, 6, 8)])
+def test_mirrored_multiplier_steps_as_the_full_one(shape):
+    # fresh faces whose speed grows at every step, so dt, and the multiplier with
+    # it, changes at every step
+    n, t1 = len(shape), 0.01
+    g = Grid(n, (-1.0,) * n, (1.0,) * n, shape, 0.0, t1, 3, "periodic")
+    rng = np.random.default_rng(sum(shape))
+    base = [rng.uniform(-1.0, 1.0, shape) for _ in range(n)]
+    amp = 0.4 * min(g.h) / (n * t1 / 60)  # dt from t1/60 down to t1/180
+
+    class Growing:
+        def face_velocities(self, grid, t):
+            return [u * (amp * (1.0 + 2.0 * t / t1)) for u in base]
+
+    theta0 = 1.0 + gaussian_blob(g, (0.2,) * n, 0.3, normalize=False)
+    run = solve(theta0, Growing(), g)
+    assert len(np.unique(np.diff(run.step_times))) >= 0.9 * (len(run.step_times) - 1) > 90
+    times, mass, mn, mx, traj = full_multiplier_run(theta0, Growing(), g)
+    for got, want in ((run.step_times, times), (run.mass, mass), (run.minimum, mn),
+                      (run.maximum, mx), (run.trajectory.samples, traj)):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bc=st.sampled_from(["periodic", "zero"]), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       read_only=st.booleans(), axis=st.integers(0, 1), data=st.data())
+def test_nonfinite_faces_refused_before_the_step(bc, bad, read_only, axis, data):
+    # NaN would run a whole step and ±inf would blame MAX_STEPS: refused, naming
+    # the axis and the first bad face, before any step
+    g = Grid(2, (-1.0, -1.0), (1.0, 1.0), (32, 32), 0.0, 0.01, 2, bc)
+    rng = np.random.default_rng(axis)
+    faces = [rng.uniform(-1.0, 1.0, tuple(N + (bc == "zero") * (i == a)
+                                          for i, N in enumerate(g.shape))) for a in range(2)]
+    idx = tuple(data.draw(st.integers(0, N - 1)) for N in faces[axis].shape)
+    faces[axis][idx] = bad
+    for u in faces:
+        u.flags.writeable = not read_only
+    calls = []
+
+    class Bad:
+        def face_velocities(self, grid, t):
+            calls.append(t)
+            return faces
+
+    theta0 = np.zeros(g.shape)
+    theta0[8:24, 8:24] = 1.0
+    with pytest.raises(ValueError, match=re.escape(
+            f"faces along axis {axis} has a non-finite sample ({bad}) at index {idx}")):
+        solve(theta0, Bad(), g)
+    assert calls == [0.0]
+
+
+@pytest.mark.parametrize("streamed", [False, True], ids=["stored", "streamed"])
+def test_finished_solve_leaves_its_field_drift_no_arrays(streamed):
+    g = Grid(2, (-1.0, -1.0), (1.0, 1.0), (32, 28), 0.0, 0.03, 4, "periodic")
+    slices = [curl_slice(g, c) for c in ((-0.4, 0.1), (0.0, 0.0), (0.9, -0.3), (0.2, 0.6))]
+    if streamed:
+        drift = FieldDrift.from_function(g, lambda t, *X: slices[round(t / 0.01)])
+    else:
+        drift = FieldDrift(slice_field(g, slices))
+    run_grid = g.with_times(0.0, 0.03, 7)
+    theta0 = gaussian_blob(run_grid, (0.1, 0.0), 0.3)
+    first = solve(theta0, drift, run_grid)
+    assert first.drift is drift and len(first.step_times) > 20
+    # the last slice read and the bracket record are gone; the run starts stay
+    assert drift._last == (None, None) and drift._at is None
+    assert drift._runs == {} and drift._pair == (None,)
+    assert drift._run_start == [0, 1, 2, 3]
+    second = solve(theta0, drift, run_grid)
+    for name in ("step_times", "mass", "minimum", "maximum"):
+        assert getattr(second, name).tobytes() == getattr(first, name).tobytes(), name
+    assert second.trajectory.samples.tobytes() == first.trajectory.samples.tobytes()
